@@ -8,7 +8,7 @@ closed-form conditional expression for exponential fading.
 
 __version__ = "0.1.0"
 
-from .channel import ChannelSample, LinkPowers, PropagationParams
+from .channel import PropagationParams
 from .outage import OutageConfig, OutageEstimate, conditional_outage, density_sweep, estimate
 from .spectrum import (
     Band,
@@ -24,14 +24,12 @@ from .topology import Deployment, DeploymentParams, Fap, MacroBs, NeighborGraph,
 
 __all__ = [
     "Band",
-    "ChannelSample",
     "Deployment",
     "DeploymentParams",
     "EdgeChoice",
     "Fap",
     "FemtoAllocation",
     "FrequencyPlan",
-    "LinkPowers",
     "MacroBs",
     "MacroSector",
     "NeighborGraph",

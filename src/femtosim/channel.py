@@ -19,11 +19,7 @@ from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel
 from .topology import Deployment, Fap
 
 __all__ = [
-    "ChannelSample",
-    "LinkPowers",
     "PropagationParams",
-    "draw_sample",
-    "interference_powers",
     "link_coefficients",
     "mean_desired_power",
 ]
@@ -72,49 +68,6 @@ class PropagationParams:
         return 10 ** (-self.walls_between_femtos * self.wall_loss_db / 10.0)
 
 
-@dataclass
-class ChannelSample:
-    """One fading realization: Z_0 for the desired link plus an (xi, Z) pair
-    per interfering femto link and one pair for the macro link."""
-
-    z0: float
-    xi: np.ndarray  # (K,) slow fading per neighbor
-    z: np.ndarray  # (K,) fast fading per neighbor
-    xi_macro: float
-    z_macro: float
-
-    @property
-    def neighbor_count(self) -> int:
-        return len(self.xi)
-
-
-@dataclass
-class LinkPowers:
-    """Deterministic mean desired power and per-source interference powers for
-    one fading realization, in watts."""
-
-    s_bar: float
-    i_femto: np.ndarray  # (K,) one entry per neighbor, 0.0 where X_i = 0
-    i_macro: float
-
-    @property
-    def total_interference(self) -> float:
-        return float(self.i_femto.sum()) + self.i_macro
-
-
-def draw_sample(neighbor_count: int, rng: np.random.Generator) -> ChannelSample:
-    """Draw 1 + 2*neighbor_count + 2 independent unit-mean exponential fading
-    values (order: z0, xi vector, z vector, macro pair)."""
-    if neighbor_count < 0:
-        raise ValueError("neighbor_count must be >= 0")
-    z0 = rng.exponential()
-    xi = rng.exponential(size=neighbor_count)
-    z = rng.exponential(size=neighbor_count)
-    xi_m = rng.exponential()
-    z_m = rng.exponential()
-    return ChannelSample(z0=z0, xi=xi, z=z, xi_macro=xi_m, z_macro=z_m)
-
-
 def mean_desired_power(fap: Fap, ue_distance: float, params: PropagationParams) -> float:
     """Mean received power s_bar = P_T * P0f * d^(-eta1): no wall loss and no
     fading factor on the same-indoor desired link."""
@@ -126,14 +79,10 @@ def mean_desired_power(fap: Fap, ue_distance: float, params: PropagationParams) 
 def neighbor_ids(deployment: Deployment, reference_fap: Fap) -> list[int]:
     """Ids of FAPs within the deployment's neighbor radius of the reference
     FAP (center-to-center), in ascending id order."""
-    radius = deployment.params.neighbor_radius_m
-    out = []
-    for f in deployment.faps:
-        if f.id == reference_fap.id:
-            continue
-        if np.linalg.norm(f.position - reference_fap.position) <= radius:
-            out.append(f.id)
-    return sorted(out)
+    dists = np.linalg.norm(deployment.positions() - reference_fap.position, axis=1)
+    near = dists <= deployment.params.neighbor_radius_m
+    near[reference_fap.id] = False
+    return np.flatnonzero(near).tolist()
 
 
 def link_coefficients(
@@ -157,7 +106,7 @@ def link_coefficients(
     ids = neighbor_ids(deployment, reference_fap)
     coeffs = np.zeros(len(ids))
     for k, fid in enumerate(ids):
-        f = deployment.fap_by_id(fid)
+        f = deployment.faps[fid]
         if f.allocation is None:
             raise ValueError(f"FAP {fid} has no allocation; apply a plan first")
         x_i = cochannel(plan, reference_fap.allocation, ue_region, f.allocation)
@@ -185,30 +134,3 @@ def link_coefficients(
     d0 = float(np.linalg.norm(reference_fap.position - ue))
     s_bar = mean_desired_power(reference_fap, d0, params)
     return ids, coeffs, macro_coeff, s_bar
-
-
-def interference_powers(
-    deployment: Deployment,
-    reference_fap: Fap,
-    ue_position: np.ndarray,
-    plan: FrequencyPlan,
-    ue_region: UeRegion,
-    params: PropagationParams,
-    sample: ChannelSample,
-) -> LinkPowers:
-    """Received interference powers at the UE for one fading realization.
-
-    Each neighbor term is P_T * P0f * d_i^(-eta2) * xi_i * Z_i * X_i through
-    the configured wall count; the macro term is P_Tm * P0m * d_m^(-eta3) *
-    xi_m * Z_m * Y with no wall.
-    """
-    ids, coeffs, macro_coeff, s_bar = link_coefficients(
-        deployment, reference_fap, ue_position, plan, ue_region, params
-    )
-    if sample.neighbor_count != len(ids):
-        raise ValueError(
-            f"sample has {sample.neighbor_count} fading pairs for {len(ids)} neighbors"
-        )
-    i_femto = coeffs * sample.xi * sample.z
-    i_macro = macro_coeff * sample.xi_macro * sample.z_macro
-    return LinkPowers(s_bar=s_bar, i_femto=i_femto, i_macro=i_macro)

@@ -61,24 +61,9 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _experiment_fig5(cfg: ExperimentConfig, workers: int) -> list[SweepRow]:
+def _experiment_sweep(cfg: ExperimentConfig, workers: int, densities) -> list[SweepRow]:
     return density_sweep(
-        densities=[cfg.n_faps],
-        schemes=cfg.scheme_list(),
-        config=cfg.outage_config(),
-        params=cfg.propagation(),
-        seed=cfg.seed,
-        dep_params=cfg.deployment_params(),
-        total_band=cfg.total_band(),
-        femto_fraction=cfg.femto_fraction,
-        edge_split=cfg.edge_split,
-        n_workers=workers,
-    )
-
-
-def _experiment_fig6(cfg: ExperimentConfig, workers: int) -> list[SweepRow]:
-    return density_sweep(
-        densities=list(cfg.densities),
+        densities=list(densities),
         schemes=cfg.scheme_list(),
         config=cfg.outage_config(),
         params=cfg.propagation(),
@@ -92,7 +77,10 @@ def _experiment_fig6(cfg: ExperimentConfig, workers: int) -> list[SweepRow]:
 
 
 def _experiment_son_ablation(cfg: ExperimentConfig, workers: int) -> list[SweepRow]:
-    """Dynamic re-use at n_faps FAPs under three edge-coloring policies."""
+    """Dynamic re-use at n_faps FAPs under three edge-coloring policies.
+
+    The deployment and its neighbor graph are built once; each policy
+    overwrites every FAP's edge color before its estimate."""
     plan = build_plan(
         Scheme.DYNAMIC_REUSE, cfg.total_band(), cfg.n_sectors, edge_split=cfg.edge_split
     )
@@ -101,11 +89,10 @@ def _experiment_son_ablation(cfg: ExperimentConfig, workers: int) -> list[SweepR
     dep_seed = int(dep_seq.generate_state(1)[0])
     trial_seed = int(trial_seq.generate_state(1)[0])
     dp = cfg.deployment_params()
+    dep = apply_plan(generate(Scenario.D, dp, dep_seed), plan)
+    graph = neighbor_graph(dep, dp.neighbor_radius_m)
     rows = []
     for variant in ("greedy", "random", "shared"):
-        dep = generate(Scenario.D, dp, dep_seed)
-        apply_plan(dep, plan)
-        graph = neighbor_graph(dep, dp.neighbor_radius_m)
         if variant == "greedy":
             son.configure_frequencies(dep, graph, plan)
         elif variant == "random":
@@ -152,9 +139,9 @@ def _write_csv(path: Path, cfg: ExperimentConfig, experiment: str, body: list[st
 
 def run_experiment(cfg: ExperimentConfig, experiment: str, workers: int) -> Path:
     if experiment == "fig5":
-        rows = _experiment_fig5(cfg, workers)
+        rows = _experiment_sweep(cfg, workers, [cfg.n_faps])
     elif experiment == "fig6":
-        rows = _experiment_fig6(cfg, workers)
+        rows = _experiment_sweep(cfg, workers, cfg.densities)
     elif experiment == "son-ablation":
         rows = _experiment_son_ablation(cfg, workers)
     else:

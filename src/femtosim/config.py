@@ -1,20 +1,24 @@
 """Experiment configuration: flat key=value files with typed parsing.
 
 Every key has a documented default mirroring the dense-deployment experiment
-setup (1000 m macrocell, 10 m femtocells, 900 MHz, 1.5 W / 10 mW transmit
-powers, 9 dB SIR threshold, 100 m neighbor radius, reference FAP 200 m from
-the macro BS, UE at 5 m).  Unknown keys are rejected so stale configs fail
-loudly, and the canonical serialized form is hashable for provenance.
+setup (1000 m macrocell, 10 m femtocells, 900 MHz propagation constants,
+1.5 W / 10 mW transmit powers, 9 dB SIR threshold, 100 m neighbor radius,
+reference FAP 200 m from the macro BS, UE at 5 m).  Unknown keys are rejected
+so stale configs fail loudly, and the canonical serialized form is hashable
+for provenance.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .channel import PropagationParams
 from .outage import OutageConfig
-from .spectrum import Band, Scheme, UeRegion
+from .spectrum import Band, Scheme, UeRegion, build_plan
 from .topology import DeploymentParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_hash", "effective_text", "parse_text"]
@@ -57,12 +61,9 @@ class ExperimentConfig:
     femto_radius_m: float = 10.0
     reference_distance_m: float = 200.0
     neighbor_radius_m: float = 100.0
-    macro_height_m: float = 50.0
-    fap_height_m: float = 2.0
     n_sectors: int = 3
     dense_threshold: int = 1000
     # radio
-    carrier_hz: float = 900e6
     macro_tx_power_w: float = 1.5
     fap_tx_power_w: float = 0.01
     gamma_db: float = 9.0
@@ -89,34 +90,25 @@ class ExperimentConfig:
     n_trials: int = 100_000
     n_shards: int = 16
     seed: int = 2
-    # SON power adjustment knobs
-    son_margin_db: float = 3.0
-    son_step_db: float = 1.0
-    son_floor_w: float = 1e-4
     # output
     out: str = ""
 
     def validate(self) -> None:
-        problems = []
+        """Raise ConfigError unless every experiment can run on this config.
+
+        Builds the objects the experiments build (their constructors check
+        their own values) and checks here only what no constructor does."""
+        problems = [
+            f"{f.name} must not be NaN"
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), float) and math.isnan(getattr(self, f.name))
+        ]
         for name in ("macro_radius_m", "femto_radius_m", "neighbor_radius_m",
-                     "reference_distance_m", "carrier_hz", "macro_tx_power_w",
-                     "fap_tx_power_w", "ue_distance_m", "son_floor_w", "son_step_db"):
+                     "reference_distance_m", "macro_tx_power_w", "fap_tx_power_w"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
         if self.reference_distance_m > self.macro_radius_m:
             problems.append("reference_distance_m exceeds macro_radius_m")
-        if not 0.0 < self.femto_fraction < 1.0:
-            problems.append("femto_fraction must lie in (0, 1)")
-        if not 0.0 < self.edge_split <= 0.5:
-            problems.append("edge_split must lie in (0, 0.5]")
-        if self.band_high_hz <= self.band_low_hz:
-            problems.append("band_high_hz must exceed band_low_hz")
-        if self.n_sectors < 3:
-            problems.append("n_sectors must be >= 3")
-        if self.n_trials < 1:
-            problems.append("n_trials must be >= 1")
-        if self.n_shards < 1:
-            problems.append("n_shards must be >= 1")
         if self.n_faps < 1:
             problems.append("n_faps must be >= 1")
         if not self.densities:
@@ -128,14 +120,25 @@ class ExperimentConfig:
         for tok in self.schemes:
             if tok not in _SCHEME_TOKENS:
                 problems.append(f"unknown scheme {tok!r}")
-        if self.ue_region not in ("center", "edge"):
-            problems.append(f"unknown ue_region {self.ue_region!r}")
-        if self.ue_direction not in ("nearest", "random"):
-            problems.append(f"unknown ue_direction {self.ue_direction!r}")
         if not self.ue_distance_m <= self.femto_radius_m:
             problems.append("ue_distance_m must not exceed femto_radius_m")
-        if self.gamma_db != self.gamma_db:  # NaN
-            problems.append("gamma_db must be finite")
+
+        def attempt(build, *args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except ValueError as exc:
+                problems.append(str(exc))
+
+        for build in (self.propagation, self.outage_config, self.deployment_params):
+            attempt(build)
+        attempt(np.random.SeedSequence, self.seed)
+        band = attempt(self.total_band)
+        if band is not None:
+            # every scheme, not only the selected ones: son-ablation always
+            # builds the dynamic re-use plan
+            for scheme in Scheme:
+                attempt(build_plan, scheme, band, self.n_sectors,
+                        femto_fraction=self.femto_fraction, edge_split=self.edge_split)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -156,15 +159,12 @@ class ExperimentConfig:
             reference_distance_m=self.reference_distance_m,
             macro_tx_power_w=self.macro_tx_power_w,
             fap_tx_power_w=self.fap_tx_power_w,
-            macro_height_m=self.macro_height_m,
-            fap_height_m=self.fap_height_m,
             n_sectors=self.n_sectors,
             dense_threshold=self.dense_threshold,
         )
 
     def propagation(self) -> PropagationParams:
         return PropagationParams(
-            carrier_hz=self.carrier_hz,
             eta_desired=self.eta_desired,
             eta_femto_interf=self.eta_femto,
             eta_macro=self.eta_macro,

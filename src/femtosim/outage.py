@@ -28,7 +28,6 @@ from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, base_allocation, bu
 from .topology import (
     Deployment,
     DeploymentParams,
-    Fap,
     NeighborGraph,
     Scenario,
     apply_plan,
@@ -100,17 +99,13 @@ def conditional_outage(s_bar, total_interference, gamma_linear):
 
 def nearest_fap_angle(deployment: Deployment, ref) -> float:
     """Direction from the reference FAP toward its nearest other FAP (the
-    worst-case UE bearing); 0 when there is no other FAP."""
-    best, best_d = None, math.inf
-    for f in deployment.faps:
-        if f.id == ref.id:
-            continue
-        d = float(np.linalg.norm(f.position - ref.position))
-        if d < best_d or (d == best_d and (best is None or f.id < best.id)):
-            best, best_d = f, d
-    if best is None:
+    worst-case UE bearing; ties go to the lowest id); 0 when there is no other
+    FAP."""
+    if len(deployment.faps) < 2:
         return 0.0
-    delta = best.position - ref.position
+    dists = np.linalg.norm(deployment.positions() - ref.position, axis=1)
+    dists[ref.id] = math.inf
+    delta = deployment.faps[int(np.argmin(dists))].position - ref.position
     return math.atan2(delta[1], delta[0])
 
 
@@ -286,27 +281,17 @@ def density_sweep(
     dep_seq, dir_seq, *trial_seqs = root.spawn(2 + len(densities))
     dep_seed = _seed_int(dep_seq)
     # the dense-threshold check is waived inside a sweep: low densities are the
-    # same deployment at an earlier build-out stage
+    # same deployment at an earlier build-out stage.  Placement is sequential,
+    # so each scheme's starting deployment is a prefix of the full one.
     full_params = replace(dep_params, n_faps=densities[-1], dense_threshold=0)
     full = generate(Scenario.D, full_params, dep_seed)
-    ref = full.faps[0]
     if config.ue_direction == "random":
         ue_angle = float(np.random.default_rng(dir_seq).uniform(0.0, 2.0 * math.pi))
     else:
-        ue_angle = nearest_fap_angle(full, ref)
+        ue_angle = nearest_fap_angle(full, full.faps[0])
 
-    # per-scheme growing network (the snapshots share Fap objects, which is
-    # safe because each scheme column owns its deployment)
-    chains: dict[Scheme, Deployment] = {}
-    for scheme in schemes:
-        dp0 = replace(dep_params, n_faps=densities[0], dense_threshold=0)
-        dep = Deployment(full.macro, list(full.faps[: densities[0]]), Scenario.D, dep_seed, dp0)
-        dep = _copy_faps(dep)
-        apply_plan(dep, plans[scheme])
-        if scheme is Scheme.DYNAMIC_REUSE:
-            graph = neighbor_graph(dep, dep_params.neighbor_radius_m)
-            son.configure_frequencies(dep, graph, plans[scheme])
-        chains[scheme] = dep
+    dp0 = replace(full_params, n_faps=densities[0])
+    chains = {s: prepare_deployment(s, plans[s], dp0, dep_seed) for s in schemes}
 
     radius_graph = NeighborGraph(adjacency={}, neighbor_radius=dep_params.neighbor_radius_m)
     rows = []
@@ -319,12 +304,8 @@ def density_sweep(
                 if scheme is Scheme.DYNAMIC_REUSE:
                     son.admit_fap(dep, f.position, plans[scheme], radius_graph)
                 else:
-                    new = Fap(
-                        id=f.id, position=f.position.copy(), height=f.height,
-                        tx_power=f.tx_power, radius=f.radius, sector_index=f.sector_index,
-                    )
-                    new.allocation = base_allocation(plans[scheme], new.sector_index)
-                    dep.faps.append(new)
+                    allocation = base_allocation(plans[scheme], f.sector_index)
+                    dep.faps.append(replace(f, allocation=allocation))
             dep.params = replace(dep.params, n_faps=density)
             est = estimate(
                 dep, 0, plans[scheme], config, params, trial_seed, n_workers,
@@ -333,17 +314,6 @@ def density_sweep(
             rows.append(SweepRow(scheme=scheme, density=density, estimate=est, seed=trial_seed))
         prev_density = density
     return rows
-
-
-def _copy_faps(dep: Deployment) -> Deployment:
-    dep.faps = [
-        Fap(
-            id=f.id, position=f.position.copy(), height=f.height, tx_power=f.tx_power,
-            radius=f.radius, sector_index=f.sector_index, allocation=f.allocation,
-        )
-        for f in dep.faps
-    ]
-    return dep
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

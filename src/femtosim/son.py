@@ -135,7 +135,6 @@ def configure_frequencies(
     if missing:
         raise ValueError(f"neighbor graph does not cover FAPs {missing}")
 
-    by_id = {f.id: f for f in deployment.faps}
     order = sorted(graph.adjacency, key=lambda i: (-len(graph.adjacency[i]), i))
     colors: dict[int, EdgeChoice] = {}
     usage = {c: 0 for c in EDGE_COLORS}
@@ -158,7 +157,7 @@ def configure_frequencies(
                 )
         colors[fid] = color
         usage[color] += 1
-        _set_edge_color(by_id[fid], plan, color)
+        _set_edge_color(deployment.faps[fid], plan, color)
         if log is not None:
             log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
     return ColoringState(colors=colors, conflicts=same_color_conflicts(graph, colors))
@@ -201,13 +200,11 @@ def noncochannel_fraction(
 ) -> float:
     """Fraction of ordered neighbor pairs whose interference indicator is 0,
     i.e. how often a neighbor does not reach the reference UE's band."""
-    by_id = {f.id: f for f in deployment.faps}
+    faps = deployment.faps
     total = 0
     zero = 0
     for a, b in graph.edges():
-        fa = by_id[a]
-        fb = by_id[b]
-        for ref, other in ((fa, fb), (fb, fa)):
+        for ref, other in ((faps[a], faps[b]), (faps[b], faps[a])):
             total += 1
             if not cochannel(plan, ref.allocation, ue_region, other.allocation):
                 zero += 1
@@ -302,11 +299,8 @@ def admit_fap(
     if float(np.linalg.norm(pos - deployment.macro.position)) > deployment.macro.radius:
         raise ValueError("new FAP position lies outside the macro disc")
     sector = sector_of(deployment.macro, pos)
-    if deployment.faps:
-        dists = np.linalg.norm(deployment.positions() - pos, axis=1)
-        sniffed = [f for f, d in zip(deployment.faps, dists) if d <= graph.neighbor_radius]
-    else:
-        sniffed = []
+    dists = np.linalg.norm(deployment.positions() - pos, axis=1)
+    sniffed = [deployment.faps[i] for i in np.flatnonzero(dists <= graph.neighbor_radius)]
     neigh_colors = [
         f.allocation.edge_choice
         for f in sniffed
@@ -320,12 +314,11 @@ def admit_fap(
         counts = {c: neigh_colors.count(c) for c in EDGE_COLORS}
         color = min(EDGE_COLORS, key=lambda c: (counts[c], rank[c]))
 
-    new_id = max((f.id for f in deployment.faps), default=-1) + 1
+    new_id = len(deployment.faps)
     params = deployment.params
     fap = Fap(
         id=new_id,
         position=pos,
-        height=params.fap_height_m,
         tx_power=params.fap_tx_power_w,
         radius=params.femto_radius_m,
         sector_index=sector,
@@ -357,7 +350,6 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
             fap = Fap(
                 id=ev.subject,
                 position=np.array([ev.details["x"], ev.details["y"]]),
-                height=params.fap_height_m,
                 tx_power=params.fap_tx_power_w,
                 radius=params.femto_radius_m,
                 sector_index=ev.details["sector"],

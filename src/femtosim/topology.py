@@ -5,8 +5,8 @@ from the bounding square, which makes the neighbor-count distribution of
 interior FAPs converge to Poisson(density * pi * neighbor_radius^2).  The
 reference FAP used by outage experiments is always FAP 0, pinned at the
 configured distance from the macro BS on the +x axis; all other positions are
-random.  Distances are 2-D horizontal; antenna heights only enter the
-propagation constants.
+random.  Distances are 2-D horizontal.  A FAP's id is its row index in
+``Deployment.faps``; every construction path appends in id order.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class PlacementError(RuntimeError):
 @dataclass(frozen=True)
 class MacroBs:
     position: np.ndarray  # (2,) meters
-    height: float  # m
     tx_power: float  # W
     radius: float  # m
     n_sectors: int
@@ -67,9 +66,8 @@ class MacroBs:
 
 @dataclass
 class Fap:
-    id: int
+    id: int  # row index in Deployment.faps
     position: np.ndarray  # (2,) meters
-    height: float  # m
     tx_power: float  # W, mutable via SON
     radius: float  # m, mutable via SON
     sector_index: int
@@ -115,8 +113,6 @@ class DeploymentParams:
     reference_distance_m: float = 200.0
     macro_tx_power_w: float = 1.5
     fap_tx_power_w: float = 0.01
-    macro_height_m: float = 50.0
-    fap_height_m: float = 2.0
     n_sectors: int = 3
     dense_threshold: int = 1000  # scenario D minimum FAP count; 0 disables
     c_max_mean_degree: float = 2.0  # scenario C sparsity bound
@@ -133,13 +129,13 @@ class Deployment:
     params: DeploymentParams
 
     def positions(self) -> np.ndarray:
-        return np.array([f.position for f in self.faps])
+        """(N, 2) FAP positions; row i is FAP i."""
+        return np.array([f.position for f in self.faps], dtype=float).reshape(-1, 2)
 
     def fap_by_id(self, fap_id: int) -> Fap:
-        for f in self.faps:
-            if f.id == fap_id:
-                return f
-        raise ValueError(f"no FAP with id {fap_id}")
+        if not 0 <= fap_id < len(self.faps):
+            raise ValueError(f"no FAP with id {fap_id}")
+        return self.faps[fap_id]
 
 
 def sector_of(macro: MacroBs, position) -> int:
@@ -158,12 +154,20 @@ def _sample_in_disc(rng: np.random.Generator, radius: float) -> np.ndarray:
             return p
 
 
+def _make_macro(params: DeploymentParams) -> MacroBs:
+    return MacroBs(
+        position=np.zeros(2),
+        tx_power=params.macro_tx_power_w,
+        radius=params.macro_radius_m,
+        n_sectors=params.n_sectors,
+    )
+
+
 def _make_fap(fap_id: int, position, macro: MacroBs | None, params: DeploymentParams) -> Fap:
     sector = sector_of(macro, position) if macro is not None else 0
     return Fap(
         id=fap_id,
         position=position,
-        height=params.fap_height_m,
         tx_power=params.fap_tx_power_w,
         radius=params.femto_radius_m,
         sector_index=sector,
@@ -194,23 +198,10 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     if scenario is Scenario.A:
         if params.n_faps != 1:
             raise ValueError("scenario A has exactly one FAP")
-        fap = Fap(
-            id=0,
-            position=np.zeros(2),
-            height=params.fap_height_m,
-            tx_power=params.fap_tx_power_w,
-            radius=params.femto_radius_m,
-            sector_index=0,
-        )
+        fap = _make_fap(0, np.zeros(2), None, params)
         return Deployment(None, [fap], scenario, seed, params)
 
-    macro = MacroBs(
-        position=np.zeros(2),
-        height=params.macro_height_m,
-        tx_power=params.macro_tx_power_w,
-        radius=params.macro_radius_m,
-        n_sectors=params.n_sectors,
-    )
+    macro = _make_macro(params)
     if params.reference_distance_m > params.macro_radius_m:
         raise ValueError("reference FAP lies outside the macro disc")
 
@@ -278,7 +269,7 @@ def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:
 # --- CSV serialization ------------------------------------------------------
 #
 # Floats are written with repr() so a round trip is bit-exact.  Per-FAP radius
-# and height are uniform at generation time and restored from the header; only
+# is uniform at generation time and restored from the header; only
 # tx_power and the edge color survive SON edits through a round trip.
 
 _CSV_COLUMNS = "id,x,y,sector,tx_power,edge_choice"
@@ -326,22 +317,13 @@ def deployment_from_csv(text: str, plan: FrequencyPlan | None = None) -> Deploym
     params = DeploymentParams(**kwargs)
     scenario = Scenario(header["scenario"])
     seed = int(header["rng_seed"])
-    macro = None
-    if header["macro"] == "1":
-        macro = MacroBs(
-            position=np.zeros(2),
-            height=params.macro_height_m,
-            tx_power=params.macro_tx_power_w,
-            radius=params.macro_radius_m,
-            n_sectors=params.n_sectors,
-        )
+    macro = _make_macro(params) if header["macro"] == "1" else None
     faps = []
     for row in rows:
         sid, x, y, sector, power, edge = row.split(",")
         fap = Fap(
             id=int(sid),
             position=np.array([float(x), float(y)]),
-            height=params.fap_height_m,
             tx_power=float(power),
             radius=params.femto_radius_m,
             sector_index=int(sector),

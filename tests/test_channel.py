@@ -4,25 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from femtosim.channel import (
-    ChannelSample,
-    PropagationParams,
-    draw_sample,
-    interference_powers,
-    link_coefficients,
-    mean_desired_power,
-)
-from femtosim.spectrum import Band, Scheme, UeRegion, build_plan
+from femtosim.channel import PropagationParams, link_coefficients, mean_desired_power
+from femtosim.spectrum import Band, Scheme, UeRegion, build_plan, cochannel
 from femtosim.topology import DeploymentParams, Fap, Scenario, apply_plan, generate
 
 TOTAL = Band(0, 60_000_000)
 
 
 def _fap(fap_id=0, position=(0.0, 0.0), power=0.01):
-    return Fap(id=fap_id, position=np.array(position), height=2.0, tx_power=power,
-               radius=10.0, sector_index=0)
+    return Fap(id=fap_id, position=np.array(position), tx_power=power, radius=10.0,
+               sector_index=0)
 
 
 class TestPropagationParams:
@@ -74,48 +66,6 @@ class TestMeanDesiredPower:
             mean_desired_power(_fap(), 0.0, PropagationParams())
 
 
-class TestDrawSample:
-    def test_zero_neighbors(self):
-        s = draw_sample(0, np.random.default_rng(1))
-        assert s.neighbor_count == 0
-        assert s.z0 > 0 and s.xi_macro > 0 and s.z_macro > 0
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            draw_sample(-1, np.random.default_rng(1))
-
-    def test_reproducible(self):
-        a = draw_sample(5, np.random.default_rng(42))
-        b = draw_sample(5, np.random.default_rng(42))
-        assert a.z0 == b.z0 and np.array_equal(a.xi, b.xi) and np.array_equal(a.z, b.z)
-
-    def test_unit_mean_and_variance(self):
-        # exponential(1): mean 1, variance 1; SE of mean = 1/sqrt(n),
-        # SE of variance estimate ~ sqrt(8)/sqrt(n)
-        rng = np.random.default_rng(7)
-        n = 1_000_000
-        z0 = np.array([draw_sample(0, rng).z0 for _ in range(1000)])
-        draws = rng.exponential(size=n)  # same generator family as draw_sample
-        assert abs(draws.mean() - 1.0) < 3 / math.sqrt(n)
-        assert abs(draws.var() - 1.0) < 3 * math.sqrt(8) / math.sqrt(n)
-        assert abs(z0.mean() - 1.0) < 4 / math.sqrt(1000)
-
-    def test_kolmogorov_smirnov_exponential(self):
-        rng = np.random.default_rng(11)
-        sample = draw_sample(50_000, rng)
-        values = np.concatenate([sample.xi, sample.z])
-        result = stats.kstest(values, "expon")
-        assert result.pvalue > 0.01
-
-    def test_desired_independent_of_interferers(self):
-        rng = np.random.default_rng(13)
-        samples = [draw_sample(1, rng) for _ in range(20_000)]
-        z0 = np.array([s.z0 for s in samples])
-        xi = np.array([s.xi[0] for s in samples])
-        r = np.corrcoef(z0, xi)[0, 1]
-        assert abs(r) < 3 / math.sqrt(len(samples))
-
-
 def _dense_setup(scheme, seed=101, n_faps=1000):
     frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
     plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
@@ -125,6 +75,8 @@ def _dense_setup(scheme, seed=101, n_faps=1000):
 
 
 class TestInterferencePowers:
+    """Link coefficients are the interference powers at unit fading."""
+
     def test_hand_computed_single_neighbor(self):
         # one co-channel neighbor: 0.01 W, P0f = 1, d = 50 m, eta2 = 2,
         # xi = Z = 1, one 10 dB wall  ->  0.01 * 50^-2 * 0.1 = 4e-7 W
@@ -133,10 +85,10 @@ class TestInterferencePowers:
         ref = dep.faps[0]
         dep.faps[1].position = ref.position + np.array([50.0, 0.0])
         params = PropagationParams(p0_femto=1.0)
-        sample = ChannelSample(z0=1.0, xi=np.ones(1), z=np.ones(1), xi_macro=0.0, z_macro=0.0)
         ue = ref.position + np.array([0.0, 1e-9])
-        powers = interference_powers(dep, ref, ue, plan, UeRegion.CENTER, params, sample)
-        assert powers.i_femto[0] == pytest.approx(4e-7, rel=1e-9)
+        ids, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+        assert ids == [1]
+        assert coeffs[0] == pytest.approx(4e-7, rel=1e-9)
 
     def test_orthogonal_bands_zero_interference(self):
         # dynamic re-use, neighbors on different edge colors, no macro overlap
@@ -152,35 +104,33 @@ class TestInterferencePowers:
             dep, ref, ue, plan, UeRegion.EDGE, PropagationParams()
         )
         assert macro_coeff == 0.0  # Y = 0 under dynamic re-use
-        rng = np.random.default_rng(3)
-        sample = draw_sample(len(ids), rng)
-        powers = interference_powers(
-            dep, ref, ue, plan, UeRegion.EDGE, PropagationParams(), sample
-        )
-        # X_i = 0 annihilates the term bit-exactly
-        for k, c in enumerate(coeffs):
-            if c == 0.0:
-                assert powers.i_femto[k] == 0.0
+        # X_i = 0 annihilates the term bit-exactly; X_i = 1 leaves it positive
+        flags = [cochannel(plan, ref.allocation, UeRegion.EDGE, dep.faps[i].allocation)
+                 for i in ids]
+        assert not all(flags)
+        for flag, c in zip(flags, coeffs):
+            assert (c > 0.0) if flag else (c == 0.0)
 
     def test_dedicated_brute_force_oracle(self):
         dep, plan = _dense_setup(Scheme.DEDICATED)
         params = PropagationParams()
         ref = dep.faps[0]
         ue = ref.position + np.array([3.0, 4.0])  # 5 m away
-        rng = np.random.default_rng(55)
         ids, coeffs, macro_coeff, s_bar = link_coefficients(
             dep, ref, ue, plan, UeRegion.CENTER, params
         )
-        sample = draw_sample(len(ids), rng)
-        powers = interference_powers(dep, ref, ue, plan, UeRegion.CENTER, params, sample)
-        assert powers.i_macro == 0.0  # dedicated: Y = 0
+        assert macro_coeff == 0.0  # dedicated: Y = 0
         # brute force from raw positions: every neighbor is co-channel
-        by_id = {f.id: f for f in dep.faps}
-        for k, fid in enumerate(ids):
-            f = by_id[fid]
+        expected_ids = [
+            f.id for f in dep.faps
+            if f.id != ref.id and math.dist(f.position, ref.position) <= 100.0
+        ]
+        assert ids == expected_ids
+        for fid, c in zip(ids, coeffs):
+            f = dep.faps[fid]
             d = math.dist(f.position, ue)
-            expected = f.tx_power * params.p0_femto * d**-2.0 * 0.1 * sample.xi[k] * sample.z[k]
-            assert powers.i_femto[k] == pytest.approx(expected, rel=1e-12)
+            expected = f.tx_power * params.p0_femto * d**-2.0 * 0.1
+            assert c == pytest.approx(expected, rel=1e-12)
         assert s_bar == pytest.approx(0.01 * params.p0_femto * 5.0**-2.0, rel=1e-9)
 
     def test_same_scheme_macro_term(self):
@@ -192,29 +142,17 @@ class TestInterferencePowers:
         d_m = math.dist((0.0, 0.0), ue)
         assert macro_coeff == pytest.approx(1.5 * params.p0_macro * d_m**-3.5, rel=1e-12)
 
-    def test_sample_size_mismatch_rejected(self):
-        dep, plan = _dense_setup(Scheme.SAME, n_faps=1000)
-        ref = dep.faps[0]
-        bad = ChannelSample(z0=1.0, xi=np.ones(999), z=np.ones(999), xi_macro=1.0, z_macro=1.0)
-        ue = ref.position + np.array([0.0, 5.0])
-        with pytest.raises(ValueError):
-            interference_powers(dep, ref, ue, plan, UeRegion.CENTER,
-                                PropagationParams(), bad)
-
     def test_monotone_in_distance_and_walls(self):
         params1 = PropagationParams()
         dep, plan = _dense_setup(Scheme.SAME, n_faps=1000)
         dep.faps = dep.faps[:2]
         ref = dep.faps[0]
-        sample = ChannelSample(z0=1.0, xi=np.ones(1), z=np.ones(1), xi_macro=1.0, z_macro=1.0)
-
         ue = ref.position + np.array([0.0, 5.0])
 
         def femto_term(distance, params):
             dep.faps[1].position = ref.position + np.array([distance, 0.0])
-            p = interference_powers(dep, ref, ue, plan, UeRegion.CENTER,
-                                    params, sample)
-            return p.i_femto[0]
+            _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+            return coeffs[0]
 
         assert femto_term(30.0, params1) > femto_term(60.0, params1)
         params2 = PropagationParams(walls_between_femtos=2)
@@ -225,12 +163,13 @@ class TestInterferencePowers:
         dep.faps = dep.faps[:2]
         ref = dep.faps[0]
         dep.faps[1].position = ref.position + np.array([40.0, 0.0])
-        sample = ChannelSample(z0=1.0, xi=np.ones(1), z=np.ones(1), xi_macro=1.0, z_macro=1.0)
         params = PropagationParams()
         ue = ref.position + np.array([0.0, 5.0])
-        base = interference_powers(dep, ref, ue, plan, UeRegion.CENTER,
-                                   params, sample).i_femto[0]
+
+        def femto_term():
+            _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+            return coeffs[0]
+
+        base = femto_term()
         dep.faps[1].tx_power *= 2.0
-        doubled = interference_powers(dep, ref, ue, plan, UeRegion.CENTER,
-                                      params, sample).i_femto[0]
-        assert doubled == 2.0 * base
+        assert femto_term() == 2.0 * base

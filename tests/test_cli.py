@@ -2,6 +2,9 @@
 
 import os
 
+import pytest
+
+from femtosim import cli
 from femtosim.cli import main
 
 FAST = [
@@ -52,6 +55,19 @@ class TestRun:
         labels = [line.split(",")[0] for line in _body(out)[1:]]
         assert labels == ["dynamic:greedy", "dynamic:random", "dynamic:shared"]
 
+    def test_son_ablation_builds_one_neighbor_graph(self, tmp_path, monkeypatch):
+        calls = []
+        graph_builder = cli.neighbor_graph
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return graph_builder(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "neighbor_graph", counting)
+        out = tmp_path / "ablation.csv"
+        assert _run(["run", "--experiment", "son-ablation", "--out", str(out), *FAST]) == 0
+        assert len(calls) == 1
+
     def test_deterministic_bodies(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert _run(["run", "--experiment", "fig5", "--out", str(a), *FAST]) == 0
@@ -87,6 +103,20 @@ class TestRun:
         assert code == 2
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        ["eta_macro=9", "gamma_db=inf", "seed=-1", "wall_loss_db=-3", "band_high_hz=5",
+         "macro_radius_m=nan"],
+    )
+    def test_invalid_values_exit_2_on_validate_and_run(self, tmp_path, override):
+        # values that only the parameter objects reject: run must not get as
+        # far as a runtime failure (exit 1)
+        assert _run(["validate", "--set", override]) == 2
+        out = tmp_path / "never.csv"
+        assert _run(["run", "--experiment", "fig5", "--out", str(out), *FAST,
+                     "--set", override]) == 2
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_experiment_rejected(self, tmp_path):
         code = _run(["run", "--experiment", "fig5", "--out", str(tmp_path / "x.csv"),

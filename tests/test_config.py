@@ -39,8 +39,8 @@ class TestParsing:
             parse_text("just some words\n")
 
     def test_db_suffix_accepted(self):
-        cfg = parse_text("gamma_db=9 dB\nwall_loss_db=10dB\nson_margin_db=3 dB\n")
-        assert cfg.gamma_db == 9.0 and cfg.wall_loss_db == 10.0 and cfg.son_margin_db == 3.0
+        cfg = parse_text("gamma_db=9 dB\nwall_loss_db=10dB\n")
+        assert cfg.gamma_db == 9.0 and cfg.wall_loss_db == 10.0
 
     def test_lists(self):
         cfg = parse_text("densities=10,20,30\nschemes=same,dynamic\n")
@@ -71,6 +71,12 @@ class TestValidation:
             "n_sectors=2",
             "macro_radius_m=-1",
             "reference_distance_m=5000",
+            "eta_macro=9",
+            "gamma_db=inf",
+            "seed=-1",
+            "wall_loss_db=-3",
+            "band_high_hz=5",  # too narrow for three edge bands
+            "macro_radius_m=nan",
         ],
     )
     def test_invalid_values_rejected(self, override):

@@ -168,8 +168,10 @@ class TestEstimate:
 
     def test_missing_reference_rejected(self):
         dep, plan = _dense(Scheme.SAME, n_faps=10, dense_threshold=0)
-        with pytest.raises(ValueError):
-            estimate(dep, 999, plan, OutageConfig(n_trials=10), PropagationParams(), seed=1)
+        for missing in (999, -1):
+            with pytest.raises(ValueError):
+                estimate(dep, missing, plan, OutageConfig(n_trials=10), PropagationParams(),
+                         seed=1)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

@@ -42,11 +42,11 @@ PLAN = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
 
 def _deployment_from_layout(positions):
     """Small handcrafted deployment around the sector-0 axis."""
-    macro = MacroBs(position=np.zeros(2), height=50.0, tx_power=1.5, radius=1000.0, n_sectors=3)
+    macro = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
     params = DeploymentParams(n_faps=len(positions), dense_threshold=0)
     faps = [
-        Fap(id=i, position=np.array(p, dtype=float), height=2.0, tx_power=0.01,
-            radius=10.0, sector_index=0)
+        Fap(id=i, position=np.array(p, dtype=float), tx_power=0.01, radius=10.0,
+            sector_index=0)
         for i, p in enumerate(positions)
     ]
     dep = Deployment(macro, faps, Scenario.D, 0, params)

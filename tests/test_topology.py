@@ -21,7 +21,7 @@ from femtosim.topology import (
     sector_of,
 )
 
-MACRO = MacroBs(position=np.zeros(2), height=50.0, tx_power=1.5, radius=1000.0, n_sectors=3)
+MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
 
 
 class TestSectorOf:
@@ -75,6 +75,17 @@ class TestGenerate:
         b = generate(Scenario.D, DeploymentParams(n_faps=500, dense_threshold=0), seed=11)
         assert np.array_equal(a.positions(), b.positions())
         assert [f.sector_index for f in a.faps] == [f.sector_index for f in b.faps]
+
+    def test_lower_densities_are_prefixes(self):
+        # placement is sequential, so a smaller build-out of the same seed is a
+        # bit-exact prefix of a larger one
+        small = generate(Scenario.D, DeploymentParams(n_faps=300, dense_threshold=0), seed=12)
+        large = generate(Scenario.D, DeploymentParams(n_faps=1000), seed=12)
+        head = large.faps[:300]
+        assert [(f.id, f.sector_index) for f in small.faps] == [
+            (f.id, f.sector_index) for f in head
+        ]
+        assert np.array_equal(small.positions(), large.positions()[:300])
 
     def test_scenario_d_threshold(self):
         with pytest.raises(ValueError):
