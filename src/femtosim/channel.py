@@ -24,8 +24,6 @@ __all__ = [
     "mean_desired_power",
 ]
 
-SPEED_OF_LIGHT = 299_792_458.0
-
 
 @dataclass(frozen=True)
 class PropagationParams:
@@ -36,7 +34,6 @@ class PropagationParams:
     macro constant calibrated to ~128 dB path loss at 1 km.
     """
 
-    carrier_hz: float = 900e6
     eta_desired: float = 2.0  # serving FAP -> its UE
     eta_femto_interf: float = 2.0  # neighbor FAP -> UE
     eta_macro: float = 3.5  # macro BS -> UE
@@ -49,19 +46,12 @@ class PropagationParams:
         for eta in (self.eta_desired, self.eta_femto_interf, self.eta_macro):
             if not 1.5 <= eta <= 6.0:
                 raise ValueError(f"path-loss exponent {eta} outside [1.5, 6]")
-        if self.p0_femto <= 0 or self.p0_macro <= 0:
-            raise ValueError("propagation constants must be positive")
-        if self.wall_loss_db < 0:
-            raise ValueError("wall loss must be >= 0 dB")
-
-    @classmethod
-    def for_carrier(cls, carrier_hz: float, **overrides) -> "PropagationParams":
-        """Recompute the femto Friis constant and macro 128 dB @ 1 km
-        calibration for a different carrier frequency."""
-        eta_macro = overrides.get("eta_macro", 3.5)
-        p0f = (SPEED_OF_LIGHT / (4.0 * math.pi * carrier_hz)) ** 2
-        p0m = 10 ** (-12.8) * 1000.0 ** eta_macro
-        return cls(carrier_hz=carrier_hz, p0_femto=p0f, p0_macro=p0m, **overrides)
+        if not (0 < self.p0_femto < math.inf and 0 < self.p0_macro < math.inf):
+            raise ValueError("propagation constants must be positive and finite")
+        if not 0 <= self.wall_loss_db < math.inf:
+            raise ValueError("wall loss must be finite and >= 0 dB")
+        if self.walls_between_femtos < 0:
+            raise ValueError("walls_between_femtos must be >= 0")
 
     @property
     def wall_attenuation(self) -> float:

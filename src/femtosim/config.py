@@ -62,7 +62,6 @@ class ExperimentConfig:
     reference_distance_m: float = 200.0
     neighbor_radius_m: float = 100.0
     n_sectors: int = 3
-    dense_threshold: int = 1000
     # radio
     macro_tx_power_w: float = 1.5
     fap_tx_power_w: float = 0.01
@@ -103,14 +102,6 @@ class ExperimentConfig:
             for f in fields(self)
             if isinstance(getattr(self, f.name), float) and math.isnan(getattr(self, f.name))
         ]
-        for name in ("macro_radius_m", "femto_radius_m", "neighbor_radius_m",
-                     "reference_distance_m", "macro_tx_power_w", "fap_tx_power_w"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive")
-        if self.reference_distance_m > self.macro_radius_m:
-            problems.append("reference_distance_m exceeds macro_radius_m")
-        if self.n_faps < 1:
-            problems.append("n_faps must be >= 1")
         if not self.densities:
             problems.append("densities must be non-empty")
         elif any(b <= a for a, b in zip(self.densities, self.densities[1:])):
@@ -129,8 +120,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 problems.append(str(exc))
 
-        for build in (self.propagation, self.outage_config, self.deployment_params):
+        for build in (self.propagation, self.outage_config):
             attempt(build)
+        for n in (self.n_faps, *self.densities):
+            attempt(self.deployment_params, n)
         attempt(np.random.SeedSequence, self.seed)
         band = attempt(self.total_band)
         if band is not None:
@@ -140,7 +133,9 @@ class ExperimentConfig:
                 attempt(build_plan, scheme, band, self.n_sectors,
                         femto_fraction=self.femto_fraction, edge_split=self.edge_split)
         if problems:
-            raise ConfigError("; ".join(problems))
+            # one message per distinct problem: a geometry value is checked
+            # once for n_faps and once per density
+            raise ConfigError("; ".join(dict.fromkeys(problems)))
 
     # --- adapters to the module-level parameter objects ---------------------
 
@@ -160,7 +155,6 @@ class ExperimentConfig:
             macro_tx_power_w=self.macro_tx_power_w,
             fap_tx_power_w=self.fap_tx_power_w,
             n_sectors=self.n_sectors,
-            dense_threshold=self.dense_threshold,
         )
 
     def propagation(self) -> PropagationParams:

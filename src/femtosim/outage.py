@@ -60,8 +60,9 @@ class OutageConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if not math.isfinite(self.gamma_db):
-            raise ValueError("gamma_db must be finite")
+        # keeps gamma_linear a positive, finite float
+        if not -300.0 <= self.gamma_db <= 300.0:
+            raise ValueError("gamma_db must be within [-300, 300] dB")
         if self.ue_distance <= 0:
             raise ValueError("ue_distance must be positive")
         if self.n_shards < 1:
@@ -262,6 +263,7 @@ def density_sweep(
     final deployment.  Interferers therefore only accumulate as density
     grows, and schemes at one density share geometry and trial seeds (paired
     comparison).  Row order: densities outer (as given), schemes inner.
+    Densities below 1 raise ValueError.
     """
     if not densities:
         raise ValueError("densities must be non-empty")
@@ -280,17 +282,16 @@ def density_sweep(
     root = np.random.SeedSequence(seed)
     dep_seq, dir_seq, *trial_seqs = root.spawn(2 + len(densities))
     dep_seed = _seed_int(dep_seq)
-    # the dense-threshold check is waived inside a sweep: low densities are the
-    # same deployment at an earlier build-out stage.  Placement is sequential,
-    # so each scheme's starting deployment is a prefix of the full one.
-    full_params = replace(dep_params, n_faps=densities[-1], dense_threshold=0)
+    # Placement is sequential, so each scheme's starting deployment is a
+    # prefix of the full one.
+    full_params = replace(dep_params, n_faps=densities[-1])
+    dp0 = replace(dep_params, n_faps=densities[0])  # rejects densities below 1
     full = generate(Scenario.D, full_params, dep_seed)
     if config.ue_direction == "random":
         ue_angle = float(np.random.default_rng(dir_seq).uniform(0.0, 2.0 * math.pi))
     else:
         ue_angle = nearest_fap_angle(full, full.faps[0])
 
-    dp0 = replace(full_params, n_faps=densities[0])
     chains = {s: prepare_deployment(s, plans[s], dp0, dep_seed) for s in schemes}
 
     radius_graph = NeighborGraph(adjacency={}, neighbor_radius=dep_params.neighbor_radius_m)

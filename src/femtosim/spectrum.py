@@ -33,7 +33,6 @@ __all__ = [
     "base_allocation",
     "build_plan",
     "cochannel",
-    "format_plan",
     "split_band",
 ]
 
@@ -138,16 +137,6 @@ class FrequencyPlan:
     @property
     def n_sectors(self) -> int:
         return len(self.macro_sector_bands)
-
-    @property
-    def p(self) -> int:
-        """Number of distinct macro sub-bands."""
-        return len(set(self.macro_sector_bands))
-
-    @property
-    def q(self) -> int:
-        """Number of femto sub-bands available within one sector."""
-        return 1 + len(self.edge_bands_per_sector[0])
 
     def edge_band(self, sector_index: int, choice: EdgeChoice) -> Band | None:
         if choice is EdgeChoice.NONE:
@@ -312,21 +301,3 @@ def cochannel(
             raise ValueError(f"sector index {other.sector_index} out of range")
         return int(serving.intersects(plan.macro_sector_bands[other.sector_index]))
     return int(any(serving.intersects(b) for b in bands_for_femto(plan, other)))
-
-
-def format_plan(plan: FrequencyPlan) -> str:
-    """Line-oriented key=value rendering of a plan for experiment provenance."""
-    lines = [
-        f"scheme={plan.scheme.value}",
-        f"total={plan.total}",
-    ]
-    if plan.femto_band_fraction is not None:
-        lines.append(f"femto_fraction={plan.femto_band_fraction!r}")
-    if plan.edge_split is not None:
-        lines.append(f"edge_split={plan.edge_split!r}")
-    for s in range(plan.n_sectors):
-        lines.append(f"sector{s}.macro={plan.macro_sector_bands[s]}")
-        lines.append(f"sector{s}.center={plan.center_band_per_sector[s]}")
-        for color, band in zip(EDGE_COLORS, plan.edge_bands_per_sector[s]):
-            lines.append(f"sector{s}.edge_{color.value}={band}")
-    return "\n".join(lines) + "\n"

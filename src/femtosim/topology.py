@@ -11,15 +11,13 @@ random.  Distances are 2-D horizontal.  A FAP's id is its row index in
 
 from __future__ import annotations
 
-import ast
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .spectrum import EdgeChoice, FemtoAllocation, FrequencyPlan, base_allocation
+from .spectrum import FemtoAllocation, FrequencyPlan, base_allocation
 
 __all__ = [
     "Deployment",
@@ -30,8 +28,6 @@ __all__ = [
     "PlacementError",
     "Scenario",
     "apply_plan",
-    "deployment_from_csv",
-    "deployment_to_csv",
     "generate",
     "neighbor_graph",
     "sector_of",
@@ -114,10 +110,23 @@ class DeploymentParams:
     macro_tx_power_w: float = 1.5
     fap_tx_power_w: float = 0.01
     n_sectors: int = 3
-    dense_threshold: int = 1000  # scenario D minimum FAP count; 0 disables
     c_max_mean_degree: float = 2.0  # scenario C sparsity bound
     max_place_attempts: int = 1000  # per-FAP rejection budget (scenario B)
     max_layout_attempts: int = 200  # whole-layout budget (scenario C)
+
+    def __post_init__(self):
+        if self.n_faps < 1:
+            raise ValueError(f"a deployment needs at least 1 FAP, got {self.n_faps}")
+        # an infinite neighbor radius is allowed: every FAP is then a neighbor
+        if not self.neighbor_radius_m > 0:
+            raise ValueError("neighbor_radius_m must be positive")
+        for name in ("macro_radius_m", "femto_radius_m", "reference_distance_m",
+                     "macro_tx_power_w", "fap_tx_power_w"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
+        if self.reference_distance_m > self.macro_radius_m:
+            raise ValueError("reference_distance_m exceeds macro_radius_m")
 
 
 @dataclass
@@ -202,8 +211,6 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
         return Deployment(None, [fap], scenario, seed, params)
 
     macro = _make_macro(params)
-    if params.reference_distance_m > params.macro_radius_m:
-        raise ValueError("reference FAP lies outside the macro disc")
 
     if scenario is Scenario.B:
         r = params.neighbor_radius_m
@@ -226,10 +233,6 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
         )
 
     if scenario is Scenario.D:
-        if params.dense_threshold and params.n_faps < params.dense_threshold:
-            raise ValueError(
-                f"scenario D needs >= {params.dense_threshold} FAPs, got {params.n_faps}"
-            )
         faps = _random_positions(rng, macro, params)
         return Deployment(macro, faps, scenario, seed, params)
 
@@ -241,21 +244,19 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     ``radius`` (exact Euclidean distances)."""
     if radius <= 0:
         raise ValueError("neighbor radius must be positive")
-    ids = [f.id for f in deployment.faps]
     pos = deployment.positions()
-    adjacency: dict[int, set[int]] = {i: set() for i in ids}
-    n = len(ids)
+    ids = list(range(len(pos)))  # one int object per id, shared by every set
     r2 = radius * radius
+    adjacency: dict[int, set[int]] = {}
     block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, len(ids), block):
+        stop = min(start + block, len(ids))
+        # d2 is exactly symmetric, so each row alone gives that FAP's neighbors
         d2 = ((pos[start:stop, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-        rows, cols = np.nonzero(d2 <= r2)
-        for r_, c in zip(rows, cols):
-            a, b = ids[start + r_], ids[c]
-            if a != b:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+        near = d2 <= r2
+        near[np.arange(stop - start), np.arange(start, stop)] = False
+        for i, row in zip(ids[start:stop], near):
+            adjacency[i] = {ids[j] for j in np.flatnonzero(row).tolist()}
     return NeighborGraph(adjacency=adjacency, neighbor_radius=radius)
 
 
@@ -264,73 +265,3 @@ def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:
     for f in deployment.faps:
         f.allocation = base_allocation(plan, f.sector_index)
     return deployment
-
-
-# --- CSV serialization ------------------------------------------------------
-#
-# Floats are written with repr() so a round trip is bit-exact.  Per-FAP radius
-# is uniform at generation time and restored from the header; only
-# tx_power and the edge color survive SON edits through a round trip.
-
-_CSV_COLUMNS = "id,x,y,sector,tx_power,edge_choice"
-
-
-def deployment_to_csv(deployment: Deployment) -> str:
-    out = io.StringIO()
-    out.write(f"# scenario={deployment.scenario.value}\n")
-    out.write(f"# rng_seed={deployment.rng_seed}\n")
-    p = deployment.params
-    for name in DeploymentParams.__dataclass_fields__:
-        out.write(f"# params.{name}={getattr(p, name)!r}\n")
-    out.write(f"# macro={'1' if deployment.macro is not None else '0'}\n")
-    out.write(_CSV_COLUMNS + "\n")
-    for f in deployment.faps:
-        if f.allocation is None:
-            edge = "-"
-        else:
-            edge = f.allocation.edge_choice.value
-        x, y = float(f.position[0]), float(f.position[1])
-        out.write(f"{f.id},{x!r},{y!r},{f.sector_index},{float(f.tx_power)!r},{edge}\n")
-    return out.getvalue()
-
-
-def deployment_from_csv(text: str, plan: FrequencyPlan | None = None) -> Deployment:
-    """Rebuild a deployment from :func:`deployment_to_csv` output.
-
-    Allocations are restored only when ``plan`` is given (the CSV stores edge
-    colors, not band edges)."""
-    header: dict[str, str] = {}
-    rows: list[str] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key.strip()] = value
-        elif line != _CSV_COLUMNS:
-            rows.append(line)
-
-    kwargs = {
-        name: ast.literal_eval(header[f"params.{name}"])
-        for name in DeploymentParams.__dataclass_fields__
-    }
-    params = DeploymentParams(**kwargs)
-    scenario = Scenario(header["scenario"])
-    seed = int(header["rng_seed"])
-    macro = _make_macro(params) if header["macro"] == "1" else None
-    faps = []
-    for row in rows:
-        sid, x, y, sector, power, edge = row.split(",")
-        fap = Fap(
-            id=int(sid),
-            position=np.array([float(x), float(y)]),
-            tx_power=float(power),
-            radius=params.femto_radius_m,
-            sector_index=int(sector),
-        )
-        if edge != "-" and plan is not None:
-            fap.allocation = replace(
-                base_allocation(plan, fap.sector_index), edge_choice=EdgeChoice(edge)
-            )
-        faps.append(fap)
-    return Deployment(macro, faps, scenario, seed, params)

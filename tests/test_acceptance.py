@@ -79,7 +79,7 @@ def test_criterion_3_zero_interference_limit():
     # fully orthogonal allocation: dedicated scheme (Y=0) with no FAP in
     # neighbor range (scenario B)
     ded = build_plan(Scheme.DEDICATED, CFG.total_band(), 3, femto_fraction=CFG.femto_fraction)
-    dep_b = generate(Scenario.B, DeploymentParams(n_faps=20, dense_threshold=0), seed=CFG.seed)
+    dep_b = generate(Scenario.B, DeploymentParams(n_faps=20), seed=CFG.seed)
     apply_plan(dep_b, ded)
     est_b = estimate(dep_b, 0, ded, oc, params, seed=CFG.seed)
     ok = (est_a.p_out_closed == 0.0 and est_a.p_out_mc == 0.0

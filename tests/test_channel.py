@@ -26,12 +26,6 @@ class TestPropagationParams:
         loss_db = -10 * math.log10(p.p0_macro * 1000.0 ** (-p.eta_macro))
         assert loss_db == pytest.approx(128.0, abs=1e-9)
 
-    def test_for_carrier_recalibrates(self):
-        p = PropagationParams.for_carrier(1.8e9)
-        assert p.p0_femto == pytest.approx(
-            (299_792_458.0 / (4 * math.pi * 1.8e9)) ** 2, rel=1e-12
-        )
-
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):
             PropagationParams(eta_desired=1.0)

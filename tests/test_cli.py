@@ -1,8 +1,12 @@
 """CLI behavior: experiments, provenance, determinism, exit codes."""
 
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femtosim import cli
 from femtosim.cli import main
@@ -10,7 +14,6 @@ from femtosim.cli import main
 FAST = [
     "--set", "n_trials=2000",
     "--set", "n_faps=60",
-    "--set", "dense_threshold=0",
     "--set", "densities=20,60",
 ]
 
@@ -107,7 +110,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "override",
         ["eta_macro=9", "gamma_db=inf", "seed=-1", "wall_loss_db=-3", "band_high_hz=5",
-         "macro_radius_m=nan"],
+         "macro_radius_m=nan", "densities=0,10", "densities=-5,10", "macro_radius_m=inf",
+         "fap_tx_power_w=inf", "p0_femto=inf", "wall_loss_db=inf",
+         "walls_between_femtos=-1000", "gamma_db=1e300", "gamma_db=-1e300"],
     )
     def test_invalid_values_exit_2_on_validate_and_run(self, tmp_path, override):
         # values that only the parameter objects reject: run must not get as
@@ -117,6 +122,21 @@ class TestRun:
         assert _run(["run", "--experiment", "fig5", "--out", str(out), *FAST,
                      "--set", override]) == 2
         assert os.listdir(tmp_path) == []
+
+    def test_son_ablation_runs_below_1000_faps(self, tmp_path):
+        out = tmp_path / "ablation.csv"
+        assert _run(["run", "--experiment", "son-ablation", "--out", str(out),
+                     "--set", "n_faps=500", "--set", "n_trials=2000"]) == 0
+        assert [line.split(",")[1] for line in _body(out)[1:]] == ["500"] * 3
+
+    def test_infinite_neighbor_radius_runs(self, tmp_path):
+        # every FAP is then a neighbor of every other
+        override = ["--set", "neighbor_radius_m=inf"]
+        assert _run(["validate", *FAST, *override]) == 0
+        for experiment in ("fig6", "son-ablation"):
+            out = tmp_path / f"{experiment}.csv"
+            assert _run(["run", "--experiment", experiment, "--out", str(out),
+                         *FAST, *override]) == 0
 
     def test_unknown_experiment_rejected(self, tmp_path):
         code = _run(["run", "--experiment", "fig5", "--out", str(tmp_path / "x.csv"),
@@ -159,3 +179,40 @@ class TestConfigCommands:
 
     def test_unknown_key_in_set(self, capsys):
         assert _run(["validate", "--set", "bogus=1"]) == 2
+
+    def test_removed_dense_threshold_key_rejected(self, capsys):
+        assert _run(["validate", "--set", "dense_threshold=0"]) == 2
+        assert "unknown key 'dense_threshold'" in capsys.readouterr().err
+
+
+OVERRIDE_KEYS = [
+    "macro_radius_m", "femto_radius_m", "reference_distance_m", "neighbor_radius_m",
+    "macro_tx_power_w", "fap_tx_power_w", "ue_distance_m", "gamma_db", "wall_loss_db",
+]
+OVERRIDE_VALUES = [0, -1, 1e-3, 0.5, 5, 50, 300, 1000, 2000, math.nan, math.inf]
+
+
+class TestValidateMatchesRun:
+    @given(
+        overrides=st.dictionaries(
+            st.sampled_from(OVERRIDE_KEYS), st.sampled_from(OVERRIDE_VALUES), max_size=3
+        ),
+        n_faps=st.integers(-1, 60),
+        densities=st.lists(st.integers(-3, 40), min_size=1, max_size=3, unique=True).map(sorted),
+        experiment=st.sampled_from(["fig5", "fig6", "son-ablation"]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_validate_accepts_iff_run_succeeds(self, overrides, n_faps, densities, experiment):
+        pairs = [f"{k}={v}" for k, v in overrides.items()] + [
+            f"n_faps={n_faps}",
+            "densities=" + ",".join(map(str, densities)),
+            "n_trials=200",
+            "n_shards=2",
+        ]
+        sets = [arg for pair in pairs for arg in ("--set", pair)]
+        validated = _run(["validate", *sets])
+        with tempfile.TemporaryDirectory() as tmp:
+            ran = _run(["run", "--experiment", experiment,
+                        "--out", os.path.join(tmp, "out.csv"), *sets])
+        assert ran != 1
+        assert (validated == 0) == (ran == 0)

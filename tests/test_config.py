@@ -77,6 +77,15 @@ class TestValidation:
             "wall_loss_db=-3",
             "band_high_hz=5",  # too narrow for three edge bands
             "macro_radius_m=nan",
+            "densities=0,10",
+            "densities=-5,10",
+            "macro_radius_m=inf",
+            "fap_tx_power_w=inf",
+            "p0_femto=inf",  # inf / inf outage ratio is NaN
+            "wall_loss_db=inf",  # NaN wall attenuation with zero walls
+            "walls_between_femtos=-1000",  # overflows the wall attenuation
+            "gamma_db=1e300",  # overflows the linear threshold
+            "gamma_db=-1e300",  # linear threshold underflows to 0
         ],
     )
     def test_invalid_values_rejected(self, override):

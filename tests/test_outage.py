@@ -80,10 +80,10 @@ class TestConditionalOutage:
         assert p[0] == 0.0 and np.all(np.diff(p) > 0)
 
 
-def _dense(scheme, seed=42, n_faps=1000, **dep_kwargs):
+def _dense(scheme, seed=42, n_faps=1000):
     frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
     plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
-    dep = generate(Scenario.D, DeploymentParams(n_faps=n_faps, **dep_kwargs), seed)
+    dep = generate(Scenario.D, DeploymentParams(n_faps=n_faps), seed)
     apply_plan(dep, plan)
     return dep, plan
 
@@ -99,7 +99,7 @@ class TestEstimate:
 
     def test_isolated_fap_dedicated_zero_outage(self):
         # fully orthogonal allocation: no neighbors in range, Y = 0
-        dep, plan = _dense(Scheme.DEDICATED, n_faps=2, dense_threshold=0)
+        dep, plan = _dense(Scheme.DEDICATED, n_faps=2)
         dep.faps[1].position = np.array([-900.0, 0.0])  # far from the reference
         est = estimate(dep, 0, plan, OutageConfig(n_trials=5000), PropagationParams(), seed=3)
         assert est.p_out_closed == 0.0
@@ -108,7 +108,7 @@ class TestEstimate:
     def test_frozen_fading_analytic_oracle(self):
         # single co-channel neighbor, all fading frozen at 1: the conditional
         # outage has a one-line analytic value
-        dep, plan = _dense(Scheme.DEDICATED, n_faps=2, dense_threshold=0)
+        dep, plan = _dense(Scheme.DEDICATED, n_faps=2)
         ref = dep.faps[0]
         dep.faps[1].position = ref.position + np.array([50.0, 0.0])
         params = PropagationParams()
@@ -151,7 +151,7 @@ class TestEstimate:
             assert abs(est.p_out_closed - est.p_out_mc) < 3 * se
 
     def test_deterministic_across_workers(self):
-        dep, plan = _dense(Scheme.SAME, n_faps=300, dense_threshold=0)
+        dep, plan = _dense(Scheme.SAME, n_faps=300)
         cfg = OutageConfig(n_trials=20_000, n_shards=16)
         params = PropagationParams()
         a = estimate(dep, 0, plan, cfg, params, seed=9, n_workers=1)
@@ -159,7 +159,7 @@ class TestEstimate:
         assert a == b  # bit-identical, not approximately equal
 
     def test_shard_count_changes_stream_but_not_statistics(self):
-        dep, plan = _dense(Scheme.SAME, n_faps=300, dense_threshold=0)
+        dep, plan = _dense(Scheme.SAME, n_faps=300)
         params = PropagationParams()
         a = estimate(dep, 0, plan, OutageConfig(n_trials=50_000, n_shards=4), params, seed=9)
         b = estimate(dep, 0, plan, OutageConfig(n_trials=50_000, n_shards=32), params, seed=9)
@@ -167,7 +167,7 @@ class TestEstimate:
         assert abs(a.p_out_closed - b.p_out_closed) < 4 * se
 
     def test_missing_reference_rejected(self):
-        dep, plan = _dense(Scheme.SAME, n_faps=10, dense_threshold=0)
+        dep, plan = _dense(Scheme.SAME, n_faps=10)
         for missing in (999, -1):
             with pytest.raises(ValueError):
                 estimate(dep, missing, plan, OutageConfig(n_trials=10), PropagationParams(),
@@ -178,13 +178,13 @@ class TestEstimate:
             OutageConfig(n_trials=0)
 
     def test_ue_distance_beyond_cell_rejected(self):
-        dep, plan = _dense(Scheme.SAME, n_faps=10, dense_threshold=0)
+        dep, plan = _dense(Scheme.SAME, n_faps=10)
         cfg = OutageConfig(n_trials=10, ue_distance=25.0)
         with pytest.raises(ValueError):
             estimate(dep, 0, plan, cfg, PropagationParams(), seed=1)
 
     def test_random_direction_mode(self):
-        dep, plan = _dense(Scheme.SAME, n_faps=50, dense_threshold=0)
+        dep, plan = _dense(Scheme.SAME, n_faps=50)
         cfg = OutageConfig(n_trials=2000, ue_direction="random")
         est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=2)
         assert 0.0 <= est.p_out_closed <= 1.0
@@ -241,6 +241,9 @@ class TestDensitySweep:
             density_sweep([], [Scheme.SAME], cfg, PropagationParams(), seed=1)
         with pytest.raises(ValueError):
             density_sweep([100, 100], [Scheme.SAME], cfg, PropagationParams(), seed=1)
+        for densities in ([0, 10], [-5, 10]):
+            with pytest.raises(ValueError):
+                density_sweep(densities, [Scheme.SAME], cfg, PropagationParams(), seed=1)
 
     def test_csv_lines_shape(self):
         cfg = OutageConfig(n_trials=500)

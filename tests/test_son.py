@@ -43,7 +43,7 @@ PLAN = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
 def _deployment_from_layout(positions):
     """Small handcrafted deployment around the sector-0 axis."""
     macro = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
-    params = DeploymentParams(n_faps=len(positions), dense_threshold=0)
+    params = DeploymentParams(n_faps=len(positions))
     faps = [
         Fap(id=i, position=np.array(p, dtype=float), tx_power=0.01, radius=10.0,
             sector_index=0)
@@ -97,7 +97,7 @@ class TestConfigureFrequencies:
         assert state.conflicts == set()
 
     def test_conflicts_match_recomputation(self):
-        dep = generate(Scenario.D, DeploymentParams(n_faps=500, dense_threshold=0), seed=6)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=500), seed=6)
         apply_plan(dep, PLAN)
         graph = _graph(dep)
         state = configure_frequencies(dep, graph, PLAN)
@@ -274,7 +274,7 @@ class TestAdmitFap:
         assert dep2.faps[-1].allocation.edge_choice in (EdgeChoice.Y, EdgeChoice.Z)
 
     def test_existing_colors_untouched(self):
-        dep = generate(Scenario.D, DeploymentParams(n_faps=200, dense_threshold=0), seed=3)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=200), seed=3)
         apply_plan(dep, PLAN)
         graph = _graph(dep)
         configure_frequencies(dep, graph, PLAN)
@@ -291,7 +291,7 @@ class TestAdmitFap:
     def test_sequential_vs_one_shot_conflicts(self):
         # admitting FAPs one at a time can never beat recoloring everything
         rng = np.random.default_rng(44)
-        full = generate(Scenario.D, DeploymentParams(n_faps=120, dense_threshold=0), seed=44)
+        full = generate(Scenario.D, DeploymentParams(n_faps=120), seed=44)
         positions = [f.position for f in full.faps]
         base = _deployment_from_layout([tuple(positions[0])])
         son._set_edge_color(base.faps[0], PLAN, EdgeChoice.X)
@@ -349,7 +349,7 @@ class TestEventLogAndReplay:
         assert new.id == new_r.id
 
     def test_configure_replay_bit_exact(self):
-        dep = generate(Scenario.D, DeploymentParams(n_faps=100, dense_threshold=0), seed=10)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=100), seed=10)
         apply_plan(dep, PLAN)
         graph = _graph(dep)
         pre = copy.deepcopy(dep)

@@ -16,7 +16,6 @@ from femtosim.spectrum import (
     base_allocation,
     build_plan,
     cochannel,
-    format_plan,
     split_band,
 )
 
@@ -108,12 +107,6 @@ class TestBuildPlan:
         assert sum(e.width for e in edges) == 20 * MHZ
         assert edges[0].lower == 40 * MHZ and edges[2].upper == 60 * MHZ
         assert max(e.width for e in edges) - min(e.width for e in edges) <= 1
-
-    def test_dynamic_counts(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        assert plan.p == 3 and plan.q == 4
-        flat = build_plan(Scheme.SAME, TOTAL, 3)
-        assert flat.p == 1 and flat.q == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -242,11 +235,3 @@ class TestCochannel:
             zeros += 1 - cochannel(plan, a, UeRegion.EDGE, b)
         p = 2 / 3
         assert abs(zeros / n - p) < 3 * np.sqrt(p * (1 - p) / n)
-
-
-def test_format_plan_round_readable():
-    plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-    text = format_plan(plan)
-    assert "scheme=dynamic" in text
-    assert "sector0.center=[20000000,40000000)" in text
-    assert all("=" in line for line in text.strip().splitlines())

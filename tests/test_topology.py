@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from femtosim.spectrum import Band, Scheme, build_plan
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
     MacroBs,
     PlacementError,
     Scenario,
-    apply_plan,
-    deployment_from_csv,
-    deployment_to_csv,
     generate,
     neighbor_graph,
     sector_of,
@@ -52,6 +48,29 @@ class TestSectorOf:
             assert sector_of(MACRO, q) == (sector_of(MACRO, p) + 1) % 3
 
 
+class TestDeploymentParams:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_faps": 0},
+            {"neighbor_radius_m": 0.0},
+            {"macro_radius_m": math.inf},
+            {"femto_radius_m": -1.0},
+            {"fap_tx_power_w": math.inf},
+            {"macro_tx_power_w": math.nan},
+            {"reference_distance_m": 1500.0},  # outside the 1000 m macro disc
+        ],
+    )
+    def test_invalid_geometry_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DeploymentParams(**kwargs)
+
+    def test_infinite_neighbor_radius_accepted(self):
+        params = DeploymentParams(n_faps=20, neighbor_radius_m=math.inf)
+        dep = generate(Scenario.D, params, seed=4)
+        assert neighbor_graph(dep, params.neighbor_radius_m).n_edges == 20 * 19 // 2
+
+
 class TestGenerate:
     def test_scenario_a(self):
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
@@ -71,15 +90,15 @@ class TestGenerate:
         assert dep.faps[0].sector_index == 0
 
     def test_determinism(self):
-        a = generate(Scenario.D, DeploymentParams(n_faps=500, dense_threshold=0), seed=11)
-        b = generate(Scenario.D, DeploymentParams(n_faps=500, dense_threshold=0), seed=11)
+        a = generate(Scenario.D, DeploymentParams(n_faps=500), seed=11)
+        b = generate(Scenario.D, DeploymentParams(n_faps=500), seed=11)
         assert np.array_equal(a.positions(), b.positions())
         assert [f.sector_index for f in a.faps] == [f.sector_index for f in b.faps]
 
     def test_lower_densities_are_prefixes(self):
         # placement is sequential, so a smaller build-out of the same seed is a
         # bit-exact prefix of a larger one
-        small = generate(Scenario.D, DeploymentParams(n_faps=300, dense_threshold=0), seed=12)
+        small = generate(Scenario.D, DeploymentParams(n_faps=300), seed=12)
         large = generate(Scenario.D, DeploymentParams(n_faps=1000), seed=12)
         head = large.faps[:300]
         assert [(f.id, f.sector_index) for f in small.faps] == [
@@ -87,12 +106,8 @@ class TestGenerate:
         ]
         assert np.array_equal(small.positions(), large.positions()[:300])
 
-    def test_scenario_d_threshold(self):
-        with pytest.raises(ValueError):
-            generate(Scenario.D, DeploymentParams(n_faps=10), seed=1)
-
     def test_scenario_b_separation(self):
-        params = DeploymentParams(n_faps=40, dense_threshold=0)
+        params = DeploymentParams(n_faps=40)
         dep = generate(Scenario.B, params, seed=9)
         g = neighbor_graph(dep, params.neighbor_radius_m)
         assert g.n_edges == 0
@@ -100,13 +115,13 @@ class TestGenerate:
     def test_scenario_b_infeasible_packing(self):
         # 500 FAPs pairwise >100 m apart cannot fit a 300 m disc
         params = DeploymentParams(
-            n_faps=500, macro_radius_m=300.0, max_place_attempts=50, dense_threshold=0
+            n_faps=500, macro_radius_m=300.0, max_place_attempts=50
         )
         with pytest.raises(PlacementError):
             generate(Scenario.B, params, seed=9)
 
     def test_scenario_c_constraints(self):
-        params = DeploymentParams(n_faps=60, dense_threshold=0)
+        params = DeploymentParams(n_faps=60)
         dep = generate(Scenario.C, params, seed=21)
         g = neighbor_graph(dep, params.neighbor_radius_m)
         assert g.n_edges >= 1
@@ -143,7 +158,7 @@ class TestGenerate:
 
 class TestNeighborGraph:
     def _two_fap_deployment(self, distance):
-        params = DeploymentParams(n_faps=2, dense_threshold=0)
+        params = DeploymentParams(n_faps=2)
         dep = generate(Scenario.D, params, seed=1)
         dep.faps[1].position = dep.faps[0].position + np.array([distance, 0.0])
         return dep
@@ -171,7 +186,7 @@ class TestNeighborGraph:
         assert g.adjacency == expected
 
     def test_symmetric_irreflexive(self):
-        dep = generate(Scenario.D, DeploymentParams(n_faps=300, dense_threshold=0), seed=8)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=300), seed=8)
         g = neighbor_graph(dep, 100.0)
         for a, nbrs in g.adjacency.items():
             assert a not in nbrs
@@ -182,30 +197,3 @@ class TestNeighborGraph:
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
         with pytest.raises(ValueError):
             neighbor_graph(dep, 0.0)
-
-
-class TestCsvRoundTrip:
-    def test_bit_exact(self):
-        params = DeploymentParams(n_faps=50, dense_threshold=0)
-        dep = generate(Scenario.D, params, seed=77)
-        plan = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 60_000_000), 3)
-        apply_plan(dep, plan)
-        text = deployment_to_csv(dep)
-        back = deployment_from_csv(text, plan)
-        assert back.scenario is dep.scenario
-        assert back.rng_seed == dep.rng_seed
-        assert back.params == dep.params
-        assert len(back.faps) == len(dep.faps)
-        for f, g in zip(dep.faps, back.faps):
-            assert f.id == g.id
-            assert np.array_equal(f.position, g.position)
-            assert f.tx_power == g.tx_power
-            assert f.sector_index == g.sector_index
-            assert f.allocation == g.allocation
-        assert deployment_to_csv(back) == text
-
-    def test_unallocated_round_trip(self):
-        dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=2)
-        back = deployment_from_csv(deployment_to_csv(dep))
-        assert back.macro is None
-        assert back.faps[0].allocation is None
