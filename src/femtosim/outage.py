@@ -306,7 +306,7 @@ def density_sweep(
                     son.admit_fap(dep, f.position, plans[scheme], radius_graph)
                 else:
                     allocation = base_allocation(plans[scheme], f.sector_index)
-                    dep.faps.append(replace(f, allocation=allocation))
+                    dep.append(replace(f, allocation=allocation))
             dep.params = replace(dep.params, n_faps=density)
             est = estimate(
                 dep, 0, plans[scheme], config, params, trial_seed, n_workers,

@@ -283,6 +283,13 @@ def adjust_power(
     return events
 
 
+def _check_in_macro_disc(deployment: Deployment, pos: np.ndarray) -> None:
+    if deployment.macro is None:
+        raise ValueError("admission requires an overlaid macrocell")
+    if float(np.linalg.norm(pos - deployment.macro.position)) > deployment.macro.radius:
+        raise ValueError("new FAP position lies outside the macro disc")
+
+
 def admit_fap(
     deployment: Deployment,
     position,
@@ -293,11 +300,8 @@ def admit_fap(
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
     pick an edge color absent among them (else their minority color), and
     append the FAP without touching existing colors."""
-    if deployment.macro is None:
-        raise ValueError("admission requires an overlaid macrocell")
     pos = np.asarray(position, dtype=float)
-    if float(np.linalg.norm(pos - deployment.macro.position)) > deployment.macro.radius:
-        raise ValueError("new FAP position lies outside the macro disc")
+    _check_in_macro_disc(deployment, pos)
     sector = sector_of(deployment.macro, pos)
     dists = np.linalg.norm(deployment.positions() - pos, axis=1)
     sniffed = [deployment.faps[i] for i in np.flatnonzero(dists <= graph.neighbor_radius)]
@@ -324,7 +328,7 @@ def admit_fap(
         sector_index=sector,
     )
     _set_edge_color(fap, plan, color)
-    deployment.faps.append(fap)
+    deployment.append(fap)
 
     local_log = log if log is not None else SonEventLog()
     events = [
@@ -339,7 +343,9 @@ def admit_fap(
 
 def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
     """Apply a SON event list to a deployment (normally a copy of the
-    pre-pass state); reproduces the post-pass state bit-exactly."""
+    pre-pass state); reproduces the post-pass state bit-exactly.  A NEW_FAP
+    event must name the next id and a position inside the macro disc, as
+    ``admit_fap`` would, else ValueError."""
     params = deployment.params
     for ev in events:
         if ev.kind is SonEventKind.POWER_REQUEST:
@@ -347,14 +353,15 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
             fap.tx_power = ev.details["tx_power_w"]
             fap.radius = ev.details["radius_m"]
         elif ev.kind is SonEventKind.NEW_FAP:
-            fap = Fap(
+            pos = np.array([ev.details["x"], ev.details["y"]])
+            _check_in_macro_disc(deployment, pos)
+            deployment.append(Fap(
                 id=ev.subject,
-                position=np.array([ev.details["x"], ev.details["y"]]),
+                position=pos,
                 tx_power=params.fap_tx_power_w,
                 radius=params.femto_radius_m,
                 sector_index=ev.details["sector"],
-            )
-            deployment.faps.append(fap)
+            ))
         elif ev.kind is SonEventKind.RECONFIGURE:
             fap = deployment.fap_by_id(ev.subject)
             _set_edge_color(fap, plan, EdgeChoice(ev.details["color"]))

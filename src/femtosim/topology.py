@@ -6,7 +6,9 @@ interior FAPs converge to Poisson(density * pi * neighbor_radius^2).  The
 reference FAP used by outage experiments is always FAP 0, pinned at the
 configured distance from the macro BS on the +x axis; all other positions are
 random.  Distances are 2-D horizontal.  A FAP's id is its row index in
-``Deployment.faps``; every construction path appends in id order.
+``Deployment.faps``.  A FAP's position is fixed once it is built, and FAPs
+join a deployment only through ``Deployment.append``, so the deployment's
+(N, 2) positions array never needs rebuilding.
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ class MacroBs:
             raise ValueError("macro radius and tx power must be positive")
 
 
+def _fixed_point(value) -> np.ndarray:
+    """A read-only (2,) float array owning its data.  One that already is one
+    (another FAP's position) is shared rather than copied, since neither
+    holder can write it."""
+    if not (isinstance(value, np.ndarray) and value.base is None
+            and not value.flags.writeable and value.dtype == np.float64):
+        value = np.array(value, dtype=float)
+        value.flags.writeable = False
+    if value.shape != (2,):
+        raise ValueError(f"a FAP position is an (x, y) pair, got shape {value.shape}")
+    return value
+
+
 @dataclass
 class Fap:
     id: int  # row index in Deployment.faps
@@ -69,8 +84,20 @@ class Fap:
     sector_index: int
     allocation: FemtoAllocation | None = None
 
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
+    def __setattr__(self, name, value):
+        if name == "position":
+            if "position" in self.__dict__:
+                raise AttributeError("a FAP's position is fixed once built")
+            value = _fixed_point(value)
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        # copy.deepcopy and pickle restore __dict__ directly, and their array
+        # copies come back writeable
+        state = dict(state)
+        position = state.pop("position")
+        self.__dict__.update(state)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -131,15 +158,45 @@ class DeploymentParams:
 
 @dataclass
 class Deployment:
+    """FAPs and their positions; row i of ``positions()`` is FAP i.  Add FAPs
+    with ``append`` only: the positions array is grown, never rebuilt."""
+
     macro: MacroBs | None
     faps: list[Fap]
     scenario: Scenario
     rng_seed: int
     params: DeploymentParams
 
+    def __post_init__(self):
+        if any(f.id != i for i, f in enumerate(self.faps)):
+            raise ValueError("FAP ids must equal their rows in faps")
+        self._pos = np.array([f.position for f in self.faps], dtype=float).reshape(-1, 2)
+        self._faps = self.faps
+        self._n = len(self.faps)
+
+    def append(self, fap: Fap) -> None:
+        """Add ``fap`` as the next row; its id must equal that row."""
+        n = self._check_rows()
+        if fap.id != n:
+            raise ValueError(f"FAP id {fap.id} is not the next row {n}")
+        if n == len(self._pos):  # full: double the buffer
+            grown = np.empty((max(2 * n, 16), 2))
+            grown[:n] = self._pos[:n]
+            self._pos = grown
+        self._pos[n] = fap.position
+        self.faps.append(fap)
+        self._n = n + 1
+
     def positions(self) -> np.ndarray:
-        """(N, 2) FAP positions; row i is FAP i."""
-        return np.array([f.position for f in self.faps], dtype=float).reshape(-1, 2)
+        """(N, 2) read-only view of the FAP positions; row i is FAP i."""
+        view = self._pos[: self._check_rows()]
+        view.flags.writeable = False
+        return view
+
+    def _check_rows(self) -> int:
+        if self.faps is not self._faps or len(self.faps) != self._n:
+            raise RuntimeError("Deployment.faps changed outside Deployment.append")
+        return self._n
 
     def fap_by_id(self, fap_id: int) -> Fap:
         if not 0 <= fap_id < len(self.faps):

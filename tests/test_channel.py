@@ -7,7 +7,7 @@ import pytest
 
 from femtosim.channel import PropagationParams, link_coefficients, mean_desired_power
 from femtosim.spectrum import Band, Scheme, UeRegion, build_plan, cochannel
-from femtosim.topology import DeploymentParams, Fap, Scenario, apply_plan, generate
+from femtosim.topology import DeploymentParams, Fap, Scenario, apply_plan, generate, sector_of
 
 TOTAL = Band(0, 60_000_000)
 
@@ -68,16 +68,25 @@ def _dense_setup(scheme, seed=101, n_faps=1000):
     return dep, plan
 
 
+def _pair_setup(scheme, offset):
+    """The reference FAP of ``_dense_setup`` plus one neighbor at ``offset``
+    from it, in its own sector."""
+    dep, plan = _dense_setup(scheme, n_faps=1)
+    position = dep.faps[0].position + np.asarray(offset)
+    dep.append(Fap(id=1, position=position, tx_power=0.01, radius=10.0,
+                   sector_index=sector_of(dep.macro, position)))
+    apply_plan(dep, plan)
+    return dep, plan
+
+
 class TestInterferencePowers:
     """Link coefficients are the interference powers at unit fading."""
 
     def test_hand_computed_single_neighbor(self):
         # one co-channel neighbor: 0.01 W, P0f = 1, d = 50 m, eta2 = 2,
         # xi = Z = 1, one 10 dB wall  ->  0.01 * 50^-2 * 0.1 = 4e-7 W
-        dep, plan = _dense_setup(Scheme.SAME, n_faps=1000)
-        dep.faps = dep.faps[:2]
+        dep, plan = _pair_setup(Scheme.SAME, [50.0, 0.0])
         ref = dep.faps[0]
-        dep.faps[1].position = ref.position + np.array([50.0, 0.0])
         params = PropagationParams(p0_femto=1.0)
         ue = ref.position + np.array([0.0, 1e-9])
         ids, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
@@ -138,13 +147,11 @@ class TestInterferencePowers:
 
     def test_monotone_in_distance_and_walls(self):
         params1 = PropagationParams()
-        dep, plan = _dense_setup(Scheme.SAME, n_faps=1000)
-        dep.faps = dep.faps[:2]
-        ref = dep.faps[0]
-        ue = ref.position + np.array([0.0, 5.0])
 
         def femto_term(distance, params):
-            dep.faps[1].position = ref.position + np.array([distance, 0.0])
+            dep, plan = _pair_setup(Scheme.SAME, [distance, 0.0])
+            ref = dep.faps[0]
+            ue = ref.position + np.array([0.0, 5.0])
             _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
             return coeffs[0]
 
@@ -153,10 +160,8 @@ class TestInterferencePowers:
         assert femto_term(30.0, params2) < femto_term(30.0, params1)
 
     def test_linear_in_tx_power(self):
-        dep, plan = _dense_setup(Scheme.SAME, n_faps=1000)
-        dep.faps = dep.faps[:2]
+        dep, plan = _pair_setup(Scheme.SAME, [40.0, 0.0])
         ref = dep.faps[0]
-        dep.faps[1].position = ref.position + np.array([40.0, 0.0])
         params = PropagationParams()
         ue = ref.position + np.array([0.0, 5.0])
 

@@ -1,5 +1,6 @@
 """Outage estimator tests: closed form vs direct Monte Carlo."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,16 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femtosim import outage, son
 from femtosim.channel import PropagationParams, link_coefficients
 from femtosim.outage import (
     OutageConfig,
+    SweepRow,
     conditional_outage,
     density_sweep,
     estimate,
+    nearest_fap_angle,
+    prepare_deployment,
     sweep_csv_lines,
 )
-from femtosim.spectrum import Band, Scheme, build_plan
-from femtosim.topology import DeploymentParams, Scenario, apply_plan, generate
+from femtosim.spectrum import Band, EdgeChoice, Scheme, build_plan
+from femtosim.topology import (
+    DeploymentParams,
+    Fap,
+    NeighborGraph,
+    Scenario,
+    apply_plan,
+    generate,
+    sector_of,
+)
 
 TOTAL = Band(0, 60_000_000)
 GAMMA_9DB = 10**0.9  # 7.943282347242816
@@ -88,6 +101,15 @@ def _dense(scheme, seed=42, n_faps=1000):
     return dep, plan
 
 
+def _pair(scheme, position):
+    """The reference FAP of ``_dense`` plus one FAP at ``position``."""
+    dep, plan = _dense(scheme, n_faps=1)
+    dep.append(Fap(id=1, position=position, tx_power=0.01, radius=10.0,
+                   sector_index=sector_of(dep.macro, position)))
+    apply_plan(dep, plan)
+    return dep, plan
+
+
 class TestEstimate:
     def test_scenario_a_no_interference(self):
         plan = build_plan(Scheme.SAME, TOTAL, 3)
@@ -99,8 +121,7 @@ class TestEstimate:
 
     def test_isolated_fap_dedicated_zero_outage(self):
         # fully orthogonal allocation: no neighbors in range, Y = 0
-        dep, plan = _dense(Scheme.DEDICATED, n_faps=2)
-        dep.faps[1].position = np.array([-900.0, 0.0])  # far from the reference
+        dep, plan = _pair(Scheme.DEDICATED, np.array([-900.0, 0.0]))  # far from the reference
         est = estimate(dep, 0, plan, OutageConfig(n_trials=5000), PropagationParams(), seed=3)
         assert est.p_out_closed == 0.0
         assert est.p_out_mc == 0.0
@@ -108,9 +129,8 @@ class TestEstimate:
     def test_frozen_fading_analytic_oracle(self):
         # single co-channel neighbor, all fading frozen at 1: the conditional
         # outage has a one-line analytic value
-        dep, plan = _dense(Scheme.DEDICATED, n_faps=2)
-        ref = dep.faps[0]
-        dep.faps[1].position = ref.position + np.array([50.0, 0.0])
+        dep, plan = _pair(Scheme.DEDICATED, np.array([250.0, 0.0]))
+        ref = dep.faps[0]  # pinned at (200, 0): the other FAP is 50 m away
         params = PropagationParams()
         cfg = OutageConfig(n_trials=100, ue_distance=5.0)
         ue = ref.position + np.array([5.0, 0.0])  # toward the only neighbor
@@ -252,3 +272,74 @@ class TestDensitySweep:
         assert lines[0] == "scheme,density,p_out_closed,p_out_mc,ci95,n_trials,seed"
         assert lines[1].startswith("same,10,")
         assert len(lines) == 2
+
+
+def _spy_on_estimate(monkeypatch):
+    """Record (positions, FAP positions, edge colors) of every deployment the
+    sweep evaluates."""
+    seen = []
+    real = outage.estimate
+
+    def spy(dep, *args, **kwargs):
+        seen.append((
+            dep.positions().copy(),
+            np.array([f.position for f in dep.faps]).reshape(-1, 2),
+            [f.allocation.edge_choice for f in dep.faps],
+        ))
+        assert [f.id for f in dep.faps] == list(range(len(dep.faps)))
+        return real(dep, *args, **kwargs)
+
+    monkeypatch.setattr(outage, "estimate", spy)
+    return seen
+
+
+class TestSweepGrowth:
+    def test_positions_match_faps_for_every_scheme(self, monkeypatch):
+        seen = _spy_on_estimate(monkeypatch)
+        densities = [20, 60, 150]
+        schemes = list(Scheme)
+        density_sweep(densities, schemes, OutageConfig(n_trials=50), PropagationParams(), seed=4)
+        assert [len(p) for p, _, _ in seen] == [d for d in densities for _ in schemes]
+        for positions, from_faps, _ in seen:
+            assert positions.tobytes() == from_faps.tobytes()
+
+    def test_admission_matches_plain_admit_fap(self, monkeypatch):
+        # the sweep's dynamic column must equal growing a copy of its starting
+        # deployment by plain admit_fap calls: same rows, colors and positions
+        densities, seed, radius = [200, 2000], 5, 100.0
+        cfg, params = OutageConfig(n_trials=50), PropagationParams()
+        seen = _spy_on_estimate(monkeypatch)
+        rows = density_sweep(densities, [Scheme.DYNAMIC_REUSE], cfg, params, seed=seed)
+        monkeypatch.undo()
+
+        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
+        dep_seq, _, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
+        dep_seed = int(dep_seq.generate_state(1)[0])
+        full = generate(Scenario.D, DeploymentParams(n_faps=densities[-1]), dep_seed)
+        start = prepare_deployment(
+            Scheme.DYNAMIC_REUSE, plan, DeploymentParams(n_faps=densities[0]), dep_seed
+        )
+        ref = copy.deepcopy(start)
+        ue_angle = nearest_fap_angle(full, full.faps[0])
+        radius_graph = NeighborGraph(adjacency={}, neighbor_radius=radius)
+        expected = []
+        for idx, density in enumerate(densities):
+            for f in full.faps[len(ref.faps):density]:
+                son.admit_fap(ref, f.position, plan, radius_graph)
+            trial_seed = int(trial_seqs[idx].generate_state(1)[0])
+            est = estimate(ref, 0, plan, cfg, params, trial_seed, ue_angle=ue_angle)
+            expected.append(SweepRow(Scheme.DYNAMIC_REUSE, density, est, trial_seed))
+            positions, _, colors = seen[idx]
+            assert positions.tobytes() == ref.positions().tobytes()
+            assert colors == [f.allocation.edge_choice for f in ref.faps]
+        assert rows == expected
+        assert ref.positions().tobytes() == full.positions().tobytes()
+
+        # each admitted FAP took a color absent among its earlier neighbors,
+        # else their minority color (ties to the first of X, Y, Z)
+        pos, colors = ref.positions(), [f.allocation.edge_choice for f in ref.faps]
+        order = [EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z]
+        for i in range(densities[0], densities[-1]):
+            near = np.flatnonzero(np.linalg.norm(pos[:i] - pos[i], axis=1) <= radius)
+            counts = [sum(colors[j] is c for j in near) for c in order]
+            assert colors[i] is order[counts.index(min(counts))]

@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, no module-level import
-is left unused."""
+is left unused, and only topology.py grows a deployment's FAP list or sets
+a FAP position."""
 
 import ast
 import importlib
@@ -46,3 +47,51 @@ def test_no_unused_module_imports(path):
             used |= {elt.value for elt in node.value.elts}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}
+
+
+def _growth_outside_append(source):
+    """Line numbers that grow or rebind ``.faps`` or set ``.position``: calls
+    of ``.faps.append``/``extend``/``insert``, and assignments to ``.faps``,
+    ``.faps[...]`` or ``.position``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in ("append", "extend", "insert")
+                    and isinstance(f.value, ast.Attribute) and f.value.attr == "faps"):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Subscript):
+                    t = t.value
+                if isinstance(t, ast.Attribute) and t.attr in ("faps", "position"):
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(Path(femtosim.__file__).parent.glob("*.py")) if p.name != "topology.py"],
+    ids=lambda p: p.name,
+)
+def test_faps_grow_only_through_deployment_append(path):
+    assert _growth_outside_append(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "dep.faps.append(fap)",
+    "deployment.faps.extend(more)",
+    "dep.faps = dep.faps[:2]",
+    "dep.faps[1] = fap",
+    "dep.faps += [fap]",
+    "dep.faps[1].position = p",
+    "fap.position = p",
+])
+def test_growth_guard_flags(snippet):
+    assert _growth_outside_append(snippet) == [1]
+
+
+def test_growth_guard_allows_append_and_reads():
+    source = "dep.append(fap)\nx = dep.faps[0].position\nfaps.append(f)\nlog.append(e)"
+    assert _growth_outside_append(source) == []

@@ -58,6 +58,12 @@ def _graph(dep, radius=100.0):
     return neighbor_graph(dep, radius)
 
 
+def _assert_positions_match_faps(dep):
+    expected = np.array([f.position for f in dep.faps]).reshape(-1, 2)
+    assert [f.id for f in dep.faps] == list(range(len(dep.faps)))
+    assert dep.positions().tobytes() == expected.tobytes()
+
+
 def _min_conflicts_brute_force(adjacency):
     """Exhaustive minimum same-color pair count over all 3^n assignments."""
     ids = sorted(adjacency)
@@ -264,6 +270,7 @@ class TestAdmitFap:
         graph = _graph(dep)
         dep2, _ = admit_fap(dep, (210.0, 5.0), PLAN, graph)
         assert dep2.faps[-1].allocation.edge_choice is EdgeChoice.Z
+        _assert_positions_match_faps(dep2)
 
     def test_minority_color_when_all_present(self):
         dep = _deployment_from_layout([(200, 0), (210, 0), (220, 0), (230, 0)])
@@ -298,6 +305,8 @@ class TestAdmitFap:
         radius_graph = NeighborGraph(adjacency={}, neighbor_radius=100.0)
         for p in positions[1:]:
             admit_fap(base, p, PLAN, radius_graph)
+        _assert_positions_match_faps(base)
+        assert base.positions().tobytes() == full.positions().tobytes()
         graph = neighbor_graph(base, 100.0)
         seq_colors = {f.id: f.allocation.edge_choice for f in base.faps}
         sequential_conflicts = len(same_color_conflicts(graph, seq_colors))
@@ -347,6 +356,29 @@ class TestEventLogAndReplay:
         assert np.array_equal(new.position, new_r.position)
         assert new.allocation == new_r.allocation
         assert new.id == new_r.id
+        _assert_positions_match_faps(replayed)
+        assert replayed.positions().tobytes() == dep.positions().tobytes()
+
+    @staticmethod
+    def _new_fap_event(subject, x, y):
+        log = SonEventLog()
+        log.append(SonEventKind.NEW_FAP, subject, x=x, y=y, sector=0)
+        return log.events
+
+    def test_replay_rejects_new_fap_off_the_next_row(self):
+        dep = _deployment_from_layout([(200, 0), (220, 0), (240, 0)])
+        for subject in (7, 2):
+            with pytest.raises(ValueError):
+                replay(dep, self._new_fap_event(subject, 300.0, 0.0), PLAN)
+        assert len(dep.faps) == 3
+        _assert_positions_match_faps(dep)
+        assert dep.fap_by_id(2).id == 2
+
+    def test_replay_rejects_new_fap_outside_macro_disc(self):
+        dep = _deployment_from_layout([(200, 0), (220, 0), (240, 0)])
+        with pytest.raises(ValueError):
+            replay(dep, self._new_fap_event(3, 2000.0, 0.0), PLAN)
+        assert len(dep.faps) == 3
 
     def test_configure_replay_bit_exact(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=100), seed=10)

@@ -1,5 +1,6 @@
 """Deployment generation, sector assignment, and neighbor-graph tests."""
 
+import copy
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
+    Fap,
     MacroBs,
     PlacementError,
     Scenario,
@@ -156,11 +158,109 @@ class TestGenerate:
         assert chi2 < stats.chi2.ppf(0.99, df=99)
 
 
+def assert_positions_match_faps(dep):
+    """The deployment's positions array equals the FAPs' own positions bit for
+    bit, row i being FAP i."""
+    assert [f.id for f in dep.faps] == list(range(len(dep.faps)))
+    expected = np.array([f.position for f in dep.faps]).reshape(-1, 2)
+    got = dep.positions()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _fap(fap_id, position):
+    return Fap(id=fap_id, position=position, tx_power=0.01, radius=10.0,
+               sector_index=sector_of(MACRO, position))
+
+
+class TestDeploymentPositions:
+    @pytest.mark.parametrize("scenario, n_faps, seed", [
+        (Scenario.A, 1, 1), (Scenario.B, 40, 9), (Scenario.C, 60, 21), (Scenario.D, 1000, 3),
+    ])
+    def test_generate_matches_faps(self, scenario, n_faps, seed):
+        assert_positions_match_faps(generate(scenario, DeploymentParams(n_faps=n_faps), seed))
+
+    def test_read_only_and_not_rebuilt(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=50), seed=4)
+        a, b = dep.positions(), dep.positions()
+        assert np.shares_memory(a, b)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+    def test_fap_position_immutable(self):
+        source = np.array([300.0, 40.0])
+        fap = _fap(0, source)
+        source[0] = 0.0  # the FAP holds its own copy
+        assert fap.position.tolist() == [300.0, 40.0]
+        with pytest.raises(ValueError):
+            fap.position[0] = 1.0
+        with pytest.raises(AttributeError):
+            fap.position = np.array([1.0, 2.0])
+        assert _fap(1, fap.position).position is fap.position  # shared, not copied
+        frozen_triple = np.array([1.0, 2.0, 3.0])
+        frozen_triple.flags.writeable = False
+        for bad in (5.0, (1.0, 2.0, 3.0), frozen_triple):
+            with pytest.raises(ValueError):
+                Fap(id=0, position=bad, tx_power=0.01, radius=10.0, sector_index=0)
+
+    def test_append_grows_past_capacity(self):
+        rng = np.random.default_rng(5)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
+        before = dep.positions()
+        for i in range(3, 100):
+            dep.append(_fap(i, rng.uniform(-500.0, 500.0, 2)))
+            assert_positions_match_faps(dep)
+        assert np.array_equal(dep.positions()[:3], before)
+        assert before.shape == (3, 2)  # earlier views keep their rows
+
+    def test_append_wrong_id_rejected(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
+        for bad_id in (2, 4, 7):
+            with pytest.raises(ValueError):
+                dep.append(_fap(bad_id, (300.0, 0.0)))
+        assert len(dep.faps) == 3
+        assert_positions_match_faps(dep)
+
+    def test_constructor_rejects_ids_off_their_rows(self):
+        params = DeploymentParams(n_faps=2)
+        with pytest.raises(ValueError):
+            Deployment(MACRO, [_fap(0, (300.0, 0.0)), _fap(7, (0.0, 300.0))],
+                       Scenario.D, 0, params)
+
+    def test_growth_outside_append_detected(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
+        dep.faps.append(_fap(3, (300.0, 0.0)))
+        with pytest.raises(RuntimeError):
+            dep.positions()
+        with pytest.raises(RuntimeError):
+            dep.append(_fap(4, (0.0, 300.0)))
+        other = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
+        other.faps = list(other.faps)  # a rebound list, even of equal length
+        with pytest.raises(RuntimeError):
+            other.positions()
+
+    def test_deepcopy_is_independent(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=20), seed=6)
+        twin = copy.deepcopy(dep)
+        assert_positions_match_faps(twin)
+        assert not np.shares_memory(twin.positions(), dep.positions())
+        twin.append(_fap(20, (0.0, -300.0)))
+        assert_positions_match_faps(twin)
+        assert len(dep.faps) == 20
+        assert_positions_match_faps(dep)
+        assert not twin.faps[0].position.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.faps[0].position = np.zeros(2)
+
+
 class TestNeighborGraph:
     def _two_fap_deployment(self, distance):
-        params = DeploymentParams(n_faps=2)
+        params = DeploymentParams(n_faps=1)
         dep = generate(Scenario.D, params, seed=1)
-        dep.faps[1].position = dep.faps[0].position + np.array([distance, 0.0])
+        position = dep.faps[0].position + np.array([distance, 0.0])
+        dep.append(Fap(id=1, position=position, tx_power=0.01, radius=10.0,
+                       sector_index=sector_of(dep.macro, position)))
         return dep
 
     def test_within_radius_adjacent(self):
