@@ -1,9 +1,9 @@
 """System-level simulator for integrated femtocell/macrocell networks.
 
 Implements four frequency-allocation schemes (dedicated, same, partial, and
-sectorized dynamic re-use with SON-coordinated edge bands) and quantifies
-femto-UE outage probability both by Monte Carlo sampling and by the
-closed-form conditional expression for exponential fading.
+sectorized dynamic re-use with SON-coordinated edge bands) and computes the
+femto-UE outage probability exactly, as a product of per-interferer Laplace
+transforms, with a direct Monte Carlo count as an independent check.
 """
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
-"""Femto-UE outage probability: closed form over fading draws, and direct
-Monte Carlo.
+"""Femto-UE outage probability: the exact value, checked by Monte Carlo.
 
-The SIR uses interference only (no noise term).  Conditional on one draw of
-the interferer fading, the outage probability has the closed form
-1 - exp(-gamma * (I_f + I_m) / s_bar) because the desired fast fading Z_0 is
-unit-mean exponential; ``estimate`` reports its Monte Carlo average over the
-interferer fading as ``p_out_closed`` and a full Monte Carlo count (drawing
-Z_0 too) as ``p_out_mc``.
+The SIR uses interference only (no noise term).  Interferer k has a fixed
+coefficient c_k and unit-exponential slow (xi) and fast (Z) fading, and the
+desired fast fading is unit exponential, so the outage probability is exactly
+P = 1 - prod_k phi(gamma c_k / s_bar) with phi(a) = E[exp(-a xi Z)] =
+x e^x E1(x), x = 1/a: the Laplace functional of Andrews, Baccelli & Ganti,
+"A Tractable Approach to Coverage and Rate in Cellular Networks" (IEEE TCOM
+2011).  ``estimate`` reports it as ``p_out_closed``, and a direct Monte Carlo
+count as ``p_out_mc``.
 
 Trials are split over a fixed number of shards with independent RNG streams
 spawned from the seed, and shard results are merged in index order, so the
@@ -42,6 +43,7 @@ __all__ = [
     "conditional_outage",
     "density_sweep",
     "estimate",
+    "log_phi",
     "sweep_csv_lines",
 ]
 
@@ -81,7 +83,7 @@ class OutageEstimate:
     p_out_mc: float
     ci95_halfwidth: float  # 1.96 * sqrt(p_mc (1 - p_mc) / n)
     n_trials: int
-    closed_form_se: float = 0.0  # standard error of the closed-form average
+    closed_form_se: float = 0.0  # p_out_closed is exact, so always 0.0
 
 
 def conditional_outage(s_bar, total_interference, gamma_linear):
@@ -96,6 +98,26 @@ def conditional_outage(s_bar, total_interference, gamma_linear):
         raise ValueError("interference must be non-negative")
     p = -np.expm1(-gamma_linear * i / s_bar)
     return float(p) if p.ndim == 0 else p
+
+
+def log_phi(a) -> np.ndarray:
+    """log phi(a) = log(x e^x E1(x)), x = 1/a, for an array of a > 0: the
+    series for x < 1 (Abramowitz & Stegun 5.1.11), else a backward continued
+    fraction for e^x E1(x) = 1/(x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))."""
+    x = 1.0 / np.asarray(a, dtype=float)
+    out = np.empty_like(x)
+    small = x < 1.0
+    xs, term, tail = x[small], 1.0, 0.0
+    for n in range(1, 25):
+        term = term * -xs / n
+        tail = tail + term / n
+    out[small] = np.log(xs) + xs + np.log(-np.euler_gamma - np.log(xs) - tail)
+    xl = x[~small]
+    t = xl + 161.0
+    for n in range(80, 1, -1):
+        t = xl + (2 * n - 1) - n * n / t
+    out[~small] = -np.log1p((1.0 - 1.0 / t) / xl)  # phi = x / (x + 1 - 1/t)
+    return out
 
 
 def nearest_fap_angle(deployment: Deployment, ref) -> float:
@@ -122,7 +144,7 @@ def _ue_position(deployment, ref, distance, direction, rng, angle=None) -> np.nd
 
 
 def _run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
-    """One shard of trials; returns (sum p_t, sum p_t^2, outage count)."""
+    """One shard of Monte Carlo trials; returns the outage count."""
     rng = np.random.default_rng(seed_seq)
     k = len(coeffs)
     xi = rng.exponential(size=(m, k))
@@ -131,9 +153,7 @@ def _run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
     z_m = rng.exponential(size=m)
     z0 = rng.exponential(size=m)
     i_total = (xi * z) @ coeffs + macro_coeff * xi_m * z_m
-    p = conditional_outage(s_bar, i_total, gamma_linear)
-    outages = int(np.count_nonzero(z0 < gamma_linear * i_total / s_bar))
-    return float(p.sum()), float((p * p).sum()), outages
+    return int(np.count_nonzero(z0 < gamma_linear * i_total / s_bar))
 
 
 def estimate(
@@ -148,20 +168,17 @@ def estimate(
 ) -> OutageEstimate:
     """Estimate the outage probability of a UE of the reference FAP.
 
-    ``p_out_closed`` averages the conditional closed form over fresh
-    interferer-fading draws; ``p_out_mc`` additionally draws Z_0 each trial
-    and counts SIR < gamma events.  Both use the same interference draws, so
-    they agree within Monte Carlo noise by construction.  ``ue_angle``
-    overrides the UE bearing (the density sweep pins it across snapshots of a
-    growing network).
+    ``p_out_closed`` is the exact outage over the positive femto and macro
+    coefficients, whatever the trials; ``p_out_mc`` draws every fading term
+    and counts SIR < gamma events.  ``ue_angle`` overrides the UE bearing
+    (the density sweep pins it across snapshots of a growing network).
     """
     ref = deployment.fap_by_id(reference_fap)
     if config.ue_distance > ref.radius:
         raise ValueError(
             f"ue_distance {config.ue_distance} m exceeds the femto radius {ref.radius} m"
         )
-    root = np.random.SeedSequence(seed)
-    dir_seq, *shard_seqs = root.spawn(config.n_shards + 1)
+    dir_seq, *shard_seqs = np.random.SeedSequence(seed).spawn(config.n_shards + 1)
     ue = _ue_position(
         deployment, ref, config.ue_distance, config.ue_direction,
         np.random.default_rng(dir_seq), angle=ue_angle,
@@ -178,33 +195,20 @@ def estimate(
     def task(i):
         return _run_shard(shard_seqs[i], sizes[i], coeffs, macro_coeff, s_bar, gamma)
 
-    indices = [i for i in range(config.n_shards) if sizes[i] > 0]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(task, indices))
+            outages = sum(pool.map(task, range(config.n_shards)))
     else:
-        results = [task(i) for i in indices]
+        outages = sum(map(task, range(config.n_shards)))
 
-    # fixed shard-merge order regardless of worker scheduling
-    sum_p = 0.0
-    sum_p2 = 0.0
-    outages = 0
-    for s, s2, c in results:
-        sum_p += s
-        sum_p2 += s2
-        outages += c
-
-    p_closed = sum_p / n
-    var_p = max(sum_p2 / n - p_closed * p_closed, 0.0)
-    closed_se = math.sqrt(var_p / n)
+    c = np.append(coeffs, macro_coeff)
+    # fsum rounds correctly, so an added interferer never lowers P; with no
+    # interferer, "0.0 -" gives +0.0 where a bare minus would give -0.0
+    p_closed = 0.0 - math.expm1(math.fsum(log_phi(gamma * c[c > 0] / s_bar).tolist()))
     p_mc = outages / n
     ci95 = 1.96 * math.sqrt(p_mc * (1.0 - p_mc) / n)
     return OutageEstimate(
-        p_out_closed=p_closed,
-        p_out_mc=p_mc,
-        ci95_halfwidth=ci95,
-        n_trials=n,
-        closed_form_se=closed_se,
+        p_out_closed=p_closed, p_out_mc=p_mc, ci95_halfwidth=ci95, n_trials=n
     )
 
 
@@ -279,8 +283,7 @@ def density_sweep(
         )
         for s in schemes
     }
-    root = np.random.SeedSequence(seed)
-    dep_seq, dir_seq, *trial_seqs = root.spawn(2 + len(densities))
+    dep_seq, dir_seq, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
     dep_seed = _seed_int(dep_seq)
     # Placement is sequential, so each scheme's starting deployment is a
     # prefix of the full one.
@@ -296,24 +299,21 @@ def density_sweep(
 
     radius_graph = NeighborGraph(adjacency={}, neighbor_radius=dep_params.neighbor_radius_m)
     rows = []
-    prev_density = densities[0]
     for idx, density in enumerate(densities):
         trial_seed = _seed_int(trial_seqs[idx])
         for scheme in schemes:
             dep = chains[scheme]
-            for f in full.faps[prev_density:density]:
+            for f in full.faps[len(dep.faps):density]:
                 if scheme is Scheme.DYNAMIC_REUSE:
                     son.admit_fap(dep, f.position, plans[scheme], radius_graph)
                 else:
                     allocation = base_allocation(plans[scheme], f.sector_index)
                     dep.append(replace(f, allocation=allocation))
-            dep.params = replace(dep.params, n_faps=density)
             est = estimate(
                 dep, 0, plans[scheme], config, params, trial_seed, n_workers,
                 ue_angle=ue_angle,
             )
             rows.append(SweepRow(scheme=scheme, density=density, estimate=est, seed=trial_seed))
-        prev_density = density
     return rows
 
 

@@ -97,7 +97,12 @@ class SonEventLog:
 @dataclass
 class ColoringState:
     colors: dict[int, EdgeChoice]
-    conflicts: set[tuple[int, int]]  # adjacent same-color pairs, (a, b) with a < b
+    graph: NeighborGraph
+
+    @property
+    def conflicts(self) -> set[tuple[int, int]]:
+        """Adjacent same-color pairs (a, b), a < b, computed on each access."""
+        return same_color_conflicts(self.graph, self.colors)
 
 
 def same_color_conflicts(graph: NeighborGraph, colors: dict[int, EdgeChoice]) -> set[tuple[int, int]]:
@@ -160,7 +165,7 @@ def configure_frequencies(
         _set_edge_color(deployment.faps[fid], plan, color)
         if log is not None:
             log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
-    return ColoringState(colors=colors, conflicts=same_color_conflicts(graph, colors))
+    return ColoringState(colors=colors, graph=graph)
 
 
 def assign_uniform_random_colors(
@@ -175,7 +180,7 @@ def assign_uniform_random_colors(
         color = EDGE_COLORS[int(rng.integers(0, 3))]
         colors[f.id] = color
         _set_edge_color(f, plan, color)
-    return ColoringState(colors=colors, conflicts=same_color_conflicts(graph, colors))
+    return ColoringState(colors=colors, graph=graph)
 
 
 def assign_shared_edge(
@@ -189,7 +194,7 @@ def assign_shared_edge(
     for f in deployment.faps:
         colors[f.id] = color
         _set_edge_color(f, plan, color)
-    return ColoringState(colors=colors, conflicts=same_color_conflicts(graph, colors))
+    return ColoringState(colors=colors, graph=graph)
 
 
 def noncochannel_fraction(

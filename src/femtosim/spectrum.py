@@ -131,8 +131,6 @@ class FrequencyPlan:
     macro_sector_bands: tuple[Band, ...]
     center_band_per_sector: tuple[Band, ...]
     edge_bands_per_sector: tuple[tuple[Band, ...], ...]
-    femto_band_fraction: float | None = None
-    edge_split: float | None = None
 
     @property
     def n_sectors(self) -> int:
@@ -207,7 +205,6 @@ def build_plan(
             macro_sector_bands=(macro,) * n_sectors,
             center_band_per_sector=(femto,) * n_sectors,
             edge_bands_per_sector=((),) * n_sectors,
-            femto_band_fraction=femto_fraction,
         )
 
     if scheme is Scheme.SAME:
@@ -242,7 +239,6 @@ def build_plan(
             macro_sector_bands=sector_bands,
             center_band_per_sector=tuple(centers),
             edge_bands_per_sector=tuple(edge_triples),
-            edge_split=edge_split,
         )
         plan.validate()
         return plan

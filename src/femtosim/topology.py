@@ -163,8 +163,6 @@ class Deployment:
 
     macro: MacroBs | None
     faps: list[Fap]
-    scenario: Scenario
-    rng_seed: int
     params: DeploymentParams
 
     def __post_init__(self):
@@ -265,7 +263,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
         if params.n_faps != 1:
             raise ValueError("scenario A has exactly one FAP")
         fap = _make_fap(0, np.zeros(2), None, params)
-        return Deployment(None, [fap], scenario, seed, params)
+        return Deployment(None, [fap], params)
 
     macro = _make_macro(params)
 
@@ -276,12 +274,12 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
             return all(np.linalg.norm(p - f.position) > r for f in placed)
 
         faps = _random_positions(rng, macro, params, check=separated)
-        return Deployment(macro, faps, scenario, seed, params)
+        return Deployment(macro, faps, params)
 
     if scenario is Scenario.C:
         for _ in range(params.max_layout_attempts):
             faps = _random_positions(rng, macro, params)
-            dep = Deployment(macro, faps, scenario, seed, params)
+            dep = Deployment(macro, faps, params)
             g = neighbor_graph(dep, params.neighbor_radius_m)
             if g.n_edges >= 1 and g.mean_degree < params.c_max_mean_degree:
                 return dep
@@ -291,7 +289,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
 
     if scenario is Scenario.D:
         faps = _random_positions(rng, macro, params)
-        return Deployment(macro, faps, scenario, seed, params)
+        return Deployment(macro, faps, params)
 
     raise ValueError(f"unknown scenario {scenario!r}")
 

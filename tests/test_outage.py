@@ -1,4 +1,5 @@
-"""Outage estimator tests: closed form vs direct Monte Carlo."""
+"""Outage estimator tests: the exact value vs direct Monte Carlo, and the
+exact value against an independent scipy evaluation."""
 
 import copy
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from femtosim import outage, son
 from femtosim.channel import PropagationParams, link_coefficients
@@ -16,6 +18,7 @@ from femtosim.outage import (
     conditional_outage,
     density_sweep,
     estimate,
+    log_phi,
     nearest_fap_angle,
     prepare_deployment,
     sweep_csv_lines,
@@ -93,6 +96,41 @@ class TestConditionalOutage:
         assert p[0] == 0.0 and np.all(np.diff(p) > 0)
 
 
+def _scipy_phi(a):
+    """x e^x E1(x), x = 1/a, from scipy; the scaled U(1, 1, x) = e^x E1(x)
+    where e^x would overflow."""
+    x = 1.0 / np.asarray(a, dtype=float)
+    naive = x < 700.0
+    out = np.empty_like(x)
+    out[naive] = x[naive] * np.exp(x[naive]) * special.exp1(x[naive])
+    out[~naive] = x[~naive] * special.hyperu(1.0, 1.0, x[~naive])
+    return out
+
+
+class TestLogPhi:
+    A = np.logspace(-12, 12, 4801)
+
+    def test_matches_scipy(self):
+        # plus x = 1/a on both sides of 1, where the series hands over to the
+        # continued fraction
+        a = np.append(self.A, 1.0 / np.array([1 - 1e-9, np.nextafter(1.0, 0.0), 1.0, 1 + 1e-9]))
+        rel = np.abs(np.exp(log_phi(a)) / _scipy_phi(a) - 1.0)
+        assert rel.max() <= 1e-12
+
+    def test_negative_and_decreasing(self):
+        values = log_phi(self.A)
+        assert np.all(values < 0.0)
+        assert np.all(np.diff(values) <= 0.0)
+
+    def test_elementwise_independent_of_the_array(self):
+        # each value depends on its own a only, bit for bit: the density
+        # sweep's monotonicity relies on it
+        whole = log_phi(self.A)
+        for i in range(0, len(self.A), 97):
+            assert log_phi(self.A[i:i + 1])[0] == whole[i]
+            assert log_phi(self.A[i:i + 7])[0] == whole[i]
+
+
 def _dense(scheme, seed=42, n_faps=1000):
     frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
     plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
@@ -150,6 +188,8 @@ class TestEstimate:
         )
 
     def test_closed_form_tracks_mc(self):
+        # the Monte Carlo count agrees with the exact value within 3 MC
+        # standard errors (closed_form_se is 0 for the exact value)
         dep, plan = _dense(Scheme.SAME)
         est = estimate(
             dep, 0, plan, OutageConfig(n_trials=100_000), PropagationParams(), seed=5
@@ -158,8 +198,8 @@ class TestEstimate:
         assert abs(est.p_out_closed - est.p_out_mc) < 3 * se
 
     def test_paired_per_trial_oracle(self):
-        # the MC indicator's per-trial expectation equals the closed form for
-        # that trial's interference: the paired mean difference is ~0
+        # on two trial seeds, each Monte Carlo count agrees with the exact
+        # value within 3 MC standard errors (closed_form_se is 0)
         dep, plan = _dense(Scheme.SAME)
         params = PropagationParams()
         cfg = OutageConfig(n_trials=100_000)
@@ -183,8 +223,11 @@ class TestEstimate:
         params = PropagationParams()
         a = estimate(dep, 0, plan, OutageConfig(n_trials=50_000, n_shards=4), params, seed=9)
         b = estimate(dep, 0, plan, OutageConfig(n_trials=50_000, n_shards=32), params, seed=9)
-        se = math.hypot(a.closed_form_se, b.closed_form_se)
-        assert abs(a.p_out_closed - b.p_out_closed) < 4 * se
+        # the exact value does not depend on the trial streams at all
+        assert a.p_out_closed == b.p_out_closed
+        # the Monte Carlo counts do, within 4 combined standard errors
+        se = math.hypot(a.ci95_halfwidth, b.ci95_halfwidth) / 1.96
+        assert abs(a.p_out_mc - b.p_out_mc) < 4 * se
 
     def test_missing_reference_rejected(self):
         dep, plan = _dense(Scheme.SAME, n_faps=10)
@@ -208,6 +251,63 @@ class TestEstimate:
         cfg = OutageConfig(n_trials=2000, ue_direction="random")
         est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=2)
         assert 0.0 <= est.p_out_closed <= 1.0
+
+
+def _scipy_outage(dep, plan, cfg, ue_angle):
+    """1 - prod phi(gamma c / s_bar) with scipy's phi, for the UE of FAP 0 on
+    the bearing ``ue_angle``."""
+    ref = dep.faps[0]
+    ue = ref.position + cfg.ue_distance * np.array([math.cos(ue_angle), math.sin(ue_angle)])
+    _, coeffs, macro_coeff, s_bar = link_coefficients(
+        dep, ref, ue, plan, cfg.ue_region, PropagationParams()
+    )
+    a = cfg.gamma_linear * np.append(coeffs, macro_coeff) / s_bar
+    return 1.0 - float(np.prod(_scipy_phi(a[a > 0])))
+
+
+class TestExactOutage:
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("seed", [42, 7, 11])
+    def test_matches_scipy_product(self, scheme, seed):
+        dep, plan = _dense(scheme, seed=seed)
+        cfg = OutageConfig(n_trials=10)
+        for angle in (0.0, 2.0, None):  # None: the nearest-FAP bearing
+            est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=1, ue_angle=angle)
+            expected = _scipy_outage(
+                dep, plan, cfg, nearest_fap_angle(dep, dep.faps[0]) if angle is None else angle
+            )
+            assert expected > 0.0
+            assert est.p_out_closed == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_matches_scipy_product_after_son_coloring(self):
+        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
+        dep = prepare_deployment(Scheme.DYNAMIC_REUSE, plan, DeploymentParams(n_faps=3000), 7)
+        cfg = OutageConfig(n_trials=10)
+        est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=1, ue_angle=1.0)
+        expected = _scipy_outage(dep, plan, cfg, 1.0)
+        assert est.p_out_closed == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_independent_of_trials_workers_shards_and_seed(self):
+        dep, plan = _dense(Scheme.SAME, n_faps=300)
+        params = PropagationParams()
+        base = estimate(dep, 0, plan, OutageConfig(n_trials=1000), params, seed=9)
+        assert base.p_out_closed > 0.0 and base.closed_form_se == 0.0
+        for n_trials, n_shards, n_workers, seed in [
+            (1, 1, 1, 9), (1, 16, 1, 9), (7, 3, 4, 9), (20_000, 32, 8, 9),
+            (1000, 16, 1, 0), (1000, 16, 1, 123456789),
+        ]:
+            cfg = OutageConfig(n_trials=n_trials, n_shards=n_shards)
+            est = estimate(dep, 0, plan, cfg, params, seed=seed, n_workers=n_workers)
+            assert est.p_out_closed == base.p_out_closed
+            assert est.closed_form_se == 0.0
+
+    def test_no_interferer_is_positive_zero(self):
+        dep, plan = _pair(Scheme.DEDICATED, np.array([-900.0, 0.0]))
+        est = estimate(dep, 0, plan, OutageConfig(n_trials=100), PropagationParams(), seed=3)
+        assert est.p_out_closed == 0.0
+        assert math.copysign(1.0, est.p_out_closed) == 1.0
+        row = SweepRow(Scheme.DEDICATED, 2, est, seed=3)
+        assert sweep_csv_lines([row])[1] == "dedicated,2,0.0,0.0,0.0,100,3"
 
 
 class TestSchemeOrdering:
@@ -249,6 +349,19 @@ class TestDensitySweep:
         ses = [r.estimate.closed_form_se for r in rows]
         for (a, sa), (b, sb) in zip(zip(values, ses), zip(values[1:], ses[1:])):
             assert b >= a - 3 * math.hypot(sa, sb)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exactly_non_decreasing_in_density(self, seed):
+        # interferers only accumulate as the network grows, and the exact
+        # value has no noise: no tolerance at all
+        densities = [100, 300, 1000, 3000]
+        rows = density_sweep(
+            densities, list(Scheme), OutageConfig(n_trials=10), PropagationParams(), seed=seed
+        )
+        for scheme in Scheme:
+            values = [r.estimate.p_out_closed for r in rows if r.scheme is scheme]
+            assert len(values) == len(densities)
+            assert all(b >= a for a, b in zip(values, values[1:])), (scheme, values)
 
     def test_tiny_density_orthogonal_near_zero(self):
         cfg = OutageConfig(n_trials=2000)

@@ -1,10 +1,12 @@
 """Package surface: every exported name resolves, no module-level import
-is left unused, and only topology.py grows a deployment's FAP list or sets
-a FAP position."""
+is left unused, the package imports nothing beyond the standard library and
+its declared runtime dependency (numpy), and only topology.py grows a
+deployment's FAP list or sets a FAP position."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,43 @@ def test_no_unused_module_imports(path):
             used |= {elt.value for elt in node.value.elts}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}
+
+
+# pyproject.toml's [project] dependencies; scipy is a test-only dependency
+RUNTIME_DEPENDENCIES = {"numpy"}
+
+
+def _undeclared_imports(source):
+    """Top-level names of absolute imports anywhere in ``source`` that are
+    neither in the standard library nor runtime dependencies."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots - set(sys.stdlib_module_names) - RUNTIME_DEPENDENCIES
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(femtosim.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_imports_only_stdlib_and_runtime_dependencies(path):
+    assert _undeclared_imports(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("snippet", [
+    "from scipy import special",
+    "import scipy.special as sp",
+    "def f():\n    from scipy.special import exp1",
+])
+def test_dependency_guard_flags_scipy(snippet):
+    assert _undeclared_imports(snippet) == {"scipy"}
+
+
+def test_dependency_guard_allows_stdlib_numpy_and_relative():
+    source = "import math\nimport numpy as np\nfrom . import son\nfrom .channel import x"
+    assert _undeclared_imports(source) == set()
 
 
 def _growth_outside_append(source):

@@ -49,7 +49,7 @@ def _deployment_from_layout(positions):
             sector_index=0)
         for i, p in enumerate(positions)
     ]
-    dep = Deployment(macro, faps, Scenario.D, 0, params)
+    dep = Deployment(macro, faps, params)
     apply_plan(dep, PLAN)
     return dep
 

@@ -225,8 +225,7 @@ class TestDeploymentPositions:
     def test_constructor_rejects_ids_off_their_rows(self):
         params = DeploymentParams(n_faps=2)
         with pytest.raises(ValueError):
-            Deployment(MACRO, [_fap(0, (300.0, 0.0)), _fap(7, (0.0, 300.0))],
-                       Scenario.D, 0, params)
+            Deployment(MACRO, [_fap(0, (300.0, 0.0)), _fap(7, (0.0, 300.0))], params)
 
     def test_growth_outside_append_detected(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
