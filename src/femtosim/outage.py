@@ -297,7 +297,7 @@ def density_sweep(
 
     chains = {s: prepare_deployment(s, plans[s], dp0, dep_seed) for s in schemes}
 
-    radius_graph = NeighborGraph(adjacency={}, neighbor_radius=dep_params.neighbor_radius_m)
+    radius_graph = NeighborGraph.radius_only(dep_params.neighbor_radius_m)
     rows = []
     for idx, density in enumerate(densities):
         trial_seed = _seed_int(trial_seqs[idx])

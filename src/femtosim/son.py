@@ -107,12 +107,14 @@ class ColoringState:
 
 def same_color_conflicts(graph: NeighborGraph, colors: dict[int, EdgeChoice]) -> set[tuple[int, int]]:
     """Recompute from scratch the neighbor pairs sharing an edge color."""
-    return {
-        (a, b)
-        for a, b in graph.edges()
-        if colors.get(a, EdgeChoice.NONE) is colors.get(b, EdgeChoice.NONE)
-        and colors.get(a, EdgeChoice.NONE) is not EdgeChoice.NONE
-    }
+    codes = np.full(graph.n_faps, -1, dtype=np.int8)  # index in EDGE_COLORS; -1 none
+    for fid, color in colors.items():
+        if color is not EdgeChoice.NONE:
+            codes[fid] = EDGE_COLORS.index(color)
+    rows = graph.rows()
+    a, b = codes[rows], codes[graph.indices]
+    hit = (rows < graph.indices) & (a == b) & (a >= 0)
+    return set(zip(rows[hit].tolist(), graph.indices[hit].tolist()))
 
 
 def _set_edge_color(fap: Fap, plan: FrequencyPlan, color: EdgeChoice) -> None:
@@ -136,32 +138,33 @@ def configure_frequencies(
     """
     if plan.scheme is not Scheme.DYNAMIC_REUSE:
         raise ValueError(f"{plan.scheme.value} scheme has no edge bands to configure")
-    missing = [f.id for f in deployment.faps if f.id not in graph.adjacency]
-    if missing:
-        raise ValueError(f"neighbor graph does not cover FAPs {missing}")
+    n = len(deployment.faps)
+    if graph.n_faps != n:
+        raise ValueError(f"neighbor graph covers {graph.n_faps} FAPs, the deployment has {n}")
 
-    order = sorted(graph.adjacency, key=lambda i: (-len(graph.adjacency[i]), i))
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    order = np.lexsort((np.arange(n), -np.diff(graph.indptr))).tolist()
     colors: dict[int, EdgeChoice] = {}
-    usage = {c: 0 for c in EDGE_COLORS}
-    rank = {c: i for i, c in enumerate(EDGE_COLORS)}
+    codes = np.full(n, -1, dtype=np.int8)  # index in EDGE_COLORS; -1 uncolored
+    usage = [0, 0, 0]
     for fid in order:
-        neigh = [colors[n] for n in graph.adjacency[fid] if n in colors]
-        free = [c for c in EDGE_COLORS if c not in neigh]
+        neigh = indices[indptr[fid]:indptr[fid + 1]]
+        neigh_codes = codes[neigh]
+        counts = np.bincount(neigh_codes + 1, minlength=4).tolist()[1:]
+        free = [k for k in range(3) if not counts[k]]
         if free:
-            color = min(free, key=lambda c: (usage[c], rank[c]))
+            k = min(free, key=lambda c: (usage[c], c))
         else:
-            counts = {c: neigh.count(c) for c in EDGE_COLORS}
-            color = min(EDGE_COLORS, key=lambda c: (counts[c], usage[c], rank[c]))
-            if log is not None:
-                partners = sorted(
-                    n for n in graph.adjacency[fid] if colors.get(n) is color
-                )
-                log.append(
-                    SonEventKind.COLOR_CONFLICT, fid,
-                    color=color.value, partners=partners,
-                )
+            k = min(range(3), key=lambda c: (counts[c], usage[c], c))
+        color = EDGE_COLORS[k]
+        if not free and log is not None:
+            log.append(
+                SonEventKind.COLOR_CONFLICT, fid,
+                color=color.value, partners=neigh[neigh_codes == k].tolist(),
+            )
         colors[fid] = color
-        usage[color] += 1
+        codes[fid] = k
+        usage[k] += 1
         _set_edge_color(deployment.faps[fid], plan, color)
         if log is not None:
             log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
@@ -205,15 +208,20 @@ def noncochannel_fraction(
 ) -> float:
     """Fraction of ordered neighbor pairs whose interference indicator is 0,
     i.e. how often a neighbor does not reach the reference UE's band."""
-    faps = deployment.faps
-    total = 0
-    zero = 0
-    for a, b in graph.edges():
-        for ref, other in ((faps[a], faps[b]), (faps[b], faps[a])):
-            total += 1
-            if not cochannel(plan, ref.allocation, ue_region, other.allocation):
-                zero += 1
-    return zero / total if total else 1.0
+    if not len(graph.indices):
+        return 1.0
+    # the indicator depends only on the two allocations: evaluate it once per
+    # distinct (reference, other) pair of allocations present
+    code_of: dict = {}
+    codes = np.array([code_of.setdefault(f.allocation, len(code_of)) for f in deployment.faps])
+    allocations = list(code_of)
+    m = len(allocations)
+    pairs, uses = np.unique(codes[graph.rows()] * m + codes[graph.indices], return_counts=True)
+    zero = sum(
+        count for pair, count in zip(pairs.tolist(), uses.tolist())
+        if not cochannel(plan, allocations[pair // m], ue_region, allocations[pair % m])
+    )
+    return zero / len(graph.indices)
 
 
 @dataclass(frozen=True)

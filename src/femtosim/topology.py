@@ -9,6 +9,11 @@ random.  Distances are 2-D horizontal.  A FAP's id is its row index in
 ``Deployment.faps``.  A FAP's position is fixed once it is built, and FAPs
 join a deployment only through ``Deployment.append``, so the deployment's
 (N, 2) positions array never needs rebuilding.
+
+The neighbor graph is found on a uniform cell grid whose side is a hair above
+the neighbor radius, so a FAP's neighbors all lie in the 3x3 cells around its
+own and the search costs O(N * mean degree) rather than O(N^2).  It is stored
+as CSR arrays (int64 row pointers, int32 neighbor ids ascending in each row).
 """
 
 from __future__ import annotations
@@ -100,29 +105,49 @@ class Fap:
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    adjacency: dict[int, set[int]]
+    """Neighbor graph in CSR form: FAP i's neighbors are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, and every edge appears
+    in both rows.  ``neighbor_radius`` is the radius it was built with."""
+
+    indptr: np.ndarray  # (N + 1,) int64
+    indices: np.ndarray  # (2 * n_edges,) int32
     neighbor_radius: float
 
+    @classmethod
+    def radius_only(cls, radius: float) -> "NeighborGraph":
+        """An edgeless graph over no FAPs that only carries a sniffing radius
+        (all that ``son.admit_fap`` reads)."""
+        return cls(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), radius)
+
+    @property
+    def n_faps(self) -> int:
+        return len(self.indptr) - 1
+
+    def neighbors(self, fap_id: int) -> np.ndarray:
+        return self.indices[self.indptr[fap_id]:self.indptr[fap_id + 1]]
+
     def degree(self, fap_id: int) -> int:
-        return len(self.adjacency[fap_id])
+        return int(self.indptr[fap_id + 1] - self.indptr[fap_id])
+
+    def rows(self) -> np.ndarray:
+        """Row (FAP id) of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n_faps), np.diff(self.indptr))
 
     def edges(self):
         """Undirected edges as (a, b) with a < b."""
-        for a, nbrs in self.adjacency.items():
-            for b in nbrs:
-                if a < b:
-                    yield a, b
+        rows = self.rows()
+        lower = rows < self.indices
+        return zip(rows[lower].tolist(), self.indices[lower].tolist())
 
     @property
     def n_edges(self) -> int:
-        return sum(len(n) for n in self.adjacency.values()) // 2
+        return len(self.indices) // 2
 
     @property
     def mean_degree(self) -> float:
-        n = len(self.adjacency)
-        return 2.0 * self.n_edges / n if n else 0.0
+        return len(self.indices) / self.n_faps if self.n_faps else 0.0
 
 
 @dataclass(frozen=True)
@@ -294,25 +319,93 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
+# Grid cells per axis are capped so that a tiny radius cannot overflow the
+# int64 cell keys; a coarser grid only adds candidate pairs.
+_MAX_CELLS_PER_AXIS = 1 << 20
+# Candidate pairs per source block: bounds one block's temporaries at a few
+# tens of MB whatever N is.
+_CANDIDATE_BLOCK = 1 << 18
+_NEIGHBOR_CELLS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
 def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
-    """Symmetric, irreflexive graph of FAP pairs within center-to-center
-    ``radius`` (exact Euclidean distances)."""
-    if radius <= 0:
+    """Symmetric, irreflexive graph of FAP pairs i != j with
+    ``((p_i - p_j) ** 2).sum() <= radius * radius``: exact Euclidean
+    distances, by the same float expression for every pair.
+
+    Positions are binned into a uniform grid whose cell side exceeds the
+    largest axis offset that can pass that test: the radius (at least 1e-150,
+    below which a square can underflow to 0) plus a relative 1e-6, far above
+    the float error of the test and of ``floor(x / side)``.  Two neighbors
+    are therefore never two cells apart on either axis, and each FAP's
+    candidate partners are the FAPs in the 3x3 cells around its own, read as
+    ranges of the FAPs sorted by cell key.  The cell count per axis is
+    capped, and a radius whose square is infinite gives one cell (the
+    complete graph).  Candidates are tested in source blocks of bounded size,
+    so work and memory are O(N * mean degree).  The result is CSR with int32
+    indices, ascending within each row.
+    """
+    if not radius > 0:
         raise ValueError("neighbor radius must be positive")
     pos = deployment.positions()
-    ids = list(range(len(pos)))  # one int object per id, shared by every set
+    n = len(pos)
+    if n == 0:
+        return NeighborGraph.radius_only(radius)
     r2 = radius * radius
-    adjacency: dict[int, set[int]] = {}
-    block = 512
-    for start in range(0, len(ids), block):
-        stop = min(start + block, len(ids))
-        # d2 is exactly symmetric, so each row alone gives that FAP's neighbors
-        d2 = ((pos[start:stop, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-        near = d2 <= r2
-        near[np.arange(stop - start), np.arange(start, stop)] = False
-        for i, row in zip(ids[start:stop], near):
-            adjacency[i] = {ids[j] for j in np.flatnonzero(row).tolist()}
-    return NeighborGraph(adjacency=adjacency, neighbor_radius=radius)
+    lo = pos.min(axis=0)
+    if math.isinf(r2):
+        side = math.inf
+    else:
+        extent = float((pos.max(axis=0) - lo).max())
+        side = max(max(radius, 1e-150) * (1.0 + 1e-6), extent / _MAX_CELLS_PER_AXIS)
+    cell = np.floor((pos - lo) / side).astype(np.int64)
+    # one empty row of padding per column: a neighborhood key that steps off
+    # the top or bottom of a column lands in padding, never in another cell
+    stride = int(cell[:, 1].max()) + 2
+    keys = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(keys, kind="stable")
+    occupied, first, count = np.unique(keys[order], return_index=True, return_counts=True)
+
+    # each FAP's neighborhood as 9 ranges of `order`: start and length
+    starts = np.zeros((n, len(_NEIGHBOR_CELLS)), dtype=np.int64)
+    lengths = np.zeros((n, len(_NEIGHBOR_CELLS)), dtype=np.int64)
+    for k, (dx, dy) in enumerate(_NEIGHBOR_CELLS):
+        target = keys + dx * stride + dy
+        slot = np.minimum(np.searchsorted(occupied, target), len(occupied) - 1)
+        hit = occupied[slot] == target
+        starts[hit, k] = first[slot[hit]]
+        lengths[hit, k] = count[slot[hit]]
+    per_fap = lengths.sum(axis=1)  # >= 1: a FAP's own cell holds it
+    ends = np.cumsum(per_fap)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CANDIDATE_BLOCK), side="right")
+    bounds = sorted({*cuts.tolist(), n})
+
+    # a candidate range is a slice of the cell-sorted coordinates
+    x, y = pos[:, 0], pos[:, 1]
+    sorted_x, sorted_y = x[order], y[order]
+    degree = np.zeros(n, dtype=np.int64)
+    chunks = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lens, reps = lengths[a:b].ravel(), per_fap[a:b]
+        # index in `order` of every candidate: its range's start plus a ramp
+        at = np.repeat(starts[a:b].ravel() - (np.cumsum(lens) - lens), lens)
+        at += np.arange(len(at))
+        # ((p_i - p_j) ** 2).sum(), term for term
+        d2 = ((np.repeat(x[a:b], reps) - sorted_x[at]) ** 2
+              + (np.repeat(y[a:b], reps) - sorted_y[at]) ** 2)
+        keep = d2 <= r2
+        i = np.repeat(np.arange(a, b), reps)[keep]
+        j = order[at[keep]]
+        # a row's ranges come cell by cell: sort (row, id) pairs, drop i == j
+        pair = np.sort((i * n + j)[i != j])
+        chunks.append((pair % n).astype(np.int32))
+        degree[a:b] = np.bincount(pair // n - a, minlength=b - a)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.concatenate(chunks)
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
 
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:

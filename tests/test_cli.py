@@ -4,12 +4,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtosim import cli
+from femtosim import cli, son
 from femtosim.cli import main
+from femtosim.spectrum import EDGE_COLORS
 
 FAST = [
     "--set", "n_trials=2000",
@@ -70,6 +72,39 @@ class TestRun:
         out = tmp_path / "ablation.csv"
         assert _run(["run", "--experiment", "son-ablation", "--out", str(out), *FAST]) == 0
         assert len(calls) == 1
+
+    def test_son_ablation_at_20000_faps(self, tmp_path, monkeypatch):
+        # keeps the large-N graph and coloring path in the suite (no timing):
+        # the run must succeed, and its greedy conflicts on the first 2000
+        # FAPs must match an all-pairs count
+        graphs, states = [], []
+        graph_builder, greedy_coloring = cli.neighbor_graph, son.configure_frequencies
+
+        def recording_graph(dep, radius):
+            graphs.append((dep.positions().copy(), radius))
+            return graph_builder(dep, radius)
+
+        def recording_coloring(*args, **kwargs):
+            states.append(greedy_coloring(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(cli, "neighbor_graph", recording_graph)
+        monkeypatch.setattr(son, "configure_frequencies", recording_coloring)
+        out = tmp_path / "ablation.csv"
+        assert _run(["run", "--experiment", "son-ablation", "--out", str(out),
+                     "--set", "n_faps=20000", "--set", "n_trials=200"]) == 0
+        assert len(_body(out)) == 4
+        [(pos, radius)], [state] = graphs, states
+        assert len(state.colors) == len(pos) == 20000
+
+        m = 2000
+        codes = np.array([EDGE_COLORS.index(state.colors[i]) for i in range(m)])
+        brute = 0
+        for i in range(m):
+            d2 = ((pos[i] - pos[i + 1:m]) ** 2).sum(axis=1)
+            brute += int((codes[i + 1:m][d2 <= radius * radius] == codes[i]).sum())
+        assert brute > 0
+        assert sum(1 for a, b in state.conflicts if b < m) == brute
 
     def test_deterministic_bodies(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -434,7 +434,7 @@ class TestSweepGrowth:
         )
         ref = copy.deepcopy(start)
         ue_angle = nearest_fap_angle(full, full.faps[0])
-        radius_graph = NeighborGraph(adjacency={}, neighbor_radius=radius)
+        radius_graph = NeighborGraph.radius_only(radius)
         expected = []
         for idx, density in enumerate(densities):
             for f in full.faps[len(ref.faps):density]:

@@ -23,7 +23,7 @@ from femtosim.son import (
     replay,
     same_color_conflicts,
 )
-from femtosim.spectrum import Band, EdgeChoice, Scheme, UeRegion, build_plan
+from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, UeRegion, build_plan, cochannel
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
@@ -58,6 +58,19 @@ def _graph(dep, radius=100.0):
     return neighbor_graph(dep, radius)
 
 
+def _adjacency(graph):
+    """The graph as {id: set of neighbor ids}."""
+    return {i: set(graph.neighbors(i).tolist()) for i in range(graph.n_faps)}
+
+
+def _csr(adjacency, radius=100.0):
+    """NeighborGraph over ids 0..n-1 from {id: set of neighbor ids}."""
+    rows = [sorted(adjacency[i]) for i in range(len(adjacency))]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j in r], dtype=np.int32)
+    return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
+
+
 def _assert_positions_match_faps(dep):
     expected = np.array([f.position for f in dep.faps]).reshape(-1, 2)
     assert [f.id for f in dep.faps] == list(range(len(dep.faps)))
@@ -87,7 +100,7 @@ class TestConfigureFrequencies:
     def test_four_clique_min_one_conflict(self):
         dep = _deployment_from_layout([(200, 0), (210, 0), (205, 8), (205, -8)])
         graph = _graph(dep)
-        assert _min_conflicts_brute_force(graph.adjacency) == 1  # enumeration oracle
+        assert _min_conflicts_brute_force(_adjacency(graph)) == 1  # enumeration oracle
         log = SonEventLog()
         state = configure_frequencies(dep, graph, PLAN, log=log)
         assert len(state.conflicts) == 1
@@ -98,7 +111,7 @@ class TestConfigureFrequencies:
         positions = [(200 + 90 * i, 0) for i in range(8)]
         dep = _deployment_from_layout(positions)
         graph = _graph(dep)
-        assert all(len(v) <= 2 for v in graph.adjacency.values())
+        assert all(len(v) <= 2 for v in _adjacency(graph).values())
         state = configure_frequencies(dep, graph, PLAN)
         assert state.conflicts == set()
 
@@ -120,7 +133,7 @@ class TestConfigureFrequencies:
 
     def test_uncovered_fap_rejected(self):
         dep = _deployment_from_layout([(200, 0), (210, 0)])
-        bad_graph = NeighborGraph(adjacency={0: set()}, neighbor_radius=100.0)
+        bad_graph = _csr({0: set()})
         with pytest.raises(ValueError):
             configure_frequencies(dep, bad_graph, PLAN)
 
@@ -154,7 +167,7 @@ class TestConfigureFrequencies:
                 adjacency[i - 1].add(i)
         spacing = 400.0  # non-neighbors geometrically, graph passed explicitly
         dep = _deployment_from_layout([(200 + spacing * i, 0) for i in range(n)])
-        graph = NeighborGraph(adjacency=adjacency, neighbor_radius=100.0)
+        graph = _csr(adjacency)
         state = configure_frequencies(dep, graph, PLAN)
         assert state.conflicts == set()
 
@@ -171,6 +184,87 @@ class TestConfigureFrequencies:
         baseline = noncochannel_fraction(dep, graph, PLAN)
         assert colored >= 2 / 3
         assert colored > baseline
+
+
+def _reference_configure_frequencies(deployment, adjacency, plan, log=None):
+    """The dict-of-sets greedy coloring that the CSR one replaced, kept
+    verbatim as a reference: same order, colors and events expected."""
+    order = sorted(adjacency, key=lambda i: (-len(adjacency[i]), i))
+    colors = {}
+    usage = {c: 0 for c in EDGE_COLORS}
+    rank = {c: i for i, c in enumerate(EDGE_COLORS)}
+    for fid in order:
+        neigh = [colors[n] for n in adjacency[fid] if n in colors]
+        free = [c for c in EDGE_COLORS if c not in neigh]
+        if free:
+            color = min(free, key=lambda c: (usage[c], rank[c]))
+        else:
+            counts = {c: neigh.count(c) for c in EDGE_COLORS}
+            color = min(EDGE_COLORS, key=lambda c: (counts[c], usage[c], rank[c]))
+            if log is not None:
+                partners = sorted(
+                    n for n in adjacency[fid] if colors.get(n) is color
+                )
+                log.append(
+                    SonEventKind.COLOR_CONFLICT, fid,
+                    color=color.value, partners=partners,
+                )
+        colors[fid] = color
+        usage[color] += 1
+        son._set_edge_color(deployment.faps[fid], plan, color)
+        if log is not None:
+            log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
+    return colors
+
+
+class TestCsrColoringMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_faps", [300, 1000, 4000])
+    def test_same_colors_and_events(self, n_faps, seed):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=n_faps), seed=seed)
+        apply_plan(dep, PLAN)
+        ref_dep = copy.deepcopy(dep)
+        graph = _graph(dep)
+        log, ref_log = SonEventLog(), SonEventLog()
+        state = configure_frequencies(dep, graph, PLAN, log=log)
+        ref_colors = _reference_configure_frequencies(ref_dep, _adjacency(graph), PLAN, ref_log)
+        assert state.colors == ref_colors
+        assert list(state.colors) == list(ref_colors)  # same greedy order
+        assert log.to_lines() == ref_log.to_lines()
+        assert [f.allocation for f in dep.faps] == [f.allocation for f in ref_dep.faps]
+        if n_faps == 4000:
+            assert any(e.kind is SonEventKind.COLOR_CONFLICT for e in log.events)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_faps", [300, 1000])
+    def test_conflicts_and_noncochannel_match_edge_loops(self, n_faps, seed):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=n_faps), seed=seed)
+        apply_plan(dep, PLAN)
+        graph = _graph(dep)
+        rng = np.random.default_rng(seed)
+        for color_pass in (lambda: configure_frequencies(dep, graph, PLAN),
+                           lambda: assign_uniform_random_colors(dep, graph, PLAN, rng)):
+            colors = dict(color_pass().colors)
+            # neither an uncolored FAP nor its neighbor missing from the
+            # colors conflicts with anybody
+            none, missing = next(iter(graph.edges()))
+            colors[none] = EdgeChoice.NONE
+            del colors[missing]
+            expected = {
+                (a, b) for a, b in graph.edges()
+                if colors.get(a, EdgeChoice.NONE) is colors.get(b, EdgeChoice.NONE)
+                and colors.get(a, EdgeChoice.NONE) is not EdgeChoice.NONE
+            }
+            assert same_color_conflicts(graph, colors) == expected
+            for region in UeRegion:
+                total = zero = 0
+                for a, b in graph.edges():
+                    for ref, other in ((a, b), (b, a)):
+                        total += 1
+                        zero += not cochannel(
+                            PLAN, dep.faps[ref].allocation, region, dep.faps[other].allocation
+                        )
+                assert noncochannel_fraction(dep, graph, PLAN, region) == zero / total
 
 
 class TestAdjustPower:
@@ -302,7 +396,7 @@ class TestAdmitFap:
         positions = [f.position for f in full.faps]
         base = _deployment_from_layout([tuple(positions[0])])
         son._set_edge_color(base.faps[0], PLAN, EdgeChoice.X)
-        radius_graph = NeighborGraph(adjacency={}, neighbor_radius=100.0)
+        radius_graph = NeighborGraph.radius_only(100.0)
         for p in positions[1:]:
             admit_fap(base, p, PLAN, radius_graph)
         _assert_positions_match_faps(base)
@@ -316,7 +410,7 @@ class TestAdmitFap:
         # both counts must also match brute-force conflict counting
         def brute(colors):
             count = 0
-            for a, nbrs in graph.adjacency.items():
+            for a, nbrs in _adjacency(graph).items():
                 for b in nbrs:
                     if a < b and colors[a] is colors[b]:
                         count += 1

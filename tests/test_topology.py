@@ -2,6 +2,8 @@
 
 import copy
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from femtosim.topology import (
 )
 
 MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
+
+
+def _adjacency(g):
+    """The graph as {id: set of neighbor ids}."""
+    return {i: set(g.neighbors(i).tolist()) for i in range(g.n_faps)}
 
 
 class TestSectorOf:
@@ -264,7 +271,8 @@ class TestNeighborGraph:
 
     def test_within_radius_adjacent(self):
         g = neighbor_graph(self._two_fap_deployment(99.0), 100.0)
-        assert g.adjacency[0] == {1} and g.adjacency[1] == {0}
+        adjacency = _adjacency(g)
+        assert adjacency[0] == {1} and adjacency[1] == {0}
 
     def test_beyond_radius_not_adjacent(self):
         g = neighbor_graph(self._two_fap_deployment(101.0), 100.0)
@@ -282,17 +290,141 @@ class TestNeighborGraph:
                 if i < j and math.dist(pos[i], pos[j]) <= 100.0:
                     expected[i].add(j)
                     expected[j].add(i)
-        assert g.adjacency == expected
+        assert _adjacency(g) == expected
 
     def test_symmetric_irreflexive(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=300), seed=8)
         g = neighbor_graph(dep, 100.0)
-        for a, nbrs in g.adjacency.items():
+        adjacency = _adjacency(g)
+        for a, nbrs in adjacency.items():
             assert a not in nbrs
             for b in nbrs:
-                assert a in g.adjacency[b]
+                assert a in adjacency[b]
 
     def test_bad_radius(self):
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
         with pytest.raises(ValueError):
             neighbor_graph(dep, 0.0)
+
+    def test_nan_radius_rejected(self):
+        # nan <= 0 is False, so only `not radius > 0` catches it
+        dep = generate(Scenario.D, DeploymentParams(n_faps=20), seed=1)
+        with pytest.raises(ValueError):
+            neighbor_graph(dep, math.nan)
+
+
+def _layout(positions):
+    """Deployment of FAPs at arbitrary positions (no macro BS needed)."""
+    faps = [Fap(id=i, position=p, tx_power=0.01, radius=10.0, sector_index=0)
+            for i, p in enumerate(positions)]
+    return Deployment(None, faps, DeploymentParams(n_faps=len(faps)))
+
+
+def _all_pairs_edges(pos, radius):
+    """Every pair i < j with ((p_i - p_j) ** 2).sum() <= radius * radius, by
+    comparing each FAP with all others."""
+    r2 = radius * radius
+    edges = set()
+    for i in range(len(pos)):
+        d2 = ((pos[i] - pos) ** 2).sum(axis=1)
+        edges.update((i, j) for j in np.flatnonzero(d2 <= r2).tolist() if j > i)
+    return edges
+
+
+def _assert_csr_matches_all_pairs(dep, radius):
+    g = neighbor_graph(dep, radius)
+    n = len(dep.faps)
+    assert g.indices.dtype == np.int32
+    assert g.indptr.shape == (n + 1,) and g.indptr[0] == 0
+    assert g.indptr[-1] == len(g.indices)
+    rows = [g.neighbors(i) for i in range(n)]
+    for i, row in enumerate(rows):
+        assert np.all(np.diff(row) > 0)  # ascending, no repeats
+        assert i not in row
+    directed = {(i, j) for i, row in enumerate(rows) for j in row.tolist()}
+    assert directed == {(j, i) for i, j in directed}  # symmetric
+    expected = _all_pairs_edges(dep.positions(), radius)
+    assert set(g.edges()) == expected
+    assert g.n_edges == len(expected)
+    return expected
+
+
+def _lattice(step, k=3):
+    """Points at multiples of ``step`` on both axes, negative ones included:
+    every point sits on a cell boundary of a grid of side ``step``."""
+    return [(a * step, b * step) for a in range(-k, k + 1) for b in range(-k, k + 1)]
+
+
+class TestNeighborGraphOracle:
+    """The cell-grid search against a brute-force all-pairs comparison."""
+
+    @pytest.mark.parametrize("n_faps, seed", [(2, 1), (50, 2), (500, 3), (2000, 4)])
+    @pytest.mark.parametrize("radius", [100.0, 37.5, 250.0])
+    def test_scenario_d(self, n_faps, seed, radius):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=n_faps), seed)
+        _assert_csr_matches_all_pairs(dep, radius)
+
+    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3, 1e-300, math.inf])
+    def test_lattice_on_cell_boundaries(self, radius):
+        step = radius if math.isfinite(radius) else 100.0
+        edges = _assert_csr_matches_all_pairs(_layout(_lattice(step)), radius)
+        if radius == 100.0:
+            # lattice neighbors exactly r apart along an axis are adjacent;
+            # diagonal ones (r * sqrt 2) are not
+            assert len(edges) == 2 * 7 * 6
+
+    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3])
+    def test_pairs_exactly_r_apart(self, radius):
+        dep = _layout([(0.0, 0.0), (radius, 0.0), (0.0, -radius), (-radius, 0.0),
+                       (3 * radius, 5 * radius), (3 * radius, 6 * radius)])
+        _assert_csr_matches_all_pairs(dep, radius)
+
+    def test_tiny_radius(self):
+        # 1e-300 squared underflows to 0, so only offsets whose squares also
+        # underflow (coincident FAPs, FAPs 1e-300 apart) pass the test
+        dep = generate(Scenario.D, DeploymentParams(n_faps=300), seed=5)
+        pos = dep.positions()
+        layout = [tuple(p) for p in pos] + [tuple(pos[7]), (1e-300, 0.0), (2e-300, 1e-300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # cell keys must not overflow
+            edges = _assert_csr_matches_all_pairs(_layout(layout), 1e-300)
+        assert (7, 300) in edges and (301, 302) in edges
+
+    def test_radius_whose_square_overflows(self):
+        # 1e200 ** 2 is inf, so every pair passes, even ones 1e300 apart
+        dep = _layout([(0.0, 0.0), (1e300, 0.0), (-1e300, 5e299), (3.0, 4.0)])
+        with np.errstate(over="ignore"):  # squared offsets overflow to inf too
+            assert len(_assert_csr_matches_all_pairs(dep, 1e200)) == 4 * 3 // 2
+
+    def test_infinite_radius_is_complete(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=60), seed=6)
+        edges = _assert_csr_matches_all_pairs(dep, math.inf)
+        assert len(edges) == 60 * 59 // 2
+
+    def test_single_fap(self):
+        dep = _layout([(5.0, -5.0)])
+        assert _assert_csr_matches_all_pairs(dep, 100.0) == set()
+        assert neighbor_graph(dep, 100.0).indptr.tolist() == [0, 0]
+
+    def test_coincident_faps(self):
+        dep = _layout([(200.0, 0.0), (200.0, 0.0), (-450.0, 3.0)])
+        assert _assert_csr_matches_all_pairs(dep, 100.0) == {(0, 1)}
+
+
+class TestNeighborGraphMemory:
+    # The dense-block search it replaced held 512 x N x 2 float64 differences
+    # plus their squares, sums and masks: about 130 MB at N = 8000.  The grid
+    # search holds one bounded block of candidate pairs plus the CSR result
+    # (about 2.5 MB of int32 at 8000 FAPs); any N-wide pairwise block, even a
+    # single float64 row block of 512 x 8000 x 2, breaks the bound.
+    BOUND_MB = 40
+
+    def test_peak_well_below_dense_blocks(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=8000), seed=8)
+        tracemalloc.start()
+        try:
+            neighbor_graph(dep, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND_MB * 2**20
