@@ -69,10 +69,8 @@ def mean_desired_power(fap: Fap, ue_distance: float, params: PropagationParams) 
 def neighbor_ids(deployment: Deployment, reference_fap: Fap) -> list[int]:
     """Ids of FAPs within the deployment's neighbor radius of the reference
     FAP (center-to-center), in ascending id order."""
-    dists = np.linalg.norm(deployment.positions() - reference_fap.position, axis=1)
-    near = dists <= deployment.params.neighbor_radius_m
-    near[reference_fap.id] = False
-    return np.flatnonzero(near).tolist()
+    ids = deployment.near(reference_fap.position, deployment.params.neighbor_radius_m)
+    return ids[ids != reference_fap.id].tolist()
 
 
 def link_coefficients(

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import son
 from .channel import PropagationParams, link_coefficients
-from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, base_allocation, build_plan
+from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, build_plan
 from .topology import (
     Deployment,
     DeploymentParams,
@@ -303,12 +303,14 @@ def density_sweep(
         trial_seed = _seed_int(trial_seqs[idx])
         for scheme in schemes:
             dep = chains[scheme]
-            for f in full.faps[len(dep.faps):density]:
-                if scheme is Scheme.DYNAMIC_REUSE:
-                    son.admit_fap(dep, f.position, plans[scheme], radius_graph)
-                else:
-                    allocation = base_allocation(plans[scheme], f.sector_index)
-                    dep.append(replace(f, allocation=allocation))
+            grown = slice(len(dep.faps), density)
+            if scheme is Scheme.DYNAMIC_REUSE:
+                for p in full.positions()[grown]:
+                    son.admit_fap(dep, p, plans[scheme], radius_graph)
+            else:
+                sectors = full.sectors()[grown]
+                dep.extend(full.positions()[grown], sectors,
+                           dep.allocation_codes(plans[scheme])[sectors, 0])
             est = estimate(
                 dep, 0, plans[scheme], config, params, trial_seed, n_workers,
                 ue_angle=ue_angle,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,10 +24,9 @@ from .spectrum import (
     FrequencyPlan,
     Scheme,
     UeRegion,
-    base_allocation,
     cochannel,
 )
-from .topology import Deployment, Fap, NeighborGraph, sector_of
+from .topology import Deployment, NeighborGraph, sector_of
 
 __all__ = [
     "ColoringState",
@@ -117,10 +116,6 @@ def same_color_conflicts(graph: NeighborGraph, colors: dict[int, EdgeChoice]) ->
     return set(zip(rows[hit].tolist(), graph.indices[hit].tolist()))
 
 
-def _set_edge_color(fap: Fap, plan: FrequencyPlan, color: EdgeChoice) -> None:
-    fap.allocation = replace(base_allocation(plan, fap.sector_index), edge_choice=color)
-
-
 def configure_frequencies(
     deployment: Deployment,
     graph: NeighborGraph,
@@ -165,9 +160,9 @@ def configure_frequencies(
         colors[fid] = color
         codes[fid] = k
         usage[k] += 1
-        _set_edge_color(deployment.faps[fid], plan, color)
         if log is not None:
             log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
+    deployment.assign(plan, codes + 1)
     return ColoringState(colors=colors, graph=graph)
 
 
@@ -177,13 +172,11 @@ def assign_uniform_random_colors(
     plan: FrequencyPlan,
     rng: np.random.Generator,
 ) -> ColoringState:
-    """Uncoordinated baseline: every FAP picks an edge color at random."""
-    colors = {}
-    for f in deployment.faps:
-        color = EDGE_COLORS[int(rng.integers(0, 3))]
-        colors[f.id] = color
-        _set_edge_color(f, plan, color)
-    return ColoringState(colors=colors, graph=graph)
+    """Uncoordinated baseline: every FAP picks an edge color at random, in id
+    order (one ``rng.integers(0, 3)`` draw each)."""
+    ks = rng.integers(0, 3, size=len(deployment.faps))
+    deployment.assign(plan, ks + 1)
+    return ColoringState(colors=dict(enumerate(EDGE_COLORS[k] for k in ks.tolist())), graph=graph)
 
 
 def assign_shared_edge(
@@ -193,11 +186,8 @@ def assign_shared_edge(
     color: EdgeChoice = EdgeChoice.X,
 ) -> ColoringState:
     """Degenerate baseline: all FAPs share a single edge band."""
-    colors = {}
-    for f in deployment.faps:
-        colors[f.id] = color
-        _set_edge_color(f, plan, color)
-    return ColoringState(colors=colors, graph=graph)
+    deployment.assign(plan, list(EdgeChoice).index(color))
+    return ColoringState(colors=dict.fromkeys(range(len(deployment.faps)), color), graph=graph)
 
 
 def noncochannel_fraction(
@@ -211,10 +201,9 @@ def noncochannel_fraction(
     if not len(graph.indices):
         return 1.0
     # the indicator depends only on the two allocations: evaluate it once per
-    # distinct (reference, other) pair of allocations present
-    code_of: dict = {}
-    codes = np.array([code_of.setdefault(f.allocation, len(code_of)) for f in deployment.faps])
-    allocations = list(code_of)
+    # distinct (reference, other) pair of allocation codes present
+    codes = deployment.codes()
+    allocations = deployment.allocations()
     m = len(allocations)
     pairs, uses = np.unique(codes[graph.rows()] * m + codes[graph.indices], return_counts=True)
     zero = sum(
@@ -311,37 +300,17 @@ def admit_fap(
     log: SonEventLog | None = None,
 ) -> tuple[Deployment, list[SonEvent]]:
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
-    pick an edge color absent among them (else their minority color), and
-    append the FAP without touching existing colors."""
+    pick an edge color absent among them (else their minority color; ties go
+    to the first of ``EDGE_COLORS``), and append the FAP without touching
+    existing colors.  The sniff reads only the cells around the position."""
     pos = np.asarray(position, dtype=float)
     _check_in_macro_disc(deployment, pos)
     sector = sector_of(deployment.macro, pos)
-    dists = np.linalg.norm(deployment.positions() - pos, axis=1)
-    sniffed = [deployment.faps[i] for i in np.flatnonzero(dists <= graph.neighbor_radius)]
-    neigh_colors = [
-        f.allocation.edge_choice
-        for f in sniffed
-        if f.allocation is not None and f.allocation.edge_choice is not EdgeChoice.NONE
-    ]
-    rank = {c: i for i, c in enumerate(EDGE_COLORS)}
-    absent = [c for c in EDGE_COLORS if c not in neigh_colors]
-    if absent:
-        color = absent[0]
-    else:
-        counts = {c: neigh_colors.count(c) for c in EDGE_COLORS}
-        color = min(EDGE_COLORS, key=lambda c: (counts[c], rank[c]))
-
+    sniffed = deployment.near(pos, graph.neighbor_radius)
+    counts = np.bincount(deployment.edge_indices(sniffed), minlength=4)[1:]
+    k = int(np.argmin(counts))  # the first absent color, if one is
     new_id = len(deployment.faps)
-    params = deployment.params
-    fap = Fap(
-        id=new_id,
-        position=pos,
-        tx_power=params.fap_tx_power_w,
-        radius=params.femto_radius_m,
-        sector_index=sector,
-    )
-    _set_edge_color(fap, plan, color)
-    deployment.append(fap)
+    deployment.extend(pos, [sector], deployment.allocation_codes(plan)[sector, k + 1])
 
     local_log = log if log is not None else SonEventLog()
     events = [
@@ -349,7 +318,7 @@ def admit_fap(
             SonEventKind.NEW_FAP, new_id,
             x=float(pos[0]), y=float(pos[1]), sector=sector,
         ),
-        local_log.append(SonEventKind.RECONFIGURE, new_id, color=color.value),
+        local_log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[k].value),
     ]
     return deployment, events
 
@@ -357,9 +326,8 @@ def admit_fap(
 def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
     """Apply a SON event list to a deployment (normally a copy of the
     pre-pass state); reproduces the post-pass state bit-exactly.  A NEW_FAP
-    event must name the next id and a position inside the macro disc, as
-    ``admit_fap`` would, else ValueError."""
-    params = deployment.params
+    event must name the next id, a position inside the macro disc and that
+    position's sector, as ``admit_fap`` would, else ValueError."""
     for ev in events:
         if ev.kind is SonEventKind.POWER_REQUEST:
             fap = deployment.fap_by_id(ev.subject)
@@ -368,15 +336,20 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
         elif ev.kind is SonEventKind.NEW_FAP:
             pos = np.array([ev.details["x"], ev.details["y"]])
             _check_in_macro_disc(deployment, pos)
-            deployment.append(Fap(
-                id=ev.subject,
-                position=pos,
-                tx_power=params.fap_tx_power_w,
-                radius=params.femto_radius_m,
-                sector_index=ev.details["sector"],
-            ))
+            sector = sector_of(deployment.macro, pos)
+            if ev.details["sector"] != sector:
+                raise ValueError(
+                    f"NEW_FAP {ev.subject} names sector {ev.details['sector']},"
+                    f" its position lies in sector {sector}"
+                )
+            if ev.subject != len(deployment.faps):
+                raise ValueError(
+                    f"NEW_FAP id {ev.subject} is not the next row {len(deployment.faps)}"
+                )
+            deployment.extend(pos, [sector])
         elif ev.kind is SonEventKind.RECONFIGURE:
-            fap = deployment.fap_by_id(ev.subject)
-            _set_edge_color(fap, plan, EdgeChoice(ev.details["color"]))
+            deployment.fap_by_id(ev.subject)  # range check
+            edge = list(EdgeChoice).index(EdgeChoice(ev.details["color"]))
+            deployment.assign(plan, edge, [ev.subject])
         # COLOR_CONFLICT carries no state change
     return deployment

@@ -5,10 +5,15 @@ from the bounding square, which makes the neighbor-count distribution of
 interior FAPs converge to Poisson(density * pi * neighbor_radius^2).  The
 reference FAP used by outage experiments is always FAP 0, pinned at the
 configured distance from the macro BS on the +x axis; all other positions are
-random.  Distances are 2-D horizontal.  A FAP's id is its row index in
-``Deployment.faps``.  A FAP's position is fixed once it is built, and FAPs
-join a deployment only through ``Deployment.append``, so the deployment's
-(N, 2) positions array never needs rebuilding.
+random.  Distances are 2-D horizontal.
+
+A deployment stores its FAPs as arrays, row i being FAP i: position, sector,
+tx power, radius, and the allocation as a small int code into a table of
+interned ``FemtoAllocation`` objects.  ``Deployment.faps`` is a sequence of
+``Fap`` views that read and write those rows.  FAPs join only at the end
+(``append``/``extend``) and a position never changes, so the deployment also
+keeps an incremental cell index over its positions; ``near`` answers a radius
+query from the 3x3 cells around a point, in O(degree).
 
 The neighbor graph is found on a uniform cell grid whose side is a hair above
 the neighbor radius, so a FAP's neighbors all lie in the 3x3 cells around its
@@ -19,12 +24,13 @@ as CSR arrays (int64 row pointers, int32 neighbor ids ascending in each row).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .spectrum import FemtoAllocation, FrequencyPlan, base_allocation
+from .spectrum import EdgeChoice, FemtoAllocation, FrequencyPlan
 
 __all__ = [
     "Deployment",
@@ -41,6 +47,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# an edge index is a position in this tuple: 0 no edge band, 1-3 EDGE_COLORS
+_EDGES = tuple(EdgeChoice)
 
 
 class Scenario(Enum):
@@ -67,42 +75,99 @@ class MacroBs:
             raise ValueError("macro radius and tx power must be positive")
 
 
-def _fixed_point(value) -> np.ndarray:
-    """A read-only (2,) float array owning its data.  One that already is one
-    (another FAP's position) is shared rather than copied, since neither
-    holder can write it."""
-    if not (isinstance(value, np.ndarray) and value.base is None
-            and not value.flags.writeable and value.dtype == np.float64):
-        value = np.array(value, dtype=float)
-        value.flags.writeable = False
-    if value.shape != (2,):
-        raise ValueError(f"a FAP position is an (x, y) pair, got shape {value.shape}")
-    return value
-
-
-@dataclass
 class Fap:
-    id: int  # row index in Deployment.faps
-    position: np.ndarray  # (2,) meters
-    tx_power: float  # W, mutable via SON
-    radius: float  # m, mutable via SON
-    sector_index: int
-    allocation: FemtoAllocation | None = None
+    """One FAP: a view of row ``id`` of a deployment's FAP arrays.  Setting
+    ``tx_power``, ``radius`` or ``allocation`` writes that row, so every later
+    read sees it; ``position`` and ``sector_index`` are fixed once built.
 
-    def __setattr__(self, name, value):
-        if name == "position":
-            if "position" in self.__dict__:
-                raise AttributeError("a FAP's position is fixed once built")
-            value = _fixed_point(value)
-        object.__setattr__(self, name, value)
+    ``Fap(id, position, ...)`` builds a detached FAP, row 0 of a one-FAP
+    deployment of its own, to hand to ``Deployment.append``."""
 
-    def __setstate__(self, state):
-        # copy.deepcopy and pickle restore __dict__ directly, and their array
-        # copies come back writeable
-        state = dict(state)
-        position = state.pop("position")
-        self.__dict__.update(state)
-        self.position = position
+    __slots__ = ("id", "_dep", "_row")
+
+    def __init__(self, id: int, position, tx_power: float, radius: float,
+                 sector_index: int, allocation: FemtoAllocation | None = None):
+        position = np.asarray(position, dtype=float)
+        if position.shape != (2,):
+            raise ValueError(f"a FAP position is an (x, y) pair, got shape {position.shape}")
+        dep = Deployment(None, (), DeploymentParams(n_faps=1))
+        dep._append(position[None], sector_index, tx_power, radius, dep._intern(allocation))
+        self.id, self._dep, self._row = id, dep, 0
+
+    @classmethod
+    def _view(cls, dep: "Deployment", row: int) -> "Fap":
+        fap = cls.__new__(cls)
+        fap.id = fap._row = row
+        fap._dep = dep
+        return fap
+
+    @property
+    def position(self) -> np.ndarray:
+        """(2,) meters, read-only."""
+        p = self._dep._pos[self._row]
+        p.flags.writeable = False
+        return p
+
+    @property
+    def sector_index(self) -> int:
+        return int(self._dep._sector[self._row])
+
+    @property
+    def tx_power(self) -> float:
+        """W, mutable via SON."""
+        return float(self._dep._tx_power[self._row])
+
+    @tx_power.setter
+    def tx_power(self, value: float) -> None:
+        self._dep._tx_power[self._row] = value
+
+    @property
+    def radius(self) -> float:
+        """m, mutable via SON."""
+        return float(self._dep._radius[self._row])
+
+    @radius.setter
+    def radius(self, value: float) -> None:
+        self._dep._radius[self._row] = value
+
+    @property
+    def allocation(self) -> FemtoAllocation | None:
+        return self._dep._allocations[self._dep._code[self._row]]
+
+    @allocation.setter
+    def allocation(self, value: FemtoAllocation | None) -> None:
+        self._dep._code[self._row] = self._dep._intern(value)
+
+    def __repr__(self) -> str:
+        return (f"Fap(id={self.id}, position={self.position.tolist()}, "
+                f"tx_power={self.tx_power!r}, radius={self.radius!r}, "
+                f"sector_index={self.sector_index}, allocation={self.allocation!r})")
+
+
+class _FapList(Sequence):
+    """The FAPs of a deployment as ``Fap`` views, made on access."""
+
+    __slots__ = ("_dep",)
+
+    def __init__(self, dep: "Deployment"):
+        self._dep = dep
+
+    def __len__(self) -> int:
+        return self._dep._n
+
+    def __getitem__(self, index):
+        n = self._dep._n
+        if isinstance(index, slice):
+            return [Fap._view(self._dep, i) for i in range(*index.indices(n))]
+        index = int(index)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError(f"FAP index {index} out of range")
+        return Fap._view(self._dep, index)
+
+    def __iter__(self):
+        return (Fap._view(self._dep, i) for i in range(self._dep._n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,66 +246,207 @@ class DeploymentParams:
             raise ValueError("reference_distance_m exceeds macro_radius_m")
 
 
-@dataclass
+def _cell_side(radius: float) -> float:
+    """Side of a grid cell that holds every offset passing a ``<= radius``
+    distance test: the radius (at least 1e-150, below which a square can
+    underflow to 0) plus a relative 1e-6, far above the float error of the
+    test and of ``floor(x / side)``."""
+    return max(radius, 1e-150) * (1.0 + 1e-6)
+
+
+# Cell coordinates are clipped to +-2**30, so keys fit in int64 and the
+# quotients that are floored stay exact to far below the 1e-6 margin.
+# Clipping is monotone, so cells that were adjacent stay adjacent.
+_CELL_CLIP = float(1 << 30)
+_CELL_STRIDE = 1 << 32
+_NEIGHBOR_OFFSETS = [dx * _CELL_STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+def _cell_key(x: float, y: float, side: float) -> int:
+    cx = math.floor(min(max(x / side, -_CELL_CLIP), _CELL_CLIP))
+    cy = math.floor(min(max(y / side, -_CELL_CLIP), _CELL_CLIP))
+    return cx * _CELL_STRIDE + cy
+
+
 class Deployment:
-    """FAPs and their positions; row i of ``positions()`` is FAP i.  Add FAPs
-    with ``append`` only: the positions array is grown, never rebuilt."""
+    """FAPs of one deployment as arrays, row i being FAP i.  FAPs join only
+    through ``append``/``extend``, and the arrays are grown by doubling, never
+    rebuilt.  The allocation is a code into a table of interned allocations
+    (code 0 is no allocation; equal allocations share one code)."""
 
-    macro: MacroBs | None
-    faps: list[Fap]
-    params: DeploymentParams
+    def __init__(self, macro: MacroBs | None, faps, params: DeploymentParams):
+        self.macro = macro
+        self.params = params
+        self._n = 0
+        self._pos = np.empty((0, 2))
+        self._sector = np.empty(0, dtype=np.int64)
+        self._tx_power = np.empty(0)
+        self._radius = np.empty(0)
+        self._code = np.empty(0, dtype=np.int32)
+        self._allocations: list[FemtoAllocation | None] = [None]
+        self._code_of: dict[FemtoAllocation | None, int] = {None: 0}
+        self._edge_of_code = np.zeros(1, dtype=np.int8)
+        self._plan: FrequencyPlan | None = None  # allocation_codes' last plan
+        self._plan_codes: np.ndarray | None = None
+        self._cell_side = _cell_side(params.neighbor_radius_m)
+        self._cells: dict[int, list[int]] = {}
+        for fap in faps:
+            self.append(fap)
 
-    def __post_init__(self):
-        if any(f.id != i for i, f in enumerate(self.faps)):
-            raise ValueError("FAP ids must equal their rows in faps")
-        self._pos = np.array([f.position for f in self.faps], dtype=float).reshape(-1, 2)
-        self._faps = self.faps
-        self._n = len(self.faps)
+    @property
+    def faps(self) -> Sequence[Fap]:
+        return _FapList(self)
 
     def append(self, fap: Fap) -> None:
-        """Add ``fap`` as the next row; its id must equal that row."""
-        n = self._check_rows()
-        if fap.id != n:
-            raise ValueError(f"FAP id {fap.id} is not the next row {n}")
-        if n == len(self._pos):  # full: double the buffer
-            grown = np.empty((max(2 * n, 16), 2))
-            grown[:n] = self._pos[:n]
-            self._pos = grown
-        self._pos[n] = fap.position
-        self.faps.append(fap)
-        self._n = n + 1
+        """Copy ``fap`` into the next row; its id must equal that row."""
+        if fap.id != self._n:
+            raise ValueError(f"FAP id {fap.id} is not the next row {self._n}")
+        self._append(fap.position[None], fap.sector_index, fap.tx_power, fap.radius,
+                     self._intern(fap.allocation))
+
+    def extend(self, positions, sectors, codes=0) -> None:
+        """Append one FAP per row of ``positions`` with the given sectors and
+        allocation codes (see ``allocation_codes``; 0 is no allocation), at
+        the deployment's default tx power and radius."""
+        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+        p = self.params
+        self._append(positions, sectors, p.fap_tx_power_w, p.femto_radius_m, codes)
+
+    def _append(self, positions, sectors, tx_power, radius, codes) -> None:
+        n, m = self._n, len(positions)
+        if n + m > len(self._pos):
+            capacity = max(2 * len(self._pos), n + m, 16)
+            for name in ("_pos", "_sector", "_tx_power", "_radius", "_code"):
+                old = getattr(self, name)
+                grown = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        rows = slice(n, n + m)
+        self._pos[rows] = positions
+        self._sector[rows] = sectors
+        self._tx_power[rows] = tx_power
+        self._radius[rows] = radius
+        self._code[rows] = codes
+        self._n = n + m
+        cells, side = self._cells, self._cell_side
+        for i, (x, y) in enumerate(positions.tolist(), n):
+            key = _cell_key(x, y, side)
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [i]
+            else:
+                cell.append(i)
+
+    def _intern(self, allocation: FemtoAllocation | None) -> int:
+        code = self._code_of.get(allocation)
+        if code is None:
+            code = self._code_of[allocation] = len(self._allocations)
+            self._allocations.append(allocation)
+            edge = _EDGES.index(allocation.edge_choice)
+            self._edge_of_code = np.append(self._edge_of_code, np.int8(edge))
+        return code
 
     def positions(self) -> np.ndarray:
         """(N, 2) read-only view of the FAP positions; row i is FAP i."""
-        view = self._pos[: self._check_rows()]
+        return self._view(self._pos)
+
+    def sectors(self) -> np.ndarray:
+        """(N,) read-only view of the FAP sector indices."""
+        return self._view(self._sector)
+
+    def codes(self) -> np.ndarray:
+        """(N,) read-only view of the FAP allocation codes."""
+        return self._view(self._code)
+
+    def allocations(self) -> list[FemtoAllocation | None]:
+        """The allocation of each code; code 0 is None (no allocation)."""
+        return list(self._allocations)
+
+    def _view(self, column: np.ndarray) -> np.ndarray:
+        view = column[: self._n]
         view.flags.writeable = False
         return view
 
-    def _check_rows(self) -> int:
-        if self.faps is not self._faps or len(self.faps) != self._n:
-            raise RuntimeError("Deployment.faps changed outside Deployment.append")
-        return self._n
-
     def fap_by_id(self, fap_id: int) -> Fap:
-        if not 0 <= fap_id < len(self.faps):
+        if not 0 <= fap_id < self._n:
             raise ValueError(f"no FAP with id {fap_id}")
-        return self.faps[fap_id]
+        return Fap._view(self, fap_id)
+
+    def near(self, point, radius: float) -> np.ndarray:
+        """Ids, ascending, of the FAPs with ``norm(p - point) <= radius``.
+        The candidates are the FAPs in the 3x3 cells around ``point``, or all
+        FAPs when the radius is wider than the cell side allows."""
+        point = np.asarray(point, dtype=float)
+        if _cell_side(radius) <= self._cell_side:
+            key = _cell_key(*point.tolist(), self._cell_side)
+            found = []
+            for offset in _NEIGHBOR_OFFSETS:
+                found += self._cells.get(key + offset, ())
+            ids = np.array(found, dtype=np.intp)
+        else:
+            ids = np.arange(self._n)
+        d = self._pos.take(ids, axis=0) - point
+        d *= d
+        # np.linalg.norm(positions - point, axis=1), term for term
+        ids = ids[np.sqrt(d[:, 0] + d[:, 1]) <= radius]
+        ids.sort()
+        return ids
+
+    def edge_indices(self, ids) -> np.ndarray:
+        """Edge index of FAPs ``ids``: 0 for no edge band (or no allocation),
+        1-3 for the ``EDGE_COLORS``."""
+        return self._edge_of_code[self._code[ids]]
+
+    def allocation_codes(self, plan: FrequencyPlan) -> np.ndarray:
+        """(n_sectors, 4) codes of ``plan``'s allocations: entry [s, e] is
+        sector s's center band with edge index e (0 none, 1-3 X, Y, Z)."""
+        if plan is not self._plan:
+            self._plan_codes = np.array([
+                [self._intern(FemtoAllocation(center, edge, s)) for edge in _EDGES]
+                for s, center in enumerate(plan.center_band_per_sector)
+            ], dtype=np.int32)
+            self._plan = plan
+        return self._plan_codes
+
+    def assign(self, plan: FrequencyPlan, edges, ids=slice(None)) -> None:
+        """Give FAPs ``ids`` (default all) their sector's allocation under
+        ``plan`` with edge index ``edges`` (scalar or per FAP)."""
+        codes = self.allocation_codes(plan)
+        n = self._n
+        sectors = self._sector[:n][ids]
+        if np.any(sectors >= plan.n_sectors):
+            raise ValueError(f"sector index {sectors.max()} out of range for the plan")
+        self._code[:n][ids] = codes[sectors, edges]
+
+
+def _sectors(macro: MacroBs, points) -> list[int]:
+    """Angular sector index of each point: floor(angle / (2*pi/N))."""
+    width = TWO_PI / macro.n_sectors
+    out = []
+    for dx, dy in (np.asarray(points, dtype=float).reshape(-1, 2) - macro.position).tolist():
+        if dx == 0.0 and dy == 0.0:
+            raise ValueError("position coincides with the macro BS")
+        out.append(min(int(math.atan2(dy, dx) % TWO_PI // width), macro.n_sectors - 1))
+    return out
 
 
 def sector_of(macro: MacroBs, position) -> int:
     """Angular sector index of a position: floor(angle / (2*pi/N))."""
-    d = np.asarray(position, dtype=float) - macro.position
-    if d[0] == 0.0 and d[1] == 0.0:
-        raise ValueError("position coincides with the macro BS")
-    angle = math.atan2(d[1], d[0]) % TWO_PI
-    return min(int(angle // (TWO_PI / macro.n_sectors)), macro.n_sectors - 1)
+    return _sectors(macro, position)[0]
 
 
-def _sample_in_disc(rng: np.random.Generator, radius: float) -> np.ndarray:
-    while True:
-        p = rng.uniform(-radius, radius, 2)
-        if p[0] * p[0] + p[1] * p[1] <= radius * radius:
-            return p
+def _disc_points(rng: np.random.Generator, radius: float, m: int) -> np.ndarray:
+    """``m`` points uniform over the disc by rejection from the bounding
+    square.  Pairs are drawn in blocks of the number still needed, which never
+    overshoots, so the draws and the accepted points, in order, are those of
+    drawing one pair at a time until ``m`` are accepted."""
+    blocks = [np.empty((0, 2))]
+    while m:
+        p = rng.uniform(-radius, radius, (m, 2))
+        p = p[p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] <= radius * radius]
+        blocks.append(p)
+        m -= len(p)
+    return np.concatenate(blocks)
 
 
 def _make_macro(params: DeploymentParams) -> MacroBs:
@@ -252,31 +458,30 @@ def _make_macro(params: DeploymentParams) -> MacroBs:
     )
 
 
-def _make_fap(fap_id: int, position, macro: MacroBs | None, params: DeploymentParams) -> Fap:
-    sector = sector_of(macro, position) if macro is not None else 0
-    return Fap(
-        id=fap_id,
-        position=position,
-        tx_power=params.fap_tx_power_w,
-        radius=params.femto_radius_m,
-        sector_index=sector,
-    )
-
-
-def _random_positions(rng, macro, params, check=None) -> list[Fap]:
-    """Reference FAP pinned at reference_distance on the +x axis, rest uniform."""
-    faps = [_make_fap(0, np.array([params.reference_distance_m, 0.0]), macro, params)]
-    for i in range(1, params.n_faps):
-        for _ in range(params.max_place_attempts):
-            p = _sample_in_disc(rng, params.macro_radius_m)
-            if check is None or check(p, faps):
-                faps.append(_make_fap(i, p, macro, params))
-                break
-        else:
-            raise PlacementError(
-                f"could not place FAP {i} after {params.max_place_attempts} attempts"
-            )
-    return faps
+def _layout(rng, macro: MacroBs, params: DeploymentParams, separation=None) -> Deployment:
+    """Reference FAP pinned at reference_distance on the +x axis, rest uniform;
+    with ``separation``, each FAP is redrawn (up to max_place_attempts times)
+    until it is farther than that from every FAP placed before it."""
+    reference = np.array([[params.reference_distance_m, 0.0]])
+    if separation is None:
+        points = np.concatenate([reference, _disc_points(rng, params.macro_radius_m,
+                                                         params.n_faps - 1)])
+    else:
+        placed = [reference[0]]
+        for i in range(1, params.n_faps):
+            for _ in range(params.max_place_attempts):
+                p = _disc_points(rng, params.macro_radius_m, 1)[0]
+                if all(np.linalg.norm(p - q) > separation for q in placed):
+                    placed.append(p)
+                    break
+            else:
+                raise PlacementError(
+                    f"could not place FAP {i} after {params.max_place_attempts} attempts"
+                )
+        points = np.array(placed)
+    dep = Deployment(macro, (), params)
+    dep.extend(points, _sectors(macro, points))
+    return dep
 
 
 def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deployment:
@@ -287,24 +492,18 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     if scenario is Scenario.A:
         if params.n_faps != 1:
             raise ValueError("scenario A has exactly one FAP")
-        fap = _make_fap(0, np.zeros(2), None, params)
-        return Deployment(None, [fap], params)
+        dep = Deployment(None, (), params)
+        dep.extend(np.zeros((1, 2)), 0)
+        return dep
 
     macro = _make_macro(params)
 
     if scenario is Scenario.B:
-        r = params.neighbor_radius_m
-
-        def separated(p, placed):
-            return all(np.linalg.norm(p - f.position) > r for f in placed)
-
-        faps = _random_positions(rng, macro, params, check=separated)
-        return Deployment(macro, faps, params)
+        return _layout(rng, macro, params, separation=params.neighbor_radius_m)
 
     if scenario is Scenario.C:
         for _ in range(params.max_layout_attempts):
-            faps = _random_positions(rng, macro, params)
-            dep = Deployment(macro, faps, params)
+            dep = _layout(rng, macro, params)
             g = neighbor_graph(dep, params.neighbor_radius_m)
             if g.n_edges >= 1 and g.mean_degree < params.c_max_mean_degree:
                 return dep
@@ -313,8 +512,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
         )
 
     if scenario is Scenario.D:
-        faps = _random_positions(rng, macro, params)
-        return Deployment(macro, faps, params)
+        return _layout(rng, macro, params)
 
     raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -333,16 +531,17 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     ``((p_i - p_j) ** 2).sum() <= radius * radius``: exact Euclidean
     distances, by the same float expression for every pair.
 
-    Positions are binned into a uniform grid whose cell side exceeds the
-    largest axis offset that can pass that test: the radius (at least 1e-150,
-    below which a square can underflow to 0) plus a relative 1e-6, far above
-    the float error of the test and of ``floor(x / side)``.  Two neighbors
-    are therefore never two cells apart on either axis, and each FAP's
-    candidate partners are the FAPs in the 3x3 cells around its own, read as
-    ranges of the FAPs sorted by cell key.  The cell count per axis is
-    capped, and a radius whose square is infinite gives one cell (the
-    complete graph).  Candidates are tested in source blocks of bounded size,
-    so work and memory are O(N * mean degree).  The result is CSR with int32
+    Positions are binned into a uniform grid of side ``_cell_side(radius)``,
+    which exceeds the largest axis offset that can pass that test.  Two
+    neighbors are therefore never two cells apart on either axis, and each
+    FAP's candidate partners are the FAPs in the 3x3 cells around its own,
+    read as ranges of the FAPs sorted by cell key.  The cell count per axis
+    is capped, and a radius whose square is infinite gives one cell (the
+    complete graph).  Candidates are tested in source blocks of bounded size.
+    A first pass counts each row's neighbors and keeps one bit per candidate,
+    so that a second pass writes the pairs straight into the one CSR buffer:
+    the peak is the result, the bits (about a tenth of it) and one block.
+    Work and memory are O(N * mean degree).  The result is CSR with int32
     indices, ascending within each row.
     """
     if not radius > 0:
@@ -357,7 +556,7 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
         side = math.inf
     else:
         extent = float((pos.max(axis=0) - lo).max())
-        side = max(max(radius, 1e-150) * (1.0 + 1e-6), extent / _MAX_CELLS_PER_AXIS)
+        side = max(_cell_side(radius), extent / _MAX_CELLS_PER_AXIS)
     cell = np.floor((pos - lo) / side).astype(np.int64)
     # one empty row of padding per column: a neighborhood key that steps off
     # the top or bottom of a column lands in padding, never in another cell
@@ -379,30 +578,43 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     ends = np.cumsum(per_fap)
     cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CANDIDATE_BLOCK), side="right")
     bounds = sorted({*cuts.tolist(), n})
+    blocks = list(zip(bounds[:-1], bounds[1:]))
 
     # a candidate range is a slice of the cell-sorted coordinates
     x, y = pos[:, 0], pos[:, 1]
     sorted_x, sorted_y = x[order], y[order]
-    degree = np.zeros(n, dtype=np.int64)
-    chunks = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lens, reps = lengths[a:b].ravel(), per_fap[a:b]
-        # index in `order` of every candidate: its range's start plus a ramp
+
+    def candidates(a, b):
+        """Index in `order` of every candidate of rows a..b."""
+        lens = lengths[a:b].ravel()
+        # its range's start plus a ramp
         at = np.repeat(starts[a:b].ravel() - (np.cumsum(lens) - lens), lens)
         at += np.arange(len(at))
+        return at
+
+    # first pass: which candidates pass, kept as bits, and each row's count
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    passed = []
+    for a, b in blocks:
+        at, reps = candidates(a, b), per_fap[a:b]
         # ((p_i - p_j) ** 2).sum(), term for term
-        d2 = ((np.repeat(x[a:b], reps) - sorted_x[at]) ** 2
-              + (np.repeat(y[a:b], reps) - sorted_y[at]) ** 2)
+        d2 = ((np.repeat(x[a:b], reps) - sorted_x.take(at)) ** 2
+              + (np.repeat(y[a:b], reps) - sorted_y.take(at)) ** 2)
         keep = d2 <= r2
-        i = np.repeat(np.arange(a, b), reps)[keep]
-        j = order[at[keep]]
+        passed.append(np.packbits(keep))
+        # every FAP is its own candidate once, and passes
+        indptr[a + 1:b + 1] = np.add.reduceat(keep, np.cumsum(reps) - reps, dtype=np.int64) - 1
+    np.cumsum(indptr, out=indptr)
+    # second pass: write each block's pairs into the one CSR buffer
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for (a, b), bits in zip(blocks, passed):
+        at = candidates(a, b)
+        keep = np.unpackbits(bits, count=len(at)).view(bool)
+        i = np.repeat(np.arange(a, b), per_fap[a:b])[keep]
+        j = order.take(at[keep])
         # a row's ranges come cell by cell: sort (row, id) pairs, drop i == j
         pair = np.sort((i * n + j)[i != j])
-        chunks.append((pair % n).astype(np.int32))
-        degree[a:b] = np.bincount(pair // n - a, minlength=b - a)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.concatenate(chunks)
+        indices[indptr[a]:indptr[b]] = pair % n
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
@@ -410,6 +622,5 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:
     """Give every FAP its sector's base allocation (center band, no edge)."""
-    for f in deployment.faps:
-        f.allocation = base_allocation(plan, f.sector_index)
+    deployment.assign(plan, 0)
     return deployment

@@ -1,0 +1,230 @@
+"""The deployment's incremental cell index against a plain O(N) scan.
+
+``Deployment.near`` and ``son.admit_fap`` read only the 3x3 cells around a
+point.  The reference here compares the point with every FAP by
+``np.linalg.norm(positions - point, axis=1) <= radius`` (the O(N) scan the
+index replaces) and picks the admitted color from those sniffed FAPs by the
+documented rule.
+"""
+
+import copy
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from femtosim import son
+from femtosim.channel import neighbor_ids
+from femtosim.son import admit_fap, assign_uniform_random_colors, configure_frequencies
+from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, build_plan
+from femtosim.topology import (
+    Deployment,
+    DeploymentParams,
+    Fap,
+    MacroBs,
+    NeighborGraph,
+    Scenario,
+    apply_plan,
+    generate,
+    neighbor_graph,
+    sector_of,
+)
+
+PLAN = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 60_000_000), 3)
+MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
+
+
+def _reference_sniff(positions, point, radius):
+    return np.flatnonzero(np.linalg.norm(positions - point, axis=1) <= radius).tolist()
+
+
+def _reference_color(dep, point, radius):
+    """First color absent among the sniffed FAPs, else their least-used one
+    (ties to the first of EDGE_COLORS)."""
+    seen = [
+        dep.faps[i].allocation.edge_choice
+        for i in _reference_sniff(dep.positions(), point, radius)
+        if dep.faps[i].allocation is not None
+    ]
+    return min(EDGE_COLORS, key=lambda c: (seen.count(c), EDGE_COLORS.index(c)))
+
+
+def _layout(points, neighbor_radius):
+    faps = [Fap(id=i, position=p, tx_power=0.01, radius=10.0, sector_index=0)
+            for i, p in enumerate(points)]
+    params = DeploymentParams(n_faps=max(1, len(faps)), neighbor_radius_m=neighbor_radius)
+    return Deployment(None, faps, params)
+
+
+def _lattice(step, k=3):
+    """Points at multiples of ``step`` on both axes: each one sits on a cell
+    boundary of a grid of side ``step``."""
+    return [(a * step, b * step) for a in range(-k, k + 1) for b in range(-k, k + 1)]
+
+
+RADII = [100.0, 0.1 + 0.2, 100 / 3, 1e-300, math.inf]
+
+
+def _assert_near_matches(dep, point, radius):
+    got = dep.near(point, radius)
+    assert got.tolist() == _reference_sniff(dep.positions(), np.asarray(point, float), radius)
+    assert np.all(np.diff(got) > 0)
+
+
+class TestNearAdversarial:
+    @pytest.mark.parametrize("radius", RADII)
+    def test_lattice_on_cell_boundaries(self, radius):
+        step = radius if math.isfinite(radius) else 100.0
+        points = _lattice(step)
+        dep = _layout(points, radius)
+        for p in points + [(step / 2, -step / 2), (3.5 * step, 0.0)]:
+            _assert_near_matches(dep, p, radius)
+
+    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3])
+    def test_points_exactly_r_away(self, radius):
+        points = [(0.0, 0.0), (radius, 0.0), (0.0, -radius), (-radius, 0.0),
+                  (radius * math.cos(1.0), radius * math.sin(1.0)),
+                  (3 * radius, 5 * radius), (3 * radius, 6 * radius)]
+        dep = _layout(points, radius)
+        for p in points:
+            _assert_near_matches(dep, p, radius)
+
+    def test_tiny_radius(self):
+        # 1e-300 squared underflows to 0: FAPs 1e-300 apart still pass
+        base = generate(Scenario.D, DeploymentParams(n_faps=200), seed=5).positions()
+        points = [tuple(p) for p in base] + [tuple(base[7]), (1e-300, 0.0), (2e-300, 1e-300)]
+        dep = _layout(points, 1e-300)
+        for p in points:
+            _assert_near_matches(dep, p, 1e-300)
+
+    def test_infinite_radius_index(self):
+        dep = _layout(_lattice(1e5), math.inf)
+        _assert_near_matches(dep, (0.0, 0.0), math.inf)
+        assert len(dep.near((3.0, -4.0), math.inf)) == len(dep.faps)
+
+    @pytest.mark.parametrize("query", [50.0, 100.0, 100.0001, 250.0, math.inf])
+    def test_query_radius_other_than_the_index_radius(self, query):
+        # radii wider than the cell side fall back to every FAP
+        dep = generate(Scenario.D, DeploymentParams(n_faps=400), seed=9)
+        for p in dep.positions()[:40]:
+            _assert_near_matches(dep, p, query)
+
+    def test_empty_deployment(self):
+        dep = Deployment(None, [], DeploymentParams(n_faps=1))
+        assert dep.near((0.0, 0.0), 100.0).tolist() == []
+
+
+finite = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
+points_st = st.lists(st.tuples(finite, finite), min_size=1, max_size=60)
+
+
+class TestNearProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(points=points_st, probe=st.tuples(finite, finite),
+           radius=st.sampled_from([100.0, 7.0, 0.1 + 0.2, 1e-300, math.inf]),
+           snap=st.booleans())
+    def test_matches_all_pairs_scan(self, points, probe, radius, snap):
+        if snap and math.isfinite(radius):
+            # put points on the grid lines and exactly r from the probe
+            points = [(round(x / radius) * radius, y) for x, y in points]
+            points.append((probe[0] + radius, probe[1]))
+        dep = _layout(points, radius)
+        _assert_near_matches(dep, probe, radius)
+        for p in points[:5]:
+            _assert_near_matches(dep, p, radius)
+
+
+disc = st.tuples(
+    st.floats(min_value=1.0, max_value=990.0), st.floats(min_value=0.0, max_value=2 * math.pi)
+).map(lambda ra: (ra[0] * math.cos(ra[1]), ra[0] * math.sin(ra[1])))
+
+
+class TestAdmissionOracle:
+    @staticmethod
+    def _admit_and_check(dep, points, radius):
+        graph = NeighborGraph.radius_only(radius)
+        for p in points:
+            p = np.asarray(p, dtype=float)
+            expected_ids = _reference_sniff(dep.positions(), p, radius)
+            assert dep.near(p, radius).tolist() == expected_ids
+            expected = _reference_color(dep, p, radius)
+            _, events = admit_fap(dep, p, PLAN, graph)
+            assert events[1].details["color"] == expected.value
+            assert dep.faps[-1].allocation.edge_choice is expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(disc, min_size=1, max_size=80),
+           radius=st.sampled_from([100.0, 30.0, 1e-300, math.inf]))
+    def test_sequence_matches_reference(self, points, radius):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=30, neighbor_radius_m=radius), 3)
+        apply_plan(dep, PLAN)
+        configure_frequencies(dep, neighbor_graph(dep, radius), PLAN)
+        self._admit_and_check(dep, points, radius)
+
+    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3])
+    def test_boundary_layout(self, radius):
+        # FAPs on cell boundaries and exactly r from later admissions
+        start = [(300.0 + x, y) for x, y in _lattice(radius, k=2)]
+        faps = [Fap(id=i, position=p, tx_power=0.01, radius=10.0,
+                    sector_index=sector_of(MACRO, p))
+                for i, p in enumerate(start)]
+        dep = Deployment(MACRO, faps, DeploymentParams(n_faps=len(faps), neighbor_radius_m=radius))
+        apply_plan(dep, PLAN)
+        configure_frequencies(dep, neighbor_graph(dep, radius), PLAN)
+        later = [(300.0 + radius, 0.5 * radius), (300.0 - radius, 0.0), (300.0, 2 * radius),
+                 (300.0 + 2.5 * radius, -2 * radius), (300.0, 0.0)]
+        self._admit_and_check(dep, later, radius)
+
+    def test_dense_sweep_chain(self):
+        # the fig6 admission path: 1500 FAPs admitted into a 500-FAP start
+        full = generate(Scenario.D, DeploymentParams(n_faps=2000), 11)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=500), 11)
+        apply_plan(dep, PLAN)
+        configure_frequencies(dep, neighbor_graph(dep, 100.0), PLAN)
+        self._admit_and_check(dep, full.positions()[500:], 100.0)
+        assert dep.positions().tobytes() == full.positions().tobytes()
+
+
+def test_neighbor_ids_match_reference():
+    dep = generate(Scenario.D, DeploymentParams(n_faps=1500), 4)
+    for ref in list(dep.faps)[:50]:
+        expected = [i for i in _reference_sniff(dep.positions(), ref.position, 100.0)
+                    if i != ref.id]
+        assert neighbor_ids(dep, ref) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_colors_consume_the_scalar_stream(seed):
+    dep = generate(Scenario.D, DeploymentParams(n_faps=700), 2)
+    apply_plan(dep, PLAN)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = assign_uniform_random_colors(dep, neighbor_graph(dep, 100.0), PLAN, rng)
+    expected = [EDGE_COLORS[int(ref_rng.integers(0, 3))] for _ in range(len(dep.faps))]
+    assert list(state.colors.values()) == expected
+    assert [f.allocation.edge_choice for f in dep.faps] == expected
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same state after
+
+
+def test_allocation_views_write_through():
+    dep = generate(Scenario.D, DeploymentParams(n_faps=50), 2)
+    apply_plan(dep, PLAN)
+    twin = copy.deepcopy(dep)
+    fap = dep.faps[3]
+    other = dep.faps[7].allocation
+    fap.allocation = other
+    assert dep.faps[3].allocation == other
+    fap.tx_power *= 0.5
+    assert dep.faps[3].tx_power == 0.005
+    assert twin.faps[3].tx_power == 0.01  # a deep copy holds its own arrays
+    assert twin.faps[3].allocation.edge_choice is EdgeChoice.NONE
+    son.assign_shared_edge(dep, NeighborGraph.radius_only(100.0), PLAN, EdgeChoice.Z)
+    assert {f.allocation.edge_choice for f in dep.faps} == {EdgeChoice.Z}
+
+
+def test_plan_with_fewer_sectors_rejected():
+    dep = generate(Scenario.D, DeploymentParams(n_faps=50, n_sectors=6), 1)
+    with pytest.raises(ValueError):
+        apply_plan(dep, PLAN)
+    assert {f.allocation for f in dep.faps} == {None}

@@ -1,0 +1,43 @@
+"""Golden outputs: SHA-256 of the CSV bodies of small fig5, fig6 and
+son-ablation runs, captured before FAP state moved into arrays.  Any change
+to placement, sectors, the neighbor graph, coloring, admission or the outage
+estimator that moves a single bit of a result changes a hash.
+
+The hashes hold for one numpy build: ``p_out_mc`` counts comparisons of
+matrix products, and a BLAS with another summation order may flip one.
+"""
+
+import hashlib
+
+import pytest
+
+from femtosim import cli
+from femtosim.config import ExperimentConfig, apply_overrides
+
+CASES = {
+    "fig5": ("n_trials=2000",),
+    "fig6": ("densities=500,1000,2000", "n_trials=2000"),
+    "son-ablation": ("n_trials=2000",),
+}
+
+GOLDEN = {
+    ("fig5", 1): "ea661e35e9ca8efc46be63a7dca17b90cd4a23fac274b6a5fd5bbe5438929890",
+    ("fig5", 2): "fc0b9079eafb8e3a3c62a39ac73f4ec0f78a6b41df3821129288934d6d80dc58",
+    ("fig6", 1): "eaac77644d1a35dfdb901416a08a1aa6c43c83dde9b3100daefa1c32c5fcaad3",
+    ("fig6", 2): "ae538274aee836dfd8da04c31885e109de4da513f422ead068eb5fc9bd727ffc",
+    ("son-ablation", 1): "32e0c0febb6bb06392c501d3c63f88820738ec878c1ee64e235bb9f5f7ddd0ff",
+    ("son-ablation", 2): "ff9e115e80019f851f063f855d6a32894feb3fa823b4c48b97fe09263322f149",
+}
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(GOLDEN), ids=lambda v: str(v))
+def test_csv_body_hash(tmp_path, experiment, seed):
+    out = tmp_path / f"{experiment}.csv"
+    cfg = apply_overrides(
+        ExperimentConfig(), [*CASES[experiment], f"seed={seed}", f"out={out}"]
+    )
+    cli.run_experiment(cfg, experiment, 1)
+    body = "".join(
+        line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")
+    )
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[(experiment, seed)]

@@ -23,7 +23,16 @@ from femtosim.son import (
     replay,
     same_color_conflicts,
 )
-from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, UeRegion, build_plan, cochannel
+from femtosim.spectrum import (
+    EDGE_COLORS,
+    Band,
+    EdgeChoice,
+    FemtoAllocation,
+    Scheme,
+    UeRegion,
+    build_plan,
+    cochannel,
+)
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
@@ -52,6 +61,13 @@ def _deployment_from_layout(positions):
     dep = Deployment(macro, faps, params)
     apply_plan(dep, PLAN)
     return dep
+
+
+def _set_edge_color(fap, plan, color):
+    """Give one FAP its sector's center band plus the edge band ``color``."""
+    fap.allocation = FemtoAllocation(
+        plan.center_band_per_sector[fap.sector_index], color, fap.sector_index
+    )
 
 
 def _graph(dep, radius=100.0):
@@ -211,7 +227,7 @@ def _reference_configure_frequencies(deployment, adjacency, plan, log=None):
                 )
         colors[fid] = color
         usage[color] += 1
-        son._set_edge_color(deployment.faps[fid], plan, color)
+        _set_edge_color(deployment.faps[fid], plan, color)
         if log is not None:
             log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
     return colors
@@ -271,8 +287,8 @@ class TestAdjustPower:
     def _single_interferer_setup(self, interferer_distance=30.0, same_color=True):
         dep = _deployment_from_layout([(200, 0), (200 + interferer_distance, 0)])
         # force both on the same edge band so the neighbor is co-channel
-        son._set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
-        son._set_edge_color(dep.faps[1], PLAN, EdgeChoice.X if same_color else EdgeChoice.Y)
+        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(dep.faps[1], PLAN, EdgeChoice.X if same_color else EdgeChoice.Y)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
         return dep, ctx
@@ -351,7 +367,7 @@ class TestAdmitFap:
     def test_no_neighbors_defaults_to_first_color(self):
         dep = _deployment_from_layout([(200, 0)])
         graph = _graph(dep)
-        son._set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
         dep2, events = admit_fap(dep, (600.0, 0.0), PLAN, graph)
         new = dep2.faps[-1]
         assert new.allocation.edge_choice is EdgeChoice.X
@@ -359,8 +375,8 @@ class TestAdmitFap:
 
     def test_two_neighbors_take_remaining_color(self):
         dep = _deployment_from_layout([(200, 0), (220, 0)])
-        son._set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
-        son._set_edge_color(dep.faps[1], PLAN, EdgeChoice.Y)
+        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(dep.faps[1], PLAN, EdgeChoice.Y)
         graph = _graph(dep)
         dep2, _ = admit_fap(dep, (210.0, 5.0), PLAN, graph)
         assert dep2.faps[-1].allocation.edge_choice is EdgeChoice.Z
@@ -369,7 +385,7 @@ class TestAdmitFap:
     def test_minority_color_when_all_present(self):
         dep = _deployment_from_layout([(200, 0), (210, 0), (220, 0), (230, 0)])
         for f, c in zip(dep.faps, (EdgeChoice.X, EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z)):
-            son._set_edge_color(f, PLAN, c)
+            _set_edge_color(f, PLAN, c)
         graph = _graph(dep)
         dep2, _ = admit_fap(dep, (215.0, 5.0), PLAN, graph)
         assert dep2.faps[-1].allocation.edge_choice in (EdgeChoice.Y, EdgeChoice.Z)
@@ -395,7 +411,7 @@ class TestAdmitFap:
         full = generate(Scenario.D, DeploymentParams(n_faps=120), seed=44)
         positions = [f.position for f in full.faps]
         base = _deployment_from_layout([tuple(positions[0])])
-        son._set_edge_color(base.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(base.faps[0], PLAN, EdgeChoice.X)
         radius_graph = NeighborGraph.radius_only(100.0)
         for p in positions[1:]:
             admit_fap(base, p, PLAN, radius_graph)
@@ -425,7 +441,7 @@ class TestEventLogAndReplay:
     def test_power_adjustment_replay_bit_exact(self):
         dep = _deployment_from_layout([(200, 0), (212, 0), (209, 6)])
         for f, c in zip(dep.faps, (EdgeChoice.X, EdgeChoice.X, EdgeChoice.X)):
-            son._set_edge_color(f, PLAN, c)
+            _set_edge_color(f, PLAN, c)
         pre = copy.deepcopy(dep)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
@@ -439,8 +455,8 @@ class TestEventLogAndReplay:
 
     def test_admission_replay_bit_exact(self):
         dep = _deployment_from_layout([(200, 0), (220, 0)])
-        son._set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
-        son._set_edge_color(dep.faps[1], PLAN, EdgeChoice.Y)
+        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(dep.faps[1], PLAN, EdgeChoice.Y)
         graph = _graph(dep)
         pre = copy.deepcopy(dep)
         _, events = admit_fap(dep, (210.0, 5.0), PLAN, graph)
@@ -474,6 +490,18 @@ class TestEventLogAndReplay:
             replay(dep, self._new_fap_event(3, 2000.0, 0.0), PLAN)
         assert len(dep.faps) == 3
 
+    def test_replay_rejects_new_fap_in_the_wrong_sector(self):
+        dep = _deployment_from_layout([(200, 0), (220, 0), (240, 0)])
+        _, events = admit_fap(copy.deepcopy(dep), (300.0, 10.0), PLAN, _graph(dep))
+        assert events[0].details["sector"] == 0
+        edited = son.SonEvent.from_line(events[0].to_line().replace('"sector": 0', '"sector": 2'))
+        assert edited.details["sector"] == 2
+        with pytest.raises(ValueError):
+            replay(dep, [edited], PLAN)
+        assert len(dep.faps) == 3
+        replay(dep, events, PLAN)
+        assert dep.faps[3].sector_index == 0
+
     def test_configure_replay_bit_exact(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=100), seed=10)
         apply_plan(dep, PLAN)
@@ -488,7 +516,7 @@ class TestEventLogAndReplay:
     def test_log_serialization_round_trip(self):
         dep = _deployment_from_layout([(200, 0), (230, 0)])
         for f in dep.faps:
-            son._set_edge_color(f, PLAN, EdgeChoice.X)
+            _set_edge_color(f, PLAN, EdgeChoice.X)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
         log = SonEventLog()

@@ -204,7 +204,10 @@ class TestDeploymentPositions:
             fap.position[0] = 1.0
         with pytest.raises(AttributeError):
             fap.position = np.array([1.0, 2.0])
-        assert _fap(1, fap.position).position is fap.position  # shared, not copied
+        dep = Deployment(MACRO, [fap], DeploymentParams(n_faps=1))
+        assert np.shares_memory(dep.faps[0].position, dep.positions())  # a view of its row
+        with pytest.raises(AttributeError):
+            dep.faps[0].position = np.array([1.0, 2.0])
         frozen_triple = np.array([1.0, 2.0, 3.0])
         frozen_triple.flags.writeable = False
         for bad in (5.0, (1.0, 2.0, 3.0), frozen_triple):
@@ -235,16 +238,17 @@ class TestDeploymentPositions:
             Deployment(MACRO, [_fap(0, (300.0, 0.0)), _fap(7, (0.0, 300.0))], params)
 
     def test_growth_outside_append_detected(self):
+        # dep.faps is a read-only sequence of views: growing, rebinding or
+        # replacing it fails at once and leaves the deployment as it was
         dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
-        dep.faps.append(_fap(3, (300.0, 0.0)))
-        with pytest.raises(RuntimeError):
-            dep.positions()
-        with pytest.raises(RuntimeError):
-            dep.append(_fap(4, (0.0, 300.0)))
-        other = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
-        other.faps = list(other.faps)  # a rebound list, even of equal length
-        with pytest.raises(RuntimeError):
-            other.positions()
+        with pytest.raises(AttributeError):
+            dep.faps.append(_fap(3, (300.0, 0.0)))
+        with pytest.raises(AttributeError):
+            dep.faps = list(dep.faps)
+        with pytest.raises(TypeError):
+            dep.faps[1] = _fap(1, (0.0, 300.0))
+        assert len(dep.faps) == 3
+        assert_positions_match_faps(dep)
 
     def test_deepcopy_is_independent(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=20), seed=6)
@@ -428,3 +432,19 @@ class TestNeighborGraphMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.BOUND_MB * 2**20
+
+    def test_peak_near_the_result(self):
+        # Holding the int32 indices twice (per-block pieces plus their
+        # concatenation) puts the peak at twice the result.  The build may
+        # hold the result, a tenth of it in pass bits, and one block's
+        # temporaries plus a few per-FAP arrays (about 16 MiB at 40000 FAPs).
+        dep = generate(Scenario.D, DeploymentParams(n_faps=40000), seed=8)
+        tracemalloc.start()
+        try:
+            g = neighbor_graph(dep, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = g.indices.nbytes + g.indptr.nbytes
+        assert result > 50 * 2**20
+        assert peak < 1.25 * result + 16 * 2**20
