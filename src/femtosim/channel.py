@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel
+from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel, cochannel_table
 from .topology import Deployment, Fap
 
 __all__ = [
@@ -92,20 +92,25 @@ def link_coefficients(
         raise ValueError("reference FAP has no allocation; apply a plan first")
     ue = np.asarray(ue_position, dtype=float)
     ids = neighbor_ids(deployment, reference_fap)
+    codes = deployment.codes()
+    allocations = deployment.allocations()
+    # the X flag depends only on the two allocation codes
+    x = cochannel_table(plan, allocations, ue_region)[codes[reference_fap.id], codes[ids]]
+    if np.any(x < 0):  # an allocation is missing or does not fit the plan
+        for fid in ids:
+            if allocations[codes[fid]] is None:
+                raise ValueError(f"FAP {fid} has no allocation; apply a plan first")
+            cochannel(plan, reference_fap.allocation, ue_region, allocations[codes[fid]])
+    positions, tx_powers = deployment.positions(), deployment.tx_powers()
     coeffs = np.zeros(len(ids))
-    for k, fid in enumerate(ids):
-        f = deployment.faps[fid]
-        if f.allocation is None:
-            raise ValueError(f"FAP {fid} has no allocation; apply a plan first")
-        x_i = cochannel(plan, reference_fap.allocation, ue_region, f.allocation)
-        if x_i:
-            d = float(np.linalg.norm(f.position - ue))
-            coeffs[k] = (
-                f.tx_power
-                * params.p0_femto
-                * d ** (-params.eta_femto_interf)
-                * params.wall_attenuation
-            )
+    for k in np.flatnonzero(x).tolist():
+        d = float(np.linalg.norm(positions[ids[k]] - ue))
+        coeffs[k] = (
+            float(tx_powers[ids[k]])
+            * params.p0_femto
+            * d ** (-params.eta_femto_interf)
+            * params.wall_attenuation
+        )
     macro_coeff = 0.0
     if deployment.macro is not None:
         y = cochannel(

@@ -10,9 +10,19 @@ x e^x E1(x), x = 1/a: the Laplace functional of Andrews, Baccelli & Ganti,
 count as ``p_out_mc``.
 
 Trials are split over a fixed number of shards with independent RNG streams
-spawned from the seed, and shard results are merged in index order, so the
-result is bit-identical for a given (seed, shard count) no matter how many
-workers execute the shards.
+spawned from the seed.  Shard counts are integers, so their sum does not depend
+on the order shards finish in, and the result is bit-identical for a given
+(seed, shard count) no matter how many workers execute the shards.  Each
+worker runs a strided group of shards and reuses one pair of fading buffers,
+sized for the largest shard, across its group; the fading product is formed
+in place.  When no interferer is co-channel, no trial can be in outage and no
+fading is drawn.
+
+Within one density of ``density_sweep`` every scheme shares the trial seed
+and the configuration, so schemes whose link coefficients are identical (the
+partial and same schemes always are) share one estimate: the Monte Carlo
+count runs once per distinct link set.  The shared estimates live only for
+that density.
 """
 
 from __future__ import annotations
@@ -143,16 +153,18 @@ def _ue_position(deployment, ref, distance, direction, rng, angle=None) -> np.nd
     return ref.position + distance * np.array([math.cos(angle), math.sin(angle)])
 
 
-def _run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
-    """One shard of Monte Carlo trials; returns the outage count."""
+def _run_shard(seed_seq, xi, z, coeffs, macro_coeff, s_bar, gamma_linear):
+    """One shard of Monte Carlo trials, one per row of the (m, K) buffers
+    ``xi`` and ``z``, which it overwrites; returns the outage count."""
     rng = np.random.default_rng(seed_seq)
-    k = len(coeffs)
-    xi = rng.exponential(size=(m, k))
-    z = rng.exponential(size=(m, k))
-    xi_m = rng.exponential(size=m)
-    z_m = rng.exponential(size=m)
-    z0 = rng.exponential(size=m)
-    i_total = (xi * z) @ coeffs + macro_coeff * xi_m * z_m
+    m = len(xi)
+    rng.standard_exponential(out=xi)
+    rng.standard_exponential(out=z)
+    xi_m = rng.standard_exponential(m)
+    z_m = rng.standard_exponential(m)
+    z0 = rng.standard_exponential(m)
+    np.multiply(xi, z, out=xi)
+    i_total = xi @ coeffs + macro_coeff * xi_m * z_m
     return int(np.count_nonzero(z0 < gamma_linear * i_total / s_bar))
 
 
@@ -165,6 +177,7 @@ def estimate(
     seed: int,
     n_workers: int = 1,
     ue_angle: float | None = None,
+    shared: dict | None = None,
 ) -> OutageEstimate:
     """Estimate the outage probability of a UE of the reference FAP.
 
@@ -172,6 +185,8 @@ def estimate(
     coefficients, whatever the trials; ``p_out_mc`` draws every fading term
     and counts SIR < gamma events.  ``ue_angle`` overrides the UE bearing
     (the density sweep pins it across snapshots of a growing network).
+    ``shared`` maps (seed, config, link set) to an estimate already made:
+    a hit is returned as is, and a miss is stored there.
     """
     ref = deployment.fap_by_id(reference_fap)
     if config.ue_distance > ref.radius:
@@ -186,20 +201,33 @@ def estimate(
     _, coeffs, macro_coeff, s_bar = link_coefficients(
         deployment, ref, ue, plan, config.ue_region, params
     )
+    key = (seed, config, coeffs.tobytes(), macro_coeff, s_bar)
+    if shared is not None and key in shared:
+        return shared[key]
 
     n = config.n_trials
     base, extra = divmod(n, config.n_shards)
     sizes = [base + (1 if i < extra else 0) for i in range(config.n_shards)]
     gamma = config.gamma_linear
 
-    def task(i):
-        return _run_shard(shard_seqs[i], sizes[i], coeffs, macro_coeff, s_bar, gamma)
+    def run_group(shards):
+        xi = np.empty((sizes[0], len(coeffs)))
+        z = np.empty_like(xi)
+        return sum(
+            _run_shard(shard_seqs[i], xi[:sizes[i]], z[:sizes[i]], coeffs, macro_coeff,
+                       s_bar, gamma)
+            for i in shards
+        )
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outages = sum(pool.map(task, range(config.n_shards)))
+    n_groups = max(1, min(n_workers, config.n_shards))
+    groups = [range(w, config.n_shards, n_groups) for w in range(n_groups)]
+    if not (np.any(coeffs > 0) or macro_coeff > 0):
+        outages = 0  # the interference is 0 in every trial, and z0 < 0 never holds
+    elif n_groups > 1:
+        with ThreadPoolExecutor(max_workers=n_groups) as pool:
+            outages = sum(pool.map(run_group, groups))
     else:
-        outages = sum(map(task, range(config.n_shards)))
+        outages = run_group(groups[0])
 
     c = np.append(coeffs, macro_coeff)
     # fsum rounds correctly, so an added interferer never lowers P; with no
@@ -207,9 +235,12 @@ def estimate(
     p_closed = 0.0 - math.expm1(math.fsum(log_phi(gamma * c[c > 0] / s_bar).tolist()))
     p_mc = outages / n
     ci95 = 1.96 * math.sqrt(p_mc * (1.0 - p_mc) / n)
-    return OutageEstimate(
+    result = OutageEstimate(
         p_out_closed=p_closed, p_out_mc=p_mc, ci95_halfwidth=ci95, n_trials=n
     )
+    if shared is not None:
+        shared[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -227,22 +258,6 @@ class SweepRow:
 
 def _seed_int(seed_seq: np.random.SeedSequence) -> int:
     return int(seed_seq.generate_state(1)[0])
-
-
-def prepare_deployment(
-    scheme: Scheme,
-    plan: FrequencyPlan,
-    dep_params: DeploymentParams,
-    seed: int,
-) -> Deployment:
-    """Generate a dense deployment and configure allocations for one scheme
-    (SON edge coloring runs only for dynamic re-use)."""
-    dep = generate(Scenario.D, dep_params, seed)
-    apply_plan(dep, plan)
-    if scheme is Scheme.DYNAMIC_REUSE:
-        graph = neighbor_graph(dep, dep_params.neighbor_radius_m)
-        son.configure_frequencies(dep, graph, plan)
-    return dep
 
 
 def density_sweep(
@@ -285,8 +300,8 @@ def density_sweep(
     }
     dep_seq, dir_seq, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
     dep_seed = _seed_int(dep_seq)
-    # Placement is sequential, so each scheme's starting deployment is a
-    # prefix of the full one.
+    # Placement is sequential, so each scheme's chain starts from the prefix
+    # of the full deployment at the lowest density.
     full_params = replace(dep_params, n_faps=densities[-1])
     dp0 = replace(dep_params, n_faps=densities[0])  # rejects densities below 1
     full = generate(Scenario.D, full_params, dep_seed)
@@ -295,12 +310,21 @@ def density_sweep(
     else:
         ue_angle = nearest_fap_angle(full, full.faps[0])
 
-    chains = {s: prepare_deployment(s, plans[s], dp0, dep_seed) for s in schemes}
+    chains = {}
+    for scheme in schemes:
+        dep = Deployment(full.macro, (), dp0)
+        dep.extend(full.positions()[:dp0.n_faps], full.sectors()[:dp0.n_faps])
+        apply_plan(dep, plans[scheme])
+        if scheme is Scheme.DYNAMIC_REUSE:
+            graph = neighbor_graph(dep, dp0.neighbor_radius_m)
+            son.configure_frequencies(dep, graph, plans[scheme])
+        chains[scheme] = dep
 
     radius_graph = NeighborGraph.radius_only(dep_params.neighbor_radius_m)
     rows = []
     for idx, density in enumerate(densities):
         trial_seed = _seed_int(trial_seqs[idx])
+        shared = {}  # estimates by link set, for this density's seed only
         for scheme in schemes:
             dep = chains[scheme]
             grown = slice(len(dep.faps), density)
@@ -313,7 +337,7 @@ def density_sweep(
                            dep.allocation_codes(plans[scheme])[sectors, 0])
             est = estimate(
                 dep, 0, plans[scheme], config, params, trial_seed, n_workers,
-                ue_angle=ue_angle,
+                ue_angle=ue_angle, shared=shared,
             )
             rows.append(SweepRow(scheme=scheme, density=density, estimate=est, seed=trial_seed))
     return rows

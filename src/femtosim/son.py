@@ -24,7 +24,7 @@ from .spectrum import (
     FrequencyPlan,
     Scheme,
     UeRegion,
-    cochannel,
+    cochannel_table,
 )
 from .topology import Deployment, NeighborGraph, sector_of
 
@@ -197,20 +197,17 @@ def noncochannel_fraction(
     ue_region: UeRegion = UeRegion.EDGE,
 ) -> float:
     """Fraction of ordered neighbor pairs whose interference indicator is 0,
-    i.e. how often a neighbor does not reach the reference UE's band."""
+    i.e. how often a neighbor does not reach the reference UE's band.  Raises
+    ValueError when a FAP of a pair has no allocation or one outside the plan."""
     if not len(graph.indices):
         return 1.0
-    # the indicator depends only on the two allocations: evaluate it once per
-    # distinct (reference, other) pair of allocation codes present
     codes = deployment.codes()
-    allocations = deployment.allocations()
-    m = len(allocations)
-    pairs, uses = np.unique(codes[graph.rows()] * m + codes[graph.indices], return_counts=True)
-    zero = sum(
-        count for pair, count in zip(pairs.tolist(), uses.tolist())
-        if not cochannel(plan, allocations[pair // m], ue_region, allocations[pair % m])
-    )
-    return zero / len(graph.indices)
+    x = cochannel_table(plan, deployment.allocations(), ue_region)[
+        codes[graph.rows()], codes[graph.indices]
+    ]
+    if np.any(x < 0):
+        raise ValueError("a neighbor pair has an allocation that is missing or not in the plan")
+    return int(np.count_nonzero(x == 0)) / len(graph.indices)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "Band",
     "EdgeChoice",
@@ -33,6 +35,7 @@ __all__ = [
     "base_allocation",
     "build_plan",
     "cochannel",
+    "cochannel_table",
     "split_band",
 ]
 
@@ -297,3 +300,45 @@ def cochannel(
             raise ValueError(f"sector index {other.sector_index} out of range")
         return int(serving.intersects(plan.macro_sector_bands[other.sector_index]))
     return int(any(serving.intersects(b) for b in bands_for_femto(plan, other)))
+
+
+def _fitting(build, plan: FrequencyPlan, alloc: FemtoAllocation | None, *args):
+    """``build(plan, alloc, *args)``, or None where ``alloc`` is None or does
+    not fit the plan."""
+    if alloc is None:
+        return None
+    try:
+        return build(plan, alloc, *args)
+    except (ValueError, IndexError):
+        return None
+
+
+def cochannel_table(
+    plan: FrequencyPlan,
+    allocations: list[FemtoAllocation | None],
+    ue_region: UeRegion,
+) -> np.ndarray:
+    """(n, n) int8 table of the femto co-channel indicator over a list of
+    allocations, such as ``Deployment.allocations()`` indexed by allocation
+    code: entry [a, b] is ``cochannel(plan, allocations[a], ue_region,
+    allocations[b])``, or -1 where that call fails because an allocation is
+    None or does not fit the plan."""
+    serving = [_fitting(active_band, plan, a, ue_region) for a in allocations]
+    sending = [_fitting(bands_for_femto, plan, a) or () for a in allocations]
+    # intersection only compares band edges, so each edge is replaced by its
+    # rank among all edges: small ints whatever the Hz values
+    bands = [b for b in serving if b is not None] + [b for bs in sending for b in bs]
+    rank = {e: i for i, e in enumerate(sorted({e for b in bands for e in (b.lower, b.upper)}))}
+    # [lower, upper) rank pairs, up to two sent bands per allocation; the
+    # empty (0, 0) intersects no band
+    serve = np.array(
+        [(0, 0) if b is None else (rank[b.lower], rank[b.upper]) for b in serving], dtype=np.intp
+    ).reshape(-1, 2)
+    send = np.array([
+        [(rank[b.lower], rank[b.upper]) for b in bs] + [(0, 0)] * (2 - len(bs)) for bs in sending
+    ], dtype=np.intp).reshape(-1, 2, 2)
+    lo, hi = serve[:, None, None, 0], serve[:, None, None, 1]
+    table = ((lo < send[:, :, 1]) & (send[:, :, 0] < hi)).any(axis=2).astype(np.int8)
+    table[np.array([b is None for b in serving], dtype=bool)] = -1
+    table[:, np.array([not bs for bs in sending], dtype=bool)] = -1
+    return table

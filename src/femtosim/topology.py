@@ -354,6 +354,10 @@ class Deployment:
         """(N,) read-only view of the FAP sector indices."""
         return self._view(self._sector)
 
+    def tx_powers(self) -> np.ndarray:
+        """(N,) read-only view of the FAP tx powers (W)."""
+        return self._view(self._tx_power)
+
     def codes(self) -> np.ndarray:
         """(N,) read-only view of the FAP allocation codes."""
         return self._view(self._code)

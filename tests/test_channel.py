@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from femtosim.channel import PropagationParams, link_coefficients, mean_desired_power
-from femtosim.spectrum import Band, Scheme, UeRegion, build_plan, cochannel
+from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, UeRegion, build_plan, cochannel
 from femtosim.topology import DeploymentParams, Fap, Scenario, apply_plan, generate, sector_of
 
 TOTAL = Band(0, 60_000_000)
@@ -172,3 +172,57 @@ class TestInterferencePowers:
         base = femto_term()
         dep.faps[1].tx_power *= 2.0
         assert femto_term() == 2.0 * base
+
+
+def _loop_coefficients(dep, ref, ue, plan, region, params):
+    """Femto coefficients neighbor by neighbor through ``cochannel`` and the
+    FAP views: the arithmetic ``link_coefficients`` must keep bit for bit."""
+    ids, _, _, _ = link_coefficients(dep, ref, ue, plan, region, params)
+    coeffs = np.zeros(len(ids))
+    for k, fid in enumerate(ids):
+        f = dep.faps[fid]
+        if cochannel(plan, ref.allocation, region, f.allocation):
+            d = float(np.linalg.norm(f.position - ue))
+            coeffs[k] = (f.tx_power * params.p0_femto * d ** (-params.eta_femto_interf)
+                         * params.wall_attenuation)
+    return coeffs
+
+
+class TestCochannelLookup:
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_bit_identical_to_the_per_neighbor_loop(self, scheme):
+        from femtosim import son
+        from femtosim.topology import neighbor_graph
+
+        dep, plan = _dense_setup(scheme, n_faps=3000)
+        if scheme is Scheme.DYNAMIC_REUSE:
+            son.configure_frequencies(dep, neighbor_graph(dep, 100.0), plan)
+        for f in dep.faps:  # powers as SON leaves them, read from each FAP's row
+            f.tx_power = 0.002 + 1e-6 * f.id
+        params = PropagationParams(walls_between_femtos=2)
+        for fid in (0, 5, 17):
+            ref = dep.faps[fid]
+            for region in UeRegion:
+                ue = ref.position + np.array([3.0, -4.0])
+                _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, region, params)
+                expected = _loop_coefficients(dep, ref, ue, plan, region, params)
+                assert coeffs.tobytes() == expected.tobytes()
+                assert np.any(coeffs > 0.0)
+
+    def test_neighbor_without_allocation_rejected(self):
+        dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
+        dep.faps[1].allocation = None
+        ref = dep.faps[0]
+        with pytest.raises(ValueError, match="FAP 1 has no allocation"):
+            link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
+                              PropagationParams())
+
+    def test_allocation_outside_the_plan_rejected_as_cochannel_does(self):
+        # an edge color under a plan without edge bands
+        dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
+        alloc = dep.faps[1].allocation
+        dep.faps[1].allocation = FemtoAllocation(alloc.center, EdgeChoice.Y, alloc.sector_index)
+        ref = dep.faps[0]
+        with pytest.raises(ValueError, match="no edge bands"):
+            link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
+                              PropagationParams())

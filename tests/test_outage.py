@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from femtosim import outage, son
+from femtosim import cli, outage, son
 from femtosim.channel import PropagationParams, link_coefficients
+from femtosim.config import ExperimentConfig, apply_overrides
 from femtosim.outage import (
     OutageConfig,
     SweepRow,
@@ -20,7 +21,6 @@ from femtosim.outage import (
     estimate,
     log_phi,
     nearest_fap_angle,
-    prepare_deployment,
     sweep_csv_lines,
 )
 from femtosim.spectrum import Band, EdgeChoice, Scheme, build_plan
@@ -31,6 +31,7 @@ from femtosim.topology import (
     Scenario,
     apply_plan,
     generate,
+    neighbor_graph,
     sector_of,
 )
 
@@ -129,6 +130,14 @@ class TestLogPhi:
         for i in range(0, len(self.A), 97):
             assert log_phi(self.A[i:i + 1])[0] == whole[i]
             assert log_phi(self.A[i:i + 7])[0] == whole[i]
+
+
+def _prepared(scheme, plan, dep_params, seed):
+    """A generated deployment under ``plan``, SON-colored for dynamic re-use."""
+    dep = apply_plan(generate(Scenario.D, dep_params, seed), plan)
+    if scheme is Scheme.DYNAMIC_REUSE:
+        son.configure_frequencies(dep, neighbor_graph(dep, dep_params.neighbor_radius_m), plan)
+    return dep
 
 
 def _dense(scheme, seed=42, n_faps=1000):
@@ -281,7 +290,7 @@ class TestExactOutage:
 
     def test_matches_scipy_product_after_son_coloring(self):
         plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        dep = prepare_deployment(Scheme.DYNAMIC_REUSE, plan, DeploymentParams(n_faps=3000), 7)
+        dep = _prepared(Scheme.DYNAMIC_REUSE, plan, DeploymentParams(n_faps=3000), 7)
         cfg = OutageConfig(n_trials=10)
         est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=1, ue_angle=1.0)
         expected = _scipy_outage(dep, plan, cfg, 1.0)
@@ -312,15 +321,13 @@ class TestExactOutage:
 
 class TestSchemeOrdering:
     def test_fig5_ordering(self):
-        from femtosim.outage import prepare_deployment
-
         params = PropagationParams()
         cfg = OutageConfig(n_trials=50_000)
         results = {}
         for scheme in Scheme:
             frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
             plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
-            dep = prepare_deployment(scheme, plan, DeploymentParams(n_faps=1000), seed=42)
+            dep = _prepared(scheme, plan, DeploymentParams(n_faps=1000), seed=42)
             results[scheme] = estimate(dep, 0, plan, cfg, params, seed=7)
         assert results[Scheme.DYNAMIC_REUSE].p_out_closed < results[Scheme.DEDICATED].p_out_closed
         assert results[Scheme.DEDICATED].p_out_closed < results[Scheme.SAME].p_out_closed
@@ -429,7 +436,7 @@ class TestSweepGrowth:
         dep_seq, _, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
         dep_seed = int(dep_seq.generate_state(1)[0])
         full = generate(Scenario.D, DeploymentParams(n_faps=densities[-1]), dep_seed)
-        start = prepare_deployment(
+        start = _prepared(
             Scheme.DYNAMIC_REUSE, plan, DeploymentParams(n_faps=densities[0]), dep_seed
         )
         ref = copy.deepcopy(start)
@@ -456,3 +463,164 @@ class TestSweepGrowth:
             near = np.flatnonzero(np.linalg.norm(pos[:i] - pos[i], axis=1) <= radius)
             counts = [sum(colors[j] is c for j in near) for c in order]
             assert colors[i] is order[counts.index(min(counts))]
+
+
+def _reference_run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
+    """One shard of Monte Carlo trials; returns the outage count."""
+    rng = np.random.default_rng(seed_seq)
+    k = len(coeffs)
+    xi = rng.exponential(size=(m, k))
+    z = rng.exponential(size=(m, k))
+    xi_m = rng.exponential(size=m)
+    z_m = rng.exponential(size=m)
+    z0 = rng.exponential(size=m)
+    i_total = (xi * z) @ coeffs + macro_coeff * xi_m * z_m
+    return int(np.count_nonzero(z0 < gamma_linear * i_total / s_bar))
+
+
+def _reference_count(seed, cfg, coeffs, macro_coeff, s_bar):
+    """Outage count of ``estimate``'s shards through the kernel above, which
+    allocates fresh arrays per shard and scales every draw."""
+    _, *shard_seqs = np.random.SeedSequence(seed).spawn(cfg.n_shards + 1)
+    base, extra = divmod(cfg.n_trials, cfg.n_shards)
+    return sum(
+        _reference_run_shard(seq, base + (i < extra), coeffs, macro_coeff, s_bar,
+                             cfg.gamma_linear)
+        for i, seq in enumerate(shard_seqs)
+    )
+
+
+def _count_shards(monkeypatch):
+    """Patch ``outage._run_shard`` to record the size of every shard run."""
+    sizes = []
+    real = outage._run_shard
+
+    def spy(seed_seq, xi, *args):
+        sizes.append(len(xi))
+        return real(seed_seq, xi, *args)
+
+    monkeypatch.setattr(outage, "_run_shard", spy)
+    return sizes
+
+
+LINK_SETS = {
+    "K0": np.zeros(0),
+    "K1-zero": np.zeros(1),
+    "K1": np.array([0.04]),
+    "K10-zero": np.zeros(10),
+    "K10": np.array([0.03, 0.0, 0.01, 0.05, 0.0, 0.02, 0.004, 0.0, 0.06, 0.01]),
+}
+
+
+class TestShardKernel:
+    @pytest.mark.parametrize("macro_coeff", [0.0, 0.02])
+    @pytest.mark.parametrize("name", list(LINK_SETS))
+    def test_counts_equal_the_allocating_kernel(self, monkeypatch, name, macro_coeff):
+        coeffs = LINK_SETS[name]
+        monkeypatch.setattr(
+            outage, "link_coefficients",
+            lambda *args: (list(range(len(coeffs))), coeffs, macro_coeff, 1.0),
+        )
+        sizes = _count_shards(monkeypatch)
+        dep, plan = _dense(Scheme.SAME, n_faps=10)
+        interfered = bool(np.any(coeffs > 0) or macro_coeff > 0)
+        for n_trials in (1, 15, 16, 2001):
+            for n_shards in (1, 3, 16):
+                cfg = OutageConfig(n_trials=n_trials, n_shards=n_shards)
+                count = _reference_count(11, cfg, coeffs, macro_coeff, 1.0)
+                assert (count > 0) is interfered or n_trials < 2001
+                for n_workers in (1, 2, 3, 17):
+                    sizes.clear()
+                    est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=11,
+                                   n_workers=n_workers)
+                    assert est.p_out_mc == count / n_trials
+                    # every shard ran once, or none when nothing interferes
+                    assert sorted(sizes) == (
+                        sorted(n_trials // n_shards + (i < n_trials % n_shards)
+                               for i in range(n_shards))
+                        if interfered else []
+                    )
+
+    def _assert_no_draws(self, monkeypatch, dep, plan):
+        sizes = _count_shards(monkeypatch)
+        cfg = OutageConfig(n_trials=5000)
+        est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=3)
+        assert sizes == []
+        assert est.p_out_mc == 0.0
+        assert est.p_out_closed == 0.0 and math.copysign(1.0, est.p_out_closed) == 1.0
+
+    def test_zero_neighbor_fap_draws_nothing(self, monkeypatch):
+        dep, plan = _pair(Scheme.DEDICATED, np.array([-900.0, 0.0]))
+        ids, _, macro_coeff, _ = link_coefficients(
+            dep, dep.faps[0], dep.faps[0].position + [5.0, 0.0], plan, OutageConfig().ue_region,
+            PropagationParams(),
+        )
+        assert ids == [] and macro_coeff == 0.0
+        self._assert_no_draws(monkeypatch, dep, plan)
+
+    def test_fap_without_cochannel_interferers_draws_nothing(self, monkeypatch):
+        # dynamic re-use: a same-sector neighbor 30 m away on another edge
+        # color, and no macro overlap
+        dep, plan = _pair(Scheme.DYNAMIC_REUSE, np.array([230.0, 0.0]))
+        dep.assign(plan, np.array([1, 2]))  # edge colors X and Y
+        ids, coeffs, macro_coeff, _ = link_coefficients(
+            dep, dep.faps[0], dep.faps[0].position + [5.0, 0.0], plan, OutageConfig().ue_region,
+            PropagationParams(),
+        )
+        assert ids == [1] and coeffs.tolist() == [0.0] and macro_coeff == 0.0
+        self._assert_no_draws(monkeypatch, dep, plan)
+
+
+class TestSharedEstimates:
+    CFG = OutageConfig(n_trials=64, n_shards=4)
+
+    def test_partial_and_same_share_one_monte_carlo_run(self, monkeypatch):
+        sizes = _count_shards(monkeypatch)
+        rows = density_sweep([1000], list(Scheme), self.CFG, PropagationParams(), seed=1)
+        assert all(r.estimate.p_out_closed > 0.0 for r in rows)  # none skips its shards
+        assert len(sizes) == 3 * self.CFG.n_shards
+        by_scheme = {r.scheme: r.estimate for r in rows}
+        assert by_scheme[Scheme.PARTIAL] == by_scheme[Scheme.SAME]
+        # equal to the estimate of a sweep that has the scheme alone
+        for scheme in (Scheme.PARTIAL, Scheme.SAME):
+            alone = density_sweep([1000], [scheme], self.CFG, PropagationParams(), seed=1)
+            assert alone[0].estimate == by_scheme[scheme]
+
+        sizes.clear()
+        assert density_sweep([1000], list(Scheme), self.CFG, PropagationParams(), seed=1) == rows
+        assert len(sizes) == 3 * self.CFG.n_shards  # nothing kept from the first call
+
+    def test_only_an_identical_link_set_is_shared(self, monkeypatch):
+        # the same coefficients on other neighbors meet other fading draws
+        links = [([0.04, 0.0], 0.0, 1.0), ([0.0, 0.04], 0.0, 1.0), ([0.04, 0.0], 0.02, 1.0),
+                 ([0.04, 0.0], 0.0, 2.0), ([0.04, 0.0], 0.0, 1.0)]
+        dep, plan = _dense(Scheme.SAME, n_faps=10)
+        cfg, params = OutageConfig(n_trials=2001), PropagationParams()
+        shared = {}
+        results = []
+        for coeffs, macro_coeff, s_bar in links:
+            link = (list(range(len(coeffs))), np.array(coeffs), macro_coeff, s_bar)
+            monkeypatch.setattr(outage, "link_coefficients", lambda *args: link)
+            alone = estimate(dep, 0, plan, cfg, params, seed=4)
+            results.append(estimate(dep, 0, plan, cfg, params, seed=4, shared=shared))
+            assert results[-1] == alone
+        assert len(shared) == 4 and results[4] is results[0]
+        assert len({r.p_out_mc for r in results}) == 4
+
+    def test_nothing_shared_across_densities(self, monkeypatch):
+        sizes = _count_shards(monkeypatch)
+        rows = density_sweep([500, 1000], list(Scheme), self.CFG, PropagationParams(), seed=3)
+        assert all(r.estimate.p_out_closed > 0.0 for r in rows)  # none skips its shards
+        assert len(sizes) == 2 * 3 * self.CFG.n_shards
+
+    def test_repeated_run_experiment_runs_every_shard(self, monkeypatch, tmp_path):
+        sizes = _count_shards(monkeypatch)
+        cfg = apply_overrides(
+            ExperimentConfig(), ["n_faps=1000", "n_trials=64", f"out={tmp_path / 'fig5.csv'}"]
+        )
+        counts = []
+        for _ in range(2):
+            sizes.clear()
+            cli.run_experiment(cfg, "fig5", 1)
+            counts.append(len(sizes))
+        assert counts == [3 * cfg.n_shards] * 2

@@ -201,6 +201,14 @@ class TestConfigureFrequencies:
         assert colored >= 2 / 3
         assert colored > baseline
 
+    def test_noncochannel_fraction_rejects_unallocated_pairs(self):
+        dep = _deployment_from_layout([(200, 0), (230, 0)])
+        apply_plan(dep, PLAN)
+        graph = _graph(dep)
+        dep.faps[1].allocation = None
+        with pytest.raises(ValueError, match="allocation"):
+            noncochannel_fraction(dep, graph, PLAN)
+
 
 def _reference_configure_frequencies(deployment, adjacency, plan, log=None):
     """The dict-of-sets greedy coloring that the CSR one replaced, kept

@@ -16,6 +16,7 @@ from femtosim.spectrum import (
     base_allocation,
     build_plan,
     cochannel,
+    cochannel_table,
     split_band,
 )
 
@@ -235,3 +236,50 @@ class TestCochannel:
             zeros += 1 - cochannel(plan, a, UeRegion.EDGE, b)
         p = 2 / 3
         assert abs(zeros / n - p) < 3 * np.sqrt(p * (1 - p) / n)
+
+
+def _all_allocations(total):
+    """None, then every (center, edge, sector) allocation of every scheme's
+    plan over ``total``, plus ones in a sector no plan has."""
+    allocations = [None]
+    for scheme in Scheme:
+        frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
+        plan = build_plan(scheme, total, 3, femto_fraction=frac)
+        for s, center in enumerate(plan.center_band_per_sector):
+            for choice in EdgeChoice:
+                allocations.append(FemtoAllocation(center, choice, s))
+    allocations += [FemtoAllocation(total, choice, 3) for choice in EdgeChoice]
+    return list(dict.fromkeys(allocations))
+
+
+class TestCochannelTable:
+    @pytest.mark.parametrize("total", [TOTAL, Band(10**20, 10**20 + 60 * MHZ)],
+                             ids=["60MHz", "beyond-int64"])
+    def test_matches_cochannel_and_flags_its_failures(self, total):
+        allocations = _all_allocations(total)
+        for scheme in Scheme:
+            frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
+            plan = build_plan(scheme, total, 3, femto_fraction=frac)
+            for region in UeRegion:
+                table = cochannel_table(plan, allocations, region)
+                assert table.shape == (len(allocations),) * 2 and table.dtype == np.int8
+                for a, ref in enumerate(allocations):
+                    for b, other in enumerate(allocations):
+                        if ref is None or other is None:
+                            assert table[a, b] == -1
+                            continue
+                        try:
+                            expected = cochannel(plan, ref, region, other)
+                        except (ValueError, IndexError):
+                            expected = -1
+                        assert table[a, b] == expected, (scheme, region, ref, other)
+
+    def test_empty_list(self):
+        plan = build_plan(Scheme.SAME, TOTAL, 3)
+        assert cochannel_table(plan, [], UeRegion.EDGE).shape == (0, 0)
+        assert cochannel_table(plan, [None], UeRegion.EDGE).tolist() == [[-1]]
+
+    def test_every_value_occurs(self):
+        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
+        table = cochannel_table(plan, _all_allocations(TOTAL), UeRegion.EDGE)
+        assert set(np.unique(table).tolist()) == {-1, 0, 1}
