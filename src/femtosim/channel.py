@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel, cochannel_table
+from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel, cochannel_row
 from .topology import Deployment, Fap
 
 __all__ = [
@@ -87,20 +87,20 @@ def link_coefficients(
     coefficient is P_T * P0f * d_i^(-eta2) * wall_attenuation * X_i (exactly
     0.0 for non-co-channel neighbors), the macro coefficient carries the Y
     flag the same way, and distances are measured from the UE position.
+    Raises ValueError when a FAP has no allocation or ``plan`` is not the
+    deployment's.
     """
-    if reference_fap.allocation is None:
+    alloc_ref = reference_fap.allocation
+    if alloc_ref is None:
         raise ValueError("reference FAP has no allocation; apply a plan first")
+    deployment.check_plan(plan)
     ue = np.asarray(ue_position, dtype=float)
     ids = neighbor_ids(deployment, reference_fap)
-    codes = deployment.codes()
-    allocations = deployment.allocations()
-    # the X flag depends only on the two allocation codes
-    x = cochannel_table(plan, allocations, ue_region)[codes[reference_fap.id], codes[ids]]
-    if np.any(x < 0):  # an allocation is missing or does not fit the plan
-        for fid in ids:
-            if allocations[codes[fid]] is None:
-                raise ValueError(f"FAP {fid} has no allocation; apply a plan first")
-            cochannel(plan, reference_fap.allocation, ue_region, allocations[codes[fid]])
+    edges = deployment.edges()[ids]
+    if np.any(edges < 0):
+        raise ValueError(f"FAP {ids[np.argmin(edges)]} has no allocation; apply a plan first")
+    # the X flag depends only on the neighbor's sector and edge index
+    x = cochannel_row(plan, alloc_ref, ue_region)[deployment.sectors()[ids], edges]
     positions, tx_powers = deployment.positions(), deployment.tx_powers()
     coeffs = np.zeros(len(ids))
     for k in np.flatnonzero(x).tolist():
@@ -113,12 +113,7 @@ def link_coefficients(
         )
     macro_coeff = 0.0
     if deployment.macro is not None:
-        y = cochannel(
-            plan,
-            reference_fap.allocation,
-            ue_region,
-            MacroSector(reference_fap.sector_index),
-        )
+        y = cochannel(plan, alloc_ref, ue_region, MacroSector(reference_fap.sector_index))
         if y:
             d_m = float(np.linalg.norm(deployment.macro.position - ue))
             macro_coeff = (

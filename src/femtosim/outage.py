@@ -332,9 +332,7 @@ def density_sweep(
                 for p in full.positions()[grown]:
                     son.admit_fap(dep, p, plans[scheme], radius_graph)
             else:
-                sectors = full.sectors()[grown]
-                dep.extend(full.positions()[grown], sectors,
-                           dep.allocation_codes(plans[scheme])[sectors, 0])
+                dep.extend(full.positions()[grown], full.sectors()[grown], 0)
             est = estimate(
                 dep, 0, plans[scheme], config, params, trial_seed, n_workers,
                 ue_angle=ue_angle, shared=shared,

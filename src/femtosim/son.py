@@ -198,15 +198,17 @@ def noncochannel_fraction(
 ) -> float:
     """Fraction of ordered neighbor pairs whose interference indicator is 0,
     i.e. how often a neighbor does not reach the reference UE's band.  Raises
-    ValueError when a FAP of a pair has no allocation or one outside the plan."""
+    ValueError when ``plan`` is not the deployment's or a FAP of a pair has
+    no allocation."""
+    deployment.check_plan(plan)
     if not len(graph.indices):
         return 1.0
-    codes = deployment.codes()
-    x = cochannel_table(plan, deployment.allocations(), ue_region)[
-        codes[graph.rows()], codes[graph.indices]
-    ]
-    if np.any(x < 0):
-        raise ValueError("a neighbor pair has an allocation that is missing or not in the plan")
+    edges, sectors = deployment.edges(), deployment.sectors()
+    # every FAP of a pair is some row's neighbor
+    if np.any(edges[graph.indices] < 0):
+        raise ValueError("a FAP of a neighbor pair has no allocation")
+    rows, cols = graph.rows(), graph.indices
+    x = cochannel_table(plan, ue_region)[sectors[rows], edges[rows], sectors[cols], edges[cols]]
     return int(np.count_nonzero(x == 0)) / len(graph.indices)
 
 
@@ -299,15 +301,21 @@ def admit_fap(
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
     pick an edge color absent among them (else their minority color; ties go
     to the first of ``EDGE_COLORS``), and append the FAP without touching
-    existing colors.  The sniff reads only the cells around the position."""
+    existing colors.  The sniff reads only the cells around the position.
+    Raises ValueError when ``plan`` has no edge bands or is not the
+    deployment's."""
+    if not plan.has_edge_bands:
+        raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
+    deployment.check_plan(plan)
     pos = np.asarray(position, dtype=float)
     _check_in_macro_disc(deployment, pos)
     sector = sector_of(deployment.macro, pos)
     sniffed = deployment.near(pos, graph.neighbor_radius)
-    counts = np.bincount(deployment.edge_indices(sniffed), minlength=4)[1:]
+    # counts of edge indices -1..3 over the sniffed FAPs, kept for 1-3
+    counts = np.bincount(deployment.edges()[sniffed] + 1, minlength=5)[2:]
     k = int(np.argmin(counts))  # the first absent color, if one is
     new_id = len(deployment.faps)
-    deployment.extend(pos, [sector], deployment.allocation_codes(plan)[sector, k + 1])
+    deployment.extend(pos, [sector], k + 1)
 
     local_log = log if log is not None else SonEventLog()
     events = [

@@ -32,9 +32,9 @@ __all__ = [
     "UeRegion",
     "active_band",
     "bands_for_femto",
-    "base_allocation",
     "build_plan",
     "cochannel",
+    "cochannel_row",
     "cochannel_table",
     "split_band",
 ]
@@ -138,6 +138,18 @@ class FrequencyPlan:
     @property
     def n_sectors(self) -> int:
         return len(self.macro_sector_bands)
+
+    @property
+    def has_edge_bands(self) -> bool:
+        return all(self.edge_bands_per_sector)
+
+    def allocations(self) -> tuple[tuple[FemtoAllocation, ...], ...]:
+        """The plan's own allocations: [s][e] is sector s's center band with
+        edge index e, 0 for no edge band and 1-3 for the ``EDGE_COLORS``; a
+        plan without edge bands has e = 0 only."""
+        edges = tuple(EdgeChoice) if self.has_edge_bands else (EdgeChoice.NONE,)
+        return tuple(tuple(FemtoAllocation(center, e, s) for e in edges)
+                     for s, center in enumerate(self.center_band_per_sector))
 
     def edge_band(self, sector_index: int, choice: EdgeChoice) -> Band | None:
         if choice is EdgeChoice.NONE:
@@ -249,17 +261,6 @@ def build_plan(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def base_allocation(plan: FrequencyPlan, sector_index: int) -> FemtoAllocation:
-    """Allocation of a femtocell before any edge band has been assigned."""
-    if not 0 <= sector_index < plan.n_sectors:
-        raise ValueError(f"sector index {sector_index} out of range")
-    return FemtoAllocation(
-        center=plan.center_band_per_sector[sector_index],
-        edge_choice=EdgeChoice.NONE,
-        sector_index=sector_index,
-    )
-
-
 def bands_for_femto(plan: FrequencyPlan, alloc: FemtoAllocation) -> frozenset[Band]:
     """All bands the femtocell transmits on under this plan."""
     if not 0 <= alloc.sector_index < plan.n_sectors:
@@ -302,43 +303,18 @@ def cochannel(
     return int(any(serving.intersects(b) for b in bands_for_femto(plan, other)))
 
 
-def _fitting(build, plan: FrequencyPlan, alloc: FemtoAllocation | None, *args):
-    """``build(plan, alloc, *args)``, or None where ``alloc`` is None or does
-    not fit the plan."""
-    if alloc is None:
-        return None
-    try:
-        return build(plan, alloc, *args)
-    except (ValueError, IndexError):
-        return None
-
-
-def cochannel_table(
-    plan: FrequencyPlan,
-    allocations: list[FemtoAllocation | None],
-    ue_region: UeRegion,
+def cochannel_row(
+    plan: FrequencyPlan, alloc_ref: FemtoAllocation, ue_region: UeRegion
 ) -> np.ndarray:
-    """(n, n) int8 table of the femto co-channel indicator over a list of
-    allocations, such as ``Deployment.allocations()`` indexed by allocation
-    code: entry [a, b] is ``cochannel(plan, allocations[a], ue_region,
-    allocations[b])``, or -1 where that call fails because an allocation is
-    None or does not fit the plan."""
-    serving = [_fitting(active_band, plan, a, ue_region) for a in allocations]
-    sending = [_fitting(bands_for_femto, plan, a) or () for a in allocations]
-    # intersection only compares band edges, so each edge is replaced by its
-    # rank among all edges: small ints whatever the Hz values
-    bands = [b for b in serving if b is not None] + [b for bs in sending for b in bs]
-    rank = {e: i for i, e in enumerate(sorted({e for b in bands for e in (b.lower, b.upper)}))}
-    # [lower, upper) rank pairs, up to two sent bands per allocation; the
-    # empty (0, 0) intersects no band
-    serve = np.array(
-        [(0, 0) if b is None else (rank[b.lower], rank[b.upper]) for b in serving], dtype=np.intp
-    ).reshape(-1, 2)
-    send = np.array([
-        [(rank[b.lower], rank[b.upper]) for b in bs] + [(0, 0)] * (2 - len(bs)) for bs in sending
-    ], dtype=np.intp).reshape(-1, 2, 2)
-    lo, hi = serve[:, None, None, 0], serve[:, None, None, 1]
-    table = ((lo < send[:, :, 1]) & (send[:, :, 0] < hi)).any(axis=2).astype(np.int8)
-    table[np.array([b is None for b in serving], dtype=bool)] = -1
-    table[:, np.array([not bs for bs in sending], dtype=bool)] = -1
-    return table
+    """(S, E) int8 femto co-channel indicator of ``alloc_ref`` against each of
+    the plan's allocations (``FrequencyPlan.allocations``): entry [s, e] is
+    ``cochannel(plan, alloc_ref, ue_region, plan.allocations()[s][e])``."""
+    return np.array([[cochannel(plan, alloc_ref, ue_region, other) for other in sector]
+                     for sector in plan.allocations()], dtype=np.int8)
+
+
+def cochannel_table(plan: FrequencyPlan, ue_region: UeRegion) -> np.ndarray:
+    """(S, E, S, E) int8 femto co-channel indicator over the plan's own
+    allocations: entry [s, e] is ``cochannel_row`` of allocation [s][e]."""
+    return np.array([[cochannel_row(plan, ref, ue_region) for ref in sector]
+                     for sector in plan.allocations()], dtype=np.int8)

@@ -8,9 +8,13 @@ configured distance from the macro BS on the +x axis; all other positions are
 random.  Distances are 2-D horizontal.
 
 A deployment stores its FAPs as arrays, row i being FAP i: position, sector,
-tx power, radius, and the allocation as a small int code into a table of
-interned ``FemtoAllocation`` objects.  ``Deployment.faps`` is a sequence of
-``Fap`` views that read and write those rows.  FAPs join only at the end
+tx power, radius and an int8 edge index.  Under dynamic re-use a FAP sends on
+its sector's center band plus at most one of three edge bands, so with the
+deployment's one bound ``plan`` the edge index is its whole allocation: -1
+none, 0 the center band alone, 1-3 the center band plus that edge color of
+``EDGE_COLORS``.  ``Fap.allocation`` builds the ``FemtoAllocation`` from the
+plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
+and write those rows.  FAPs join only at the end
 (``append``/``extend``) and a position never changes, so the deployment also
 keeps an incremental cell index over its positions; ``near`` answers a radius
 query from the 3x3 cells around a point, in O(degree).
@@ -80,18 +84,18 @@ class Fap:
     ``tx_power``, ``radius`` or ``allocation`` writes that row, so every later
     read sees it; ``position`` and ``sector_index`` are fixed once built.
 
-    ``Fap(id, position, ...)`` builds a detached FAP, row 0 of a one-FAP
-    deployment of its own, to hand to ``Deployment.append``."""
+    ``Fap(id, position, ...)`` builds a detached FAP without an allocation,
+    row 0 of a one-FAP deployment of its own, to hand to
+    ``Deployment.append``."""
 
     __slots__ = ("id", "_dep", "_row")
 
-    def __init__(self, id: int, position, tx_power: float, radius: float,
-                 sector_index: int, allocation: FemtoAllocation | None = None):
+    def __init__(self, id: int, position, tx_power: float, radius: float, sector_index: int):
         position = np.asarray(position, dtype=float)
         if position.shape != (2,):
             raise ValueError(f"a FAP position is an (x, y) pair, got shape {position.shape}")
         dep = Deployment(None, (), DeploymentParams(n_faps=1))
-        dep._append(position[None], sector_index, tx_power, radius, dep._intern(allocation))
+        dep._append(position[None], sector_index, tx_power, radius, -1)
         self.id, self._dep, self._row = id, dep, 0
 
     @classmethod
@@ -132,11 +136,26 @@ class Fap:
 
     @property
     def allocation(self) -> FemtoAllocation | None:
-        return self._dep._allocations[self._dep._code[self._row]]
+        """The sector's center band under the deployment's plan with the
+        FAP's edge color, or None."""
+        dep, edge = self._dep, self._dep._edge[self._row]
+        if edge < 0:
+            return None
+        s = self.sector_index
+        return FemtoAllocation(dep.plan.center_band_per_sector[s], _EDGES[edge], s)
 
     @allocation.setter
     def allocation(self, value: FemtoAllocation | None) -> None:
-        self._dep._code[self._row] = self._dep._intern(value)
+        """None, or one of this FAP's sector's allocations under the plan."""
+        dep, s = self._dep, self.sector_index
+        if value is None:
+            dep._edge[self._row] = -1
+        elif dep.plan is None or value != FemtoAllocation(
+                dep.plan.center_band_per_sector[s], value.edge_choice, s):
+            raise ValueError(f"FAP {self.id} takes only a sector-{s} allocation of the"
+                             " deployment's plan")
+        else:
+            dep.assign(dep.plan, _EDGES.index(value.edge_choice), [self._row])
 
     def __repr__(self) -> str:
         return (f"Fap(id={self.id}, position={self.position.tolist()}, "
@@ -271,8 +290,8 @@ def _cell_key(x: float, y: float, side: float) -> int:
 class Deployment:
     """FAPs of one deployment as arrays, row i being FAP i.  FAPs join only
     through ``append``/``extend``, and the arrays are grown by doubling, never
-    rebuilt.  The allocation is a code into a table of interned allocations
-    (code 0 is no allocation; equal allocations share one code)."""
+    rebuilt.  A FAP's allocation is its edge index under ``plan``, which
+    ``assign`` binds when it writes every FAP."""
 
     def __init__(self, macro: MacroBs | None, faps, params: DeploymentParams):
         self.macro = macro
@@ -282,12 +301,8 @@ class Deployment:
         self._sector = np.empty(0, dtype=np.int64)
         self._tx_power = np.empty(0)
         self._radius = np.empty(0)
-        self._code = np.empty(0, dtype=np.int32)
-        self._allocations: list[FemtoAllocation | None] = [None]
-        self._code_of: dict[FemtoAllocation | None, int] = {None: 0}
-        self._edge_of_code = np.zeros(1, dtype=np.int8)
-        self._plan: FrequencyPlan | None = None  # allocation_codes' last plan
-        self._plan_codes: np.ndarray | None = None
+        self._edge = np.empty(0, dtype=np.int8)
+        self.plan: FrequencyPlan | None = None
         self._cell_side = _cell_side(params.neighbor_radius_m)
         self._cells: dict[int, list[int]] = {}
         for fap in faps:
@@ -298,25 +313,28 @@ class Deployment:
         return _FapList(self)
 
     def append(self, fap: Fap) -> None:
-        """Copy ``fap`` into the next row; its id must equal that row."""
+        """Copy ``fap`` into the next row; its id must equal that row, and it
+        joins without an allocation (``assign`` gives it one)."""
         if fap.id != self._n:
             raise ValueError(f"FAP id {fap.id} is not the next row {self._n}")
-        self._append(fap.position[None], fap.sector_index, fap.tx_power, fap.radius,
-                     self._intern(fap.allocation))
+        if fap.allocation is not None:
+            raise ValueError(f"FAP {fap.id} must join without an allocation")
+        self._append(fap.position[None], fap.sector_index, fap.tx_power, fap.radius, -1)
 
-    def extend(self, positions, sectors, codes=0) -> None:
+    def extend(self, positions, sectors, edges=-1) -> None:
         """Append one FAP per row of ``positions`` with the given sectors and
-        allocation codes (see ``allocation_codes``; 0 is no allocation), at
-        the deployment's default tx power and radius."""
+        edge indices (see ``edges``; -1, the default, is no allocation), at the
+        deployment's default tx power and radius.  Unchecked: the sectors and
+        edges are the caller's to fit ``plan``."""
         positions = np.asarray(positions, dtype=float).reshape(-1, 2)
         p = self.params
-        self._append(positions, sectors, p.fap_tx_power_w, p.femto_radius_m, codes)
+        self._append(positions, sectors, p.fap_tx_power_w, p.femto_radius_m, edges)
 
-    def _append(self, positions, sectors, tx_power, radius, codes) -> None:
+    def _append(self, positions, sectors, tx_power, radius, edges) -> None:
         n, m = self._n, len(positions)
         if n + m > len(self._pos):
             capacity = max(2 * len(self._pos), n + m, 16)
-            for name in ("_pos", "_sector", "_tx_power", "_radius", "_code"):
+            for name in ("_pos", "_sector", "_tx_power", "_radius", "_edge"):
                 old = getattr(self, name)
                 grown = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
                 grown[:n] = old[:n]
@@ -326,7 +344,7 @@ class Deployment:
         self._sector[rows] = sectors
         self._tx_power[rows] = tx_power
         self._radius[rows] = radius
-        self._code[rows] = codes
+        self._edge[rows] = edges
         self._n = n + m
         cells, side = self._cells, self._cell_side
         for i, (x, y) in enumerate(positions.tolist(), n):
@@ -336,15 +354,6 @@ class Deployment:
                 cells[key] = [i]
             else:
                 cell.append(i)
-
-    def _intern(self, allocation: FemtoAllocation | None) -> int:
-        code = self._code_of.get(allocation)
-        if code is None:
-            code = self._code_of[allocation] = len(self._allocations)
-            self._allocations.append(allocation)
-            edge = _EDGES.index(allocation.edge_choice)
-            self._edge_of_code = np.append(self._edge_of_code, np.int8(edge))
-        return code
 
     def positions(self) -> np.ndarray:
         """(N, 2) read-only view of the FAP positions; row i is FAP i."""
@@ -358,13 +367,10 @@ class Deployment:
         """(N,) read-only view of the FAP tx powers (W)."""
         return self._view(self._tx_power)
 
-    def codes(self) -> np.ndarray:
-        """(N,) read-only view of the FAP allocation codes."""
-        return self._view(self._code)
-
-    def allocations(self) -> list[FemtoAllocation | None]:
-        """The allocation of each code; code 0 is None (no allocation)."""
-        return list(self._allocations)
+    def edges(self) -> np.ndarray:
+        """(N,) read-only view of the FAP edge indices: -1 no allocation, 0 no
+        edge band, 1-3 the ``EDGE_COLORS``."""
+        return self._view(self._edge)
 
     def _view(self, column: np.ndarray) -> np.ndarray:
         view = column[: self._n]
@@ -396,31 +402,31 @@ class Deployment:
         ids.sort()
         return ids
 
-    def edge_indices(self, ids) -> np.ndarray:
-        """Edge index of FAPs ``ids``: 0 for no edge band (or no allocation),
-        1-3 for the ``EDGE_COLORS``."""
-        return self._edge_of_code[self._code[ids]]
+    def check_plan(self, plan: FrequencyPlan) -> None:
+        """Raise ValueError unless ``plan`` equals the deployment's plan."""
+        if plan is not self.plan and plan != self.plan:
+            raise ValueError(f"the {plan.scheme.value} plan is not the deployment's;"
+                             " apply it to every FAP first")
 
-    def allocation_codes(self, plan: FrequencyPlan) -> np.ndarray:
-        """(n_sectors, 4) codes of ``plan``'s allocations: entry [s, e] is
-        sector s's center band with edge index e (0 none, 1-3 X, Y, Z)."""
-        if plan is not self._plan:
-            self._plan_codes = np.array([
-                [self._intern(FemtoAllocation(center, edge, s)) for edge in _EDGES]
-                for s, center in enumerate(plan.center_band_per_sector)
-            ], dtype=np.int32)
-            self._plan = plan
-        return self._plan_codes
-
-    def assign(self, plan: FrequencyPlan, edges, ids=slice(None)) -> None:
-        """Give FAPs ``ids`` (default all) their sector's allocation under
-        ``plan`` with edge index ``edges`` (scalar or per FAP)."""
-        codes = self.allocation_codes(plan)
-        n = self._n
-        sectors = self._sector[:n][ids]
+    def assign(self, plan: FrequencyPlan, edges, ids=None) -> None:
+        """Give FAPs ``ids`` their sector's allocation under ``plan`` with edge
+        index ``edges`` (scalar or per FAP; 0 no edge band, 1-3 the
+        ``EDGE_COLORS``).  Writing every FAP (``ids`` None) binds ``plan``;
+        writing some needs it bound already."""
+        if ids is not None:
+            self.check_plan(plan)
+        rows = slice(None) if ids is None else ids
+        sectors = self._sector[:self._n][rows]
         if np.any(sectors >= plan.n_sectors):
             raise ValueError(f"sector index {sectors.max()} out of range for the plan")
-        self._code[:n][ids] = codes[sectors, edges]
+        edges = np.asarray(edges)
+        if np.any(edges < 0) or np.any(edges >= len(_EDGES)):
+            raise ValueError(f"edge index outside 0-{len(_EDGES) - 1}")
+        if np.any(edges > 0) and not plan.has_edge_bands:
+            raise ValueError(f"{plan.scheme.value} plan has no edge bands")
+        self._edge[:self._n][rows] = edges
+        if ids is None:
+            self.plan = plan
 
 
 def _sectors(macro: MacroBs, points) -> list[int]:
@@ -625,6 +631,6 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
 
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:
-    """Give every FAP its sector's base allocation (center band, no edge)."""
+    """Bind ``plan`` and give every FAP its sector's center band, no edge."""
     deployment.assign(plan, 0)
     return deployment

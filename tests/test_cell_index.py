@@ -212,9 +212,16 @@ def test_allocation_views_write_through():
     apply_plan(dep, PLAN)
     twin = copy.deepcopy(dep)
     fap = dep.faps[3]
-    other = dep.faps[7].allocation
-    fap.allocation = other
-    assert dep.faps[3].allocation == other
+    # a FAP takes only its own sector's allocations
+    same = next(f for f in dep.faps[4:] if f.sector_index == fap.sector_index)
+    elsewhere = next(f for f in dep.faps if f.sector_index != fap.sector_index)
+    dep.assign(PLAN, 2, [same.id, elsewhere.id])
+    fap.allocation = same.allocation
+    assert dep.faps[3].allocation == same.allocation
+    assert dep.edges()[3] == 2
+    with pytest.raises(ValueError, match="sector"):
+        fap.allocation = elsewhere.allocation
+    assert dep.faps[3].allocation == same.allocation
     fap.tx_power *= 0.5
     assert dep.faps[3].tx_power == 0.005
     assert twin.faps[3].tx_power == 0.01  # a deep copy holds its own arrays

@@ -217,12 +217,38 @@ class TestCochannelLookup:
             link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
                               PropagationParams())
 
-    def test_allocation_outside_the_plan_rejected_as_cochannel_does(self):
-        # an edge color under a plan without edge bands
+    def test_neighbor_appended_after_the_plan_rejected(self):
         dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
-        alloc = dep.faps[1].allocation
-        dep.faps[1].allocation = FemtoAllocation(alloc.center, EdgeChoice.Y, alloc.sector_index)
+        position = dep.faps[0].position + np.array([0.0, 40.0])
+        dep.append(Fap(id=2, position=position, tx_power=0.01, radius=10.0,
+                       sector_index=sector_of(dep.macro, position)))
+        assert dep.faps[2].allocation is None
         ref = dep.faps[0]
-        with pytest.raises(ValueError, match="no edge bands"):
+        with pytest.raises(ValueError, match="FAP 2 has no allocation"):
             link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
                               PropagationParams())
+
+    def test_plan_other_than_the_deployments_rejected(self):
+        dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
+        ref, ue = dep.faps[0], dep.faps[0].position + [5.0, 0.0]
+        for other in (build_plan(Scheme.DEDICATED, TOTAL, 3, femto_fraction=1 / 3),
+                      build_plan(Scheme.SAME, Band(0, 30_000_000), 3)):
+            with pytest.raises(ValueError, match="not the deployment's"):
+                link_coefficients(dep, ref, ue, other, UeRegion.EDGE, PropagationParams())
+        equal = build_plan(Scheme.SAME, TOTAL, 3)
+        assert equal is not plan
+        assert link_coefficients(dep, ref, ue, equal, UeRegion.EDGE, PropagationParams())[0] == [1]
+
+    def test_allocation_outside_the_plan_rejected_as_cochannel_does(self):
+        # an edge color under a plan without edge bands: the error cochannel
+        # raises on reading it is raised on writing it
+        dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
+        alloc = dep.faps[1].allocation
+        with pytest.raises(ValueError, match="no edge bands"):
+            cochannel(plan, dep.faps[0].allocation, UeRegion.EDGE,
+                      FemtoAllocation(alloc.center, EdgeChoice.Y, alloc.sector_index))
+        with pytest.raises(ValueError, match="no edge bands"):
+            dep.faps[1].allocation = FemtoAllocation(alloc.center, EdgeChoice.Y, alloc.sector_index)
+        with pytest.raises(ValueError, match="no edge bands"):
+            dep.assign(plan, 2, [1])
+        assert dep.faps[1].allocation == alloc

@@ -1,7 +1,8 @@
 """Package surface: every exported name resolves, no module-level import
 is left unused, the package imports nothing beyond the standard library and
 its declared runtime dependency (numpy), and only topology.py grows a
-deployment's FAP list or sets a FAP position."""
+deployment's FAP list, sets a FAP position or touches a deployment's private
+columns."""
 
 import ast
 import importlib
@@ -134,3 +135,55 @@ def test_growth_guard_flags(snippet):
 def test_growth_guard_allows_append_and_reads():
     source = "dep.append(fap)\nx = dep.faps[0].position\nfaps.append(f)\nlog.append(e)"
     assert _growth_outside_append(source) == []
+
+
+TOPOLOGY = Path(femtosim.__file__).parent / "topology.py"
+
+
+def _private_columns():
+    """Private attributes ``Deployment.__init__`` sets on ``self``: its FAP
+    columns (``_pos``, ``_sector``, ``_edge``, ...) and the index over them."""
+    tree = ast.parse(TOPOLOGY.read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Deployment")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    return {
+        t.attr for n in ast.walk(init) if isinstance(n, (ast.Assign, ast.AnnAssign))
+        for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+        and t.value.id == "self" and t.attr.startswith("_")
+    }
+
+
+def _private_column_reads(source):
+    """Line numbers that touch a private ``Deployment`` attribute."""
+    columns = _private_columns()
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr in columns]
+
+
+def test_private_columns_found():
+    assert {"_pos", "_sector", "_tx_power", "_radius", "_edge", "_n"} <= _private_columns()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(Path(femtosim.__file__).parent.glob("*.py")) if p != TOPOLOGY],
+    ids=lambda p: p.name,
+)
+def test_deployment_columns_read_only_in_topology(path):
+    assert _private_column_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "e = dep._edge[ids]",
+    "deployment._sector[3] = 1",
+    "x = self._dep._pos",
+    "n = f(deployment._n)",
+])
+def test_private_column_guard_flags(snippet):
+    assert _private_column_reads(snippet) == [1]
+
+
+def test_private_column_guard_allows_public_views():
+    source = "e = dep.edges()[ids]\ns = dep.sectors()\np = dep.positions()\nq = dep.plan"
+    assert _private_column_reads(source) == []

@@ -210,6 +210,79 @@ class TestConfigureFrequencies:
             noncochannel_fraction(dep, graph, PLAN)
 
 
+class TestAllocationIsTheEdgeIndexUnderThePlan:
+    """After every pass that writes allocations, each FAP holds its sector's
+    center band under the plan plus the edge color that pass gave it."""
+
+    @staticmethod
+    def _assert_allocations(dep, plan, colors):
+        assert len(colors) == len(dep.faps)
+        for f in dep.faps:
+            s = f.sector_index
+            assert f.allocation == FemtoAllocation(plan.center_band_per_sector[s], colors[f.id], s)
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_apply_plan(self, scheme):
+        frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
+        plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=300), seed=5), plan)
+        assert dep.plan is plan
+        assert {f.sector_index for f in dep.faps} == {0, 1, 2}
+        self._assert_allocations(dep, plan, dict.fromkeys(range(300), EdgeChoice.NONE))
+
+    def test_colorings(self):
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=300), seed=6), PLAN)
+        graph = _graph(dep)
+        rng = np.random.default_rng(1)
+        for coloring in (lambda: configure_frequencies(dep, graph, PLAN),
+                         lambda: assign_uniform_random_colors(dep, graph, PLAN, rng),
+                         lambda: son.assign_shared_edge(dep, graph, PLAN, EdgeChoice.Y)):
+            self._assert_allocations(dep, PLAN, coloring().colors)
+
+    def test_admission_and_replay(self):
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=100), seed=7), PLAN)
+        colors = configure_frequencies(dep, _graph(dep), PLAN).colors
+        pre = copy.deepcopy(dep)
+        log = SonEventLog()
+        full = generate(Scenario.D, DeploymentParams(n_faps=160), seed=7)
+        for p in full.positions()[100:]:
+            admit_fap(dep, p, PLAN, NeighborGraph.radius_only(100.0), log=log)
+        for ev in log.events:
+            if ev.kind is SonEventKind.RECONFIGURE:
+                colors[ev.subject] = EdgeChoice(ev.details["color"])
+        self._assert_allocations(dep, PLAN, colors)
+        # a FAP that joined but was never given a color has none
+        joined = replay(copy.deepcopy(pre), log.events[:1], PLAN)
+        assert joined.faps[100].allocation is None
+        self._assert_allocations(replay(pre, log.events, PLAN), PLAN, colors)
+
+    def test_admission_rejects_a_plan_without_edge_bands(self):
+        same = build_plan(Scheme.SAME, TOTAL, 3)
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=50), seed=3), same)
+        with pytest.raises(ValueError, match="no edge bands"):
+            admit_fap(dep, (500.0, 100.0), same, _graph(dep))
+        assert len(dep.faps) == 50
+
+    def test_admission_rejects_another_plan(self):
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=50), seed=3), PLAN)
+        other = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 30_000_000), 3)
+        with pytest.raises(ValueError, match="not the deployment's"):
+            admit_fap(dep, (500.0, 100.0), other, _graph(dep))
+        assert len(dep.faps) == 50
+        admit_fap(dep, (500.0, 100.0), copy.deepcopy(PLAN), _graph(dep))  # an equal plan
+        assert len(dep.faps) == 51
+
+    def test_noncochannel_fraction_rejects_another_plan(self):
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=300), seed=3), PLAN)
+        graph = _graph(dep)
+        for other in (build_plan(Scheme.SAME, TOTAL, 3),
+                      build_plan(Scheme.DYNAMIC_REUSE, Band(0, 30_000_000), 3)):
+            with pytest.raises(ValueError, match="not the deployment's"):
+                noncochannel_fraction(dep, graph, other)
+        assert noncochannel_fraction(dep, graph, copy.deepcopy(PLAN)) == noncochannel_fraction(
+            dep, graph, PLAN)
+
+
 def _reference_configure_frequencies(deployment, adjacency, plan, log=None):
     """The dict-of-sets greedy coloring that the CSR one replaced, kept
     verbatim as a reference: same order, colors and events expected."""

@@ -13,9 +13,9 @@ from femtosim.spectrum import (
     Scheme,
     UeRegion,
     bands_for_femto,
-    base_allocation,
     build_plan,
     cochannel,
+    cochannel_row,
     cochannel_table,
     split_band,
 )
@@ -144,12 +144,12 @@ class TestBandsForFemto:
 
     def test_center_only(self):
         plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        alloc = base_allocation(plan, 0)
+        alloc = FemtoAllocation(plan.center_band_per_sector[0], EdgeChoice.NONE, 0)
         assert bands_for_femto(plan, alloc) == frozenset({Band(20 * MHZ, 40 * MHZ)})
 
     def test_dedicated_single_band(self):
         plan = build_plan(Scheme.DEDICATED, TOTAL, 3, femto_fraction=1 / 3)
-        alloc = base_allocation(plan, 2)
+        alloc = FemtoAllocation(plan.center_band_per_sector[2], EdgeChoice.NONE, 2)
         assert bands_for_femto(plan, alloc) == frozenset({Band(0, 20 * MHZ)})
 
     def test_sector_out_of_range(self):
@@ -208,8 +208,8 @@ class TestCochannel:
     def test_flat_schemes_always_cochannel(self):
         for scheme, frac in ((Scheme.SAME, None), (Scheme.DEDICATED, 1 / 3), (Scheme.PARTIAL, 1 / 3)):
             plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
-            a = base_allocation(plan, 0)
-            b = base_allocation(plan, 1)
+            a = _alloc(plan, 0, EdgeChoice.NONE)
+            b = _alloc(plan, 1, EdgeChoice.NONE)
             assert cochannel(plan, a, UeRegion.EDGE, b) == 1
 
     @given(
@@ -238,48 +238,36 @@ class TestCochannel:
         assert abs(zeros / n - p) < 3 * np.sqrt(p * (1 - p) / n)
 
 
-def _all_allocations(total):
-    """None, then every (center, edge, sector) allocation of every scheme's
-    plan over ``total``, plus ones in a sector no plan has."""
-    allocations = [None]
-    for scheme in Scheme:
-        frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
-        plan = build_plan(scheme, total, 3, femto_fraction=frac)
-        for s, center in enumerate(plan.center_band_per_sector):
-            for choice in EdgeChoice:
-                allocations.append(FemtoAllocation(center, choice, s))
-    allocations += [FemtoAllocation(total, choice, 3) for choice in EdgeChoice]
-    return list(dict.fromkeys(allocations))
+def _plan_allocations(plan):
+    """Every allocation a FAP can hold under ``plan``, [sector][edge index]:
+    the center band alone, plus one per edge color where the plan has edge
+    bands."""
+    edges = list(EdgeChoice) if plan.scheme is Scheme.DYNAMIC_REUSE else [EdgeChoice.NONE]
+    return [[_alloc(plan, s, e) for e in edges] for s in range(plan.n_sectors)]
 
 
 class TestCochannelTable:
     @pytest.mark.parametrize("total", [TOTAL, Band(10**20, 10**20 + 60 * MHZ)],
                              ids=["60MHz", "beyond-int64"])
-    def test_matches_cochannel_and_flags_its_failures(self, total):
-        allocations = _all_allocations(total)
+    def test_every_entry_is_cochannel_on_the_plans_allocations(self, total):
         for scheme in Scheme:
             frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
             plan = build_plan(scheme, total, 3, femto_fraction=frac)
+            allocations = _plan_allocations(plan)
+            assert [list(a) for a in plan.allocations()] == allocations
+            n_edges = len(allocations[0])
             for region in UeRegion:
-                table = cochannel_table(plan, allocations, region)
-                assert table.shape == (len(allocations),) * 2 and table.dtype == np.int8
-                for a, ref in enumerate(allocations):
-                    for b, other in enumerate(allocations):
-                        if ref is None or other is None:
-                            assert table[a, b] == -1
-                            continue
-                        try:
-                            expected = cochannel(plan, ref, region, other)
-                        except (ValueError, IndexError):
-                            expected = -1
-                        assert table[a, b] == expected, (scheme, region, ref, other)
-
-    def test_empty_list(self):
-        plan = build_plan(Scheme.SAME, TOTAL, 3)
-        assert cochannel_table(plan, [], UeRegion.EDGE).shape == (0, 0)
-        assert cochannel_table(plan, [None], UeRegion.EDGE).tolist() == [[-1]]
+                table = cochannel_table(plan, region)
+                assert table.shape == (3, n_edges, 3, n_edges) and table.dtype == np.int8
+                for s, e in np.ndindex(3, n_edges):
+                    ref = allocations[s][e]
+                    row = cochannel_row(plan, ref, region)
+                    assert row.tolist() == table[s, e].tolist()
+                    for t, f in np.ndindex(3, n_edges):
+                        expected = cochannel(plan, ref, region, allocations[t][f])
+                        assert table[s, e, t, f] == expected, (scheme, region, ref, t, f)
 
     def test_every_value_occurs(self):
         plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        table = cochannel_table(plan, _all_allocations(TOTAL), UeRegion.EDGE)
-        assert set(np.unique(table).tolist()) == {-1, 0, 1}
+        table = cochannel_table(plan, UeRegion.EDGE)
+        assert set(np.unique(table).tolist()) == {0, 1}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, build_plan
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
@@ -16,12 +17,14 @@ from femtosim.topology import (
     MacroBs,
     PlacementError,
     Scenario,
+    apply_plan,
     generate,
     neighbor_graph,
     sector_of,
 )
 
 MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
+PLAN = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 60_000_000), 3)
 
 
 def _adjacency(g):
@@ -262,6 +265,80 @@ class TestDeploymentPositions:
         assert not twin.faps[0].position.flags.writeable
         with pytest.raises(AttributeError):
             twin.faps[0].position = np.zeros(2)
+
+
+class TestAllocationStorage:
+    """A FAP's allocation is its edge index under the deployment's plan."""
+
+    def test_never_assigned_faps_have_no_allocation(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=40), seed=2)
+        assert dep.plan is None
+        assert {f.allocation for f in dep.faps} == {None}
+        assert dep.edges().tolist() == [-1] * 40
+        apply_plan(dep, PLAN)
+        dep.extend([[300.0, 5.0]], [0])
+        dep.append(_fap(41, (0.0, 300.0)))
+        assert dep.faps[40].allocation is None and dep.faps[41].allocation is None
+        assert None not in {f.allocation for f in dep.faps[:40]}
+        with pytest.raises(ValueError):
+            dep.edges()[0] = 1  # a read-only view
+
+    def test_partial_assign_needs_the_bound_plan(self):
+        other = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 30_000_000), 3)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=40), seed=2)
+        with pytest.raises(ValueError, match="not the deployment's"):
+            dep.assign(PLAN, 1, [3])  # no plan bound yet
+        apply_plan(dep, PLAN)
+        with pytest.raises(ValueError, match="not the deployment's"):
+            dep.assign(other, 1, [3])
+        assert dep.edges()[3] == 0
+        dep.assign(copy.deepcopy(PLAN), 1, [3])  # an equal plan is the same plan
+        assert dep.faps[3].allocation.edge_choice is EdgeChoice.X
+        apply_plan(dep, other)  # writing every FAP binds the new plan
+        assert dep.plan is other
+        assert {f.allocation.center for f in dep.faps} <= set(other.center_band_per_sector)
+
+    def test_assign_rejects_edges_outside_the_plan(self):
+        same = build_plan(Scheme.SAME, Band(0, 60_000_000), 3)
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=40), seed=2), same)
+        for bad in (1, 3, [0] * 39 + [2]):
+            with pytest.raises(ValueError, match="no edge bands"):
+                dep.assign(same, bad)
+        with pytest.raises(ValueError, match="no edge bands"):
+            dep.assign(same, 1, [5])
+        apply_plan(dep, PLAN)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="edge index"):
+                dep.assign(PLAN, bad)
+        assert dep.edges().tolist() == [0] * 40 and dep.plan is PLAN
+
+    def test_setter_takes_only_the_fap_sector_allocations(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=40), seed=2)
+        fap = dep.faps[0]
+        s = fap.sector_index
+        z = FemtoAllocation(PLAN.center_band_per_sector[s], EdgeChoice.Z, s)
+        with pytest.raises(ValueError):
+            fap.allocation = z  # no plan bound
+        apply_plan(dep, PLAN)
+        fap.allocation = z
+        assert dep.edges()[0] == 3 and fap.allocation == z
+        for bad in (FemtoAllocation(PLAN.center_band_per_sector[s - 1], EdgeChoice.Z, s),
+                    FemtoAllocation(PLAN.center_band_per_sector[s], EdgeChoice.Z, s - 1)):
+            with pytest.raises(ValueError, match="sector"):
+                fap.allocation = bad
+        assert fap.allocation == z
+        fap.allocation = None
+        assert fap.allocation is None and dep.edges()[0] == -1
+
+    def test_append_takes_faps_without_an_allocation(self):
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=3), seed=5), PLAN)
+        donor = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=5), seed=5), PLAN)
+        with pytest.raises(ValueError, match="without an allocation"):
+            dep.append(donor.faps[3])
+        assert len(dep.faps) == 3
+        donor.faps[3].allocation = None
+        dep.append(donor.faps[3])
+        assert dep.faps[3].allocation is None
 
 
 class TestNeighborGraph:
