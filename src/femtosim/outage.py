@@ -18,11 +18,16 @@ sized for the largest shard, across its group; the fading product is formed
 in place.  When no interferer is co-channel, no trial can be in outage and no
 fading is drawn.
 
-Within one density of ``density_sweep`` every scheme shares the trial seed
-and the configuration, so schemes whose link coefficients are identical (the
-partial and same schemes always are) share one estimate: the Monte Carlo
-count runs once per distinct link set.  The shared estimates live only for
-that density.
+Within one density of ``density_sweep`` every scheme shares the trial seed,
+the configuration and the geometry, hence the number K of neighbors, so every
+scheme's trials are the same fading draws.  The sweep grows every scheme's
+network to the density first and then makes one fading pass: each shard is
+drawn once, and each distinct link set with an interferer is counted over it
+by its own matrix-vector product (the partial and same schemes always have
+one link set).  Each row's ``estimate`` then finds its result in that pass.
+Nothing is shared across densities.  The SON ablation is not a sweep and gets
+no shared pass: its three colorings overwrite one deployment in turn, so
+sharing its draws would mean recoloring or copying the deployment.
 """
 
 from __future__ import annotations
@@ -153,19 +158,112 @@ def _ue_position(deployment, ref, distance, direction, rng, angle=None) -> np.nd
     return ref.position + distance * np.array([math.cos(angle), math.sin(angle)])
 
 
-def _run_shard(seed_seq, xi, z, coeffs, macro_coeff, s_bar, gamma_linear):
+def _run_shard(seed_seq, xi, z, work, flags, links, gamma_linear):
     """One shard of Monte Carlo trials, one per row of the (m, K) buffers
-    ``xi`` and ``z``, which it overwrites; returns the outage count."""
+    ``xi`` and ``z``, over which every (coeffs, macro_coeff, s_bar) link set in
+    ``links`` is evaluated; returns their outage counts.  It overwrites
+    ``xi``, ``z``, the (5, m) float buffer ``work`` and the (m,) bool buffer
+    ``flags``."""
     rng = np.random.default_rng(seed_seq)
-    m = len(xi)
+    xi_m, z_m, z0, i_total, macro = work
     rng.standard_exponential(out=xi)
     rng.standard_exponential(out=z)
-    xi_m = rng.standard_exponential(m)
-    z_m = rng.standard_exponential(m)
-    z0 = rng.standard_exponential(m)
+    rng.standard_exponential(out=xi_m)
+    rng.standard_exponential(out=z_m)
+    rng.standard_exponential(out=z0)
     np.multiply(xi, z, out=xi)
-    i_total = xi @ coeffs + macro_coeff * xi_m * z_m
-    return int(np.count_nonzero(z0 < gamma_linear * i_total / s_bar))
+    counts = []
+    for coeffs, macro_coeff, s_bar in links:
+        # one gemv per link set, in the order of xi @ c + m * xi_m * z_m,
+        # then gamma * i / s_bar: a fused (K, L) product may round otherwise
+        np.matmul(xi, coeffs, out=i_total)
+        np.multiply(macro_coeff, xi_m, out=macro)
+        macro *= z_m
+        i_total += macro
+        i_total *= gamma_linear
+        i_total /= s_bar
+        counts.append(int(np.count_nonzero(np.less(z0, i_total, out=flags))))
+    return counts
+
+
+def _count_outages(seed, config, links, n_workers):
+    """Outage counts of the link sets, which share one K, over the same
+    ``config.n_trials`` trials of ``seed``: each shard's fading is drawn once
+    and every link set is evaluated over it.  No link set, no draws."""
+    if not links:
+        return []
+    _, *shard_seqs = np.random.SeedSequence(seed).spawn(config.n_shards + 1)
+    base, extra = divmod(config.n_trials, config.n_shards)
+    sizes = [base + (1 if i < extra else 0) for i in range(config.n_shards)]
+    gamma = config.gamma_linear
+
+    def run_group(shards):
+        xi = np.empty((sizes[0], len(links[0][0])))
+        z = np.empty_like(xi)
+        work = np.empty((5, sizes[0]))
+        flags = np.empty(sizes[0], dtype=bool)
+        counts = [0] * len(links)
+        for i in shards:
+            m = sizes[i]
+            shard = _run_shard(shard_seqs[i], xi[:m], z[:m], work[:, :m], flags[:m], links, gamma)
+            counts = [a + b for a, b in zip(counts, shard)]
+        return counts
+
+    n_groups = max(1, min(n_workers, config.n_shards))
+    groups = [range(w, config.n_shards, n_groups) for w in range(n_groups)]
+    if n_groups == 1:
+        return run_group(groups[0])
+    with ThreadPoolExecutor(max_workers=n_groups) as pool:
+        return [sum(c) for c in zip(*pool.map(run_group, groups))]
+
+
+def _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle):
+    """(femto coefficients, macro coefficient, s_bar) of a UE of the reference
+    FAP, placed as ``estimate`` places it."""
+    ref = deployment.fap_by_id(reference_fap)
+    if config.ue_distance > ref.radius:
+        raise ValueError(
+            f"ue_distance {config.ue_distance} m exceeds the femto radius {ref.radius} m"
+        )
+    # child 0 of the seed draws a random UE bearing; children 1.. are the shards
+    dir_seq = np.random.SeedSequence(seed).spawn(1)[0]
+    ue = _ue_position(
+        deployment, ref, config.ue_distance, config.ue_direction,
+        np.random.default_rng(dir_seq), angle=ue_angle,
+    )
+    _, coeffs, macro_coeff, s_bar = link_coefficients(
+        deployment, ref, ue, plan, config.ue_region, params
+    )
+    return coeffs, macro_coeff, s_bar
+
+
+def _key(seed, config, link) -> tuple:
+    coeffs, macro_coeff, s_bar = link
+    return seed, config, coeffs.tobytes(), macro_coeff, s_bar
+
+
+def _estimates(seed, config, links, n_workers) -> dict:
+    """Estimates of the distinct link sets, which share one K, keyed by
+    (seed, config, link set) as ``estimate``'s ``shared`` is: one Monte Carlo
+    pass counts every link set with an interferer."""
+    by_key = {_key(seed, config, link): link for link in links}
+    # with no interferer the interference is 0 in every trial, and z0 < 0
+    # never holds: the count is 0 without a draw
+    live = [key for key, (c, m, _) in by_key.items() if np.any(c > 0) or m > 0]
+    outages = dict(zip(live, _count_outages(seed, config, [by_key[k] for k in live], n_workers)))
+    gamma, n = config.gamma_linear, config.n_trials
+    out = {}
+    for key, (coeffs, macro_coeff, s_bar) in by_key.items():
+        c = np.append(coeffs, macro_coeff)
+        # fsum rounds correctly, so an added interferer never lowers P; with no
+        # interferer, "0.0 -" gives +0.0 where a bare minus would give -0.0
+        p_closed = 0.0 - math.expm1(math.fsum(log_phi(gamma * c[c > 0] / s_bar).tolist()))
+        p_mc = outages.get(key, 0) / n
+        ci95 = 1.96 * math.sqrt(p_mc * (1.0 - p_mc) / n)
+        out[key] = OutageEstimate(
+            p_out_closed=p_closed, p_out_mc=p_mc, ci95_halfwidth=ci95, n_trials=n
+        )
+    return out
 
 
 def estimate(
@@ -188,59 +286,12 @@ def estimate(
     ``shared`` maps (seed, config, link set) to an estimate already made:
     a hit is returned as is, and a miss is stored there.
     """
-    ref = deployment.fap_by_id(reference_fap)
-    if config.ue_distance > ref.radius:
-        raise ValueError(
-            f"ue_distance {config.ue_distance} m exceeds the femto radius {ref.radius} m"
-        )
-    dir_seq, *shard_seqs = np.random.SeedSequence(seed).spawn(config.n_shards + 1)
-    ue = _ue_position(
-        deployment, ref, config.ue_distance, config.ue_direction,
-        np.random.default_rng(dir_seq), angle=ue_angle,
-    )
-    _, coeffs, macro_coeff, s_bar = link_coefficients(
-        deployment, ref, ue, plan, config.ue_region, params
-    )
-    key = (seed, config, coeffs.tobytes(), macro_coeff, s_bar)
-    if shared is not None and key in shared:
-        return shared[key]
-
-    n = config.n_trials
-    base, extra = divmod(n, config.n_shards)
-    sizes = [base + (1 if i < extra else 0) for i in range(config.n_shards)]
-    gamma = config.gamma_linear
-
-    def run_group(shards):
-        xi = np.empty((sizes[0], len(coeffs)))
-        z = np.empty_like(xi)
-        return sum(
-            _run_shard(shard_seqs[i], xi[:sizes[i]], z[:sizes[i]], coeffs, macro_coeff,
-                       s_bar, gamma)
-            for i in shards
-        )
-
-    n_groups = max(1, min(n_workers, config.n_shards))
-    groups = [range(w, config.n_shards, n_groups) for w in range(n_groups)]
-    if not (np.any(coeffs > 0) or macro_coeff > 0):
-        outages = 0  # the interference is 0 in every trial, and z0 < 0 never holds
-    elif n_groups > 1:
-        with ThreadPoolExecutor(max_workers=n_groups) as pool:
-            outages = sum(pool.map(run_group, groups))
-    else:
-        outages = run_group(groups[0])
-
-    c = np.append(coeffs, macro_coeff)
-    # fsum rounds correctly, so an added interferer never lowers P; with no
-    # interferer, "0.0 -" gives +0.0 where a bare minus would give -0.0
-    p_closed = 0.0 - math.expm1(math.fsum(log_phi(gamma * c[c > 0] / s_bar).tolist()))
-    p_mc = outages / n
-    ci95 = 1.96 * math.sqrt(p_mc * (1.0 - p_mc) / n)
-    result = OutageEstimate(
-        p_out_closed=p_closed, p_out_mc=p_mc, ci95_halfwidth=ci95, n_trials=n
-    )
-    if shared is not None:
-        shared[key] = result
-    return result
+    link = _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle)
+    shared = {} if shared is None else shared
+    key = _key(seed, config, link)
+    if key not in shared:
+        shared.update(_estimates(seed, config, [link], n_workers))
+    return shared[key]
 
 
 @dataclass(frozen=True)
@@ -324,7 +375,6 @@ def density_sweep(
     rows = []
     for idx, density in enumerate(densities):
         trial_seed = _seed_int(trial_seqs[idx])
-        shared = {}  # estimates by link set, for this density's seed only
         for scheme in schemes:
             dep = chains[scheme]
             grown = slice(len(dep.faps), density)
@@ -333,8 +383,16 @@ def density_sweep(
                     son.admit_fap(dep, p, plans[scheme], radius_graph)
             else:
                 dep.extend(full.positions()[grown], full.sectors()[grown], 0)
+        # one Monte Carlo pass for this density's distinct link sets; each
+        # row's estimate then finds its own among them
+        links = [
+            _link_set(chains[s], 0, plans[s], config, params, trial_seed, ue_angle)
+            for s in schemes
+        ]
+        shared = _estimates(trial_seed, config, links, n_workers)
+        for scheme in schemes:
             est = estimate(
-                dep, 0, plans[scheme], config, params, trial_seed, n_workers,
+                chains[scheme], 0, plans[scheme], config, params, trial_seed, n_workers,
                 ue_angle=ue_angle, shared=shared,
             )
             rows.append(SweepRow(scheme=scheme, density=density, estimate=est, seed=trial_seed))

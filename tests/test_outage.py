@@ -465,8 +465,9 @@ class TestSweepGrowth:
             assert colors[i] is order[counts.index(min(counts))]
 
 
-def _reference_run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
-    """One shard of Monte Carlo trials; returns the outage count."""
+def _reference_threshold(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
+    """One shard's desired fading z0 and the gamma I / s_bar it is compared
+    with, from fresh arrays."""
     rng = np.random.default_rng(seed_seq)
     k = len(coeffs)
     xi = rng.exponential(size=(m, k))
@@ -475,7 +476,13 @@ def _reference_run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
     z_m = rng.exponential(size=m)
     z0 = rng.exponential(size=m)
     i_total = (xi * z) @ coeffs + macro_coeff * xi_m * z_m
-    return int(np.count_nonzero(z0 < gamma_linear * i_total / s_bar))
+    return z0, gamma_linear * i_total / s_bar
+
+
+def _reference_run_shard(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
+    """One shard of Monte Carlo trials; returns the outage count."""
+    z0, threshold = _reference_threshold(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear)
+    return int(np.count_nonzero(z0 < threshold))
 
 
 def _reference_count(seed, cfg, coeffs, macro_coeff, s_bar):
@@ -570,6 +577,37 @@ class TestShardKernel:
         assert ids == [1] and coeffs.tolist() == [0.0] and macro_coeff == 0.0
         self._assert_no_draws(monkeypatch, dep, plan)
 
+    @pytest.mark.parametrize("name", ["K0", "K1", "K10"])
+    def test_link_sets_in_one_shard_equal_single_set_runs(self, name):
+        # live, all-zero and macro-only sets of one K over one shard's fading
+        # count exactly what each set counts alone, and what the allocating
+        # kernel counts, through buffers left dirty by the previous run
+        live = LINK_SETS[name]
+        k = len(live)
+        links = [(live, 0.0, 1.0), (np.zeros(k), 0.0, 1.0), (live, 0.02, 1.0),
+                 (np.zeros(k), 0.02, 1.3), (np.zeros(k), 0.0, 3.0), (live, 0.0, 0.7),
+                 (live, 0.02, 3.0)]
+        seq = np.random.SeedSequence(17)
+        m, gamma = 2001, GAMMA_9DB
+
+        def run(sets):
+            """Counts, and the last set's gamma I / s_bar left in the buffer."""
+            xi = np.full((m + 9, k), np.nan)
+            z, work = xi.copy(), np.full((5, m + 9), np.nan)
+            flags = np.ones(m + 9, dtype=bool)
+            counts = outage._run_shard(seq, xi[:m], z[:m], work[:, :m], flags[:m], sets, gamma)
+            return counts, work[3, :m]
+
+        counts, _ = run(links)
+        assert counts == [_reference_run_shard(seq, m, *link, gamma) for link in links]
+        for link, count in zip(links, counts):
+            alone, threshold = run([link])
+            assert alone == [count]
+            # the same roundings as the reference, not only the same counts
+            assert threshold.tobytes() == _reference_threshold(seq, m, *link, gamma)[1].tobytes()
+        assert counts[1] == counts[4] == 0
+        assert counts[3] > 0 and (counts[0] > 0) is (k > 0)
+
 
 class TestSharedEstimates:
     CFG = OutageConfig(n_trials=64, n_shards=4)
@@ -578,7 +616,7 @@ class TestSharedEstimates:
         sizes = _count_shards(monkeypatch)
         rows = density_sweep([1000], list(Scheme), self.CFG, PropagationParams(), seed=1)
         assert all(r.estimate.p_out_closed > 0.0 for r in rows)  # none skips its shards
-        assert len(sizes) == 3 * self.CFG.n_shards
+        assert len(sizes) == self.CFG.n_shards  # one fading pass for the density
         by_scheme = {r.scheme: r.estimate for r in rows}
         assert by_scheme[Scheme.PARTIAL] == by_scheme[Scheme.SAME]
         # equal to the estimate of a sweep that has the scheme alone
@@ -588,7 +626,7 @@ class TestSharedEstimates:
 
         sizes.clear()
         assert density_sweep([1000], list(Scheme), self.CFG, PropagationParams(), seed=1) == rows
-        assert len(sizes) == 3 * self.CFG.n_shards  # nothing kept from the first call
+        assert len(sizes) == self.CFG.n_shards  # nothing kept from the first call
 
     def test_only_an_identical_link_set_is_shared(self, monkeypatch):
         # the same coefficients on other neighbors meet other fading draws
@@ -611,7 +649,7 @@ class TestSharedEstimates:
         sizes = _count_shards(monkeypatch)
         rows = density_sweep([500, 1000], list(Scheme), self.CFG, PropagationParams(), seed=3)
         assert all(r.estimate.p_out_closed > 0.0 for r in rows)  # none skips its shards
-        assert len(sizes) == 2 * 3 * self.CFG.n_shards
+        assert len(sizes) == 2 * self.CFG.n_shards  # one fading pass per density
 
     def test_repeated_run_experiment_runs_every_shard(self, monkeypatch, tmp_path):
         sizes = _count_shards(monkeypatch)
@@ -623,4 +661,45 @@ class TestSharedEstimates:
             sizes.clear()
             cli.run_experiment(cfg, "fig5", 1)
             counts.append(len(sizes))
-        assert counts == [3 * cfg.n_shards] * 2
+        assert counts == [cfg.n_shards] * 2
+
+    @pytest.mark.parametrize("seed", [1019, 3003])
+    def test_fig5_runs_one_fading_pass(self, monkeypatch, tmp_path, seed):
+        # at seed 3003 the dynamic reference has no co-channel interferer, so
+        # its link set joins no pass; the others still share one
+        sizes = _count_shards(monkeypatch)
+        cfg = apply_overrides(ExperimentConfig(), [
+            "n_faps=1000", "n_trials=64", f"seed={seed}", f"out={tmp_path / 'fig5.csv'}"
+        ])
+        body = cli.run_experiment(cfg, "fig5", 1).read_text().splitlines()
+        assert len(sizes) == cfg.n_shards
+        dynamic = [line.split(",") for line in body if line.startswith("dynamic,")]
+        assert (float(dynamic[0][2]) == 0.0) is (seed == 3003)
+
+    def test_sweep_without_interferers_draws_nothing(self, monkeypatch):
+        sizes = _count_shards(monkeypatch)
+        rows = density_sweep([1, 2], [Scheme.DEDICATED, Scheme.DYNAMIC_REUSE], self.CFG,
+                             PropagationParams(), seed=0)
+        assert sizes == []
+        assert [(r.estimate.p_out_closed, r.estimate.p_out_mc) for r in rows] == [(0.0, 0.0)] * 4
+
+    @pytest.mark.parametrize("ue_direction", ["nearest", "random"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_sweep_rows_equal_estimates_alone(self, monkeypatch, n_workers, ue_direction):
+        # every row of the shared pass is, bit for bit, the estimate of its
+        # scheme's deployment made without the density's other schemes
+        alone = []
+        real = outage.estimate
+
+        def spy(dep, *args, shared, **kwargs):
+            alone.append(real(dep, *args, **kwargs))
+            return real(dep, *args, shared=shared, **kwargs)
+
+        monkeypatch.setattr(outage, "estimate", spy)
+        cfg = OutageConfig(n_trials=3001, ue_direction=ue_direction)
+        rows = density_sweep([300, 1000, 3000], list(Scheme), cfg, PropagationParams(),
+                             seed=6, n_workers=n_workers)
+        assert len(alone) == len(rows) == 12
+        assert sum(r.estimate.p_out_mc > 0.0 for r in rows) >= 6
+        for row, est in zip(rows, alone):
+            assert repr(row.estimate) == repr(est), row.label
