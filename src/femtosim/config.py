@@ -120,8 +120,14 @@ class ExperimentConfig:
             except ValueError as exc:
                 problems.append(str(exc))
 
-        for build in (self.propagation, self.outage_config):
-            attempt(build)
+        prop = attempt(self.propagation)
+        attempt(self.outage_config)
+        if prop is not None:
+            # s_bar takes the UE offset's norm d to the power -eta_desired:
+            # keep d * d a normal float64 (>= 2**-1022) and d^-eta <= 2**1023
+            d_min = max(2.0 ** -511, 2.0 ** (-1023 / prop.eta_desired))
+            if 0 < self.ue_distance_m < d_min:
+                problems.append(f"ue_distance_m must be at least {d_min:.4g} m")
         for n in (self.n_faps, *self.densities):
             attempt(self.deployment_params, n)
         attempt(np.random.SeedSequence, self.seed)

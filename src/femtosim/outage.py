@@ -363,7 +363,7 @@ def density_sweep(
 
     chains = {}
     for scheme in schemes:
-        dep = Deployment(full.macro, (), dp0)
+        dep = Deployment(full.macro, dp0)
         dep.extend(full.positions()[:dp0.n_faps], full.sectors()[:dp0.n_faps])
         apply_plan(dep, plans[scheme])
         if scheme is Scheme.DYNAMIC_REUSE:

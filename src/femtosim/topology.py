@@ -14,10 +14,11 @@ deployment's one bound ``plan`` the edge index is its whole allocation: -1
 none, 0 the center band alone, 1-3 the center band plus that edge color of
 ``EDGE_COLORS``.  ``Fap.allocation`` builds the ``FemtoAllocation`` from the
 plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
-and write those rows.  FAPs join only at the end
-(``append``/``extend``) and a position never changes, so the deployment also
-keeps an incremental cell index over its positions; ``near`` answers a radius
-query from the 3x3 cells around a point, in O(degree).
+and write those rows.  FAPs join only at the end, through ``extend``, and a
+position never changes, so the deployment also keeps an incremental cell index
+over its positions; ``near`` answers a radius query from the 3x3 cells around
+a point, in O(degree).  ``near`` and ``neighbor_graph`` share one neighbor
+test, ``dx * dx + dy * dy <= r * r`` in float64, so they agree on every pair.
 
 The neighbor graph is found on a uniform cell grid whose side is a hair above
 the neighbor radius, so a FAP's neighbors all lie in the 3x3 cells around its
@@ -80,65 +81,50 @@ class MacroBs:
 
 
 class Fap:
-    """One FAP: a view of row ``id`` of a deployment's FAP arrays.  Setting
-    ``tx_power``, ``radius`` or ``allocation`` writes that row, so every later
-    read sees it; ``position`` and ``sector_index`` are fixed once built.
+    """One FAP: a view of row ``id`` of deployment ``dep``'s FAP arrays, as
+    ``Deployment.faps`` hands it out.  Setting ``tx_power``, ``radius`` or
+    ``allocation`` writes that row, so every later read sees it; ``position``
+    and ``sector_index`` are fixed once the FAP has joined."""
 
-    ``Fap(id, position, ...)`` builds a detached FAP without an allocation,
-    row 0 of a one-FAP deployment of its own, to hand to
-    ``Deployment.append``."""
+    __slots__ = ("id", "_dep")
 
-    __slots__ = ("id", "_dep", "_row")
-
-    def __init__(self, id: int, position, tx_power: float, radius: float, sector_index: int):
-        position = np.asarray(position, dtype=float)
-        if position.shape != (2,):
-            raise ValueError(f"a FAP position is an (x, y) pair, got shape {position.shape}")
-        dep = Deployment(None, (), DeploymentParams(n_faps=1))
-        dep._append(position[None], sector_index, tx_power, radius, -1)
-        self.id, self._dep, self._row = id, dep, 0
-
-    @classmethod
-    def _view(cls, dep: "Deployment", row: int) -> "Fap":
-        fap = cls.__new__(cls)
-        fap.id = fap._row = row
-        fap._dep = dep
-        return fap
+    def __init__(self, dep: "Deployment", row: int):
+        self.id, self._dep = row, dep
 
     @property
     def position(self) -> np.ndarray:
         """(2,) meters, read-only."""
-        p = self._dep._pos[self._row]
+        p = self._dep._pos[self.id]
         p.flags.writeable = False
         return p
 
     @property
     def sector_index(self) -> int:
-        return int(self._dep._sector[self._row])
+        return int(self._dep._sector[self.id])
 
     @property
     def tx_power(self) -> float:
         """W, mutable via SON."""
-        return float(self._dep._tx_power[self._row])
+        return float(self._dep._tx_power[self.id])
 
     @tx_power.setter
     def tx_power(self, value: float) -> None:
-        self._dep._tx_power[self._row] = value
+        self._dep._tx_power[self.id] = value
 
     @property
     def radius(self) -> float:
         """m, mutable via SON."""
-        return float(self._dep._radius[self._row])
+        return float(self._dep._radius[self.id])
 
     @radius.setter
     def radius(self, value: float) -> None:
-        self._dep._radius[self._row] = value
+        self._dep._radius[self.id] = value
 
     @property
     def allocation(self) -> FemtoAllocation | None:
         """The sector's center band under the deployment's plan with the
         FAP's edge color, or None."""
-        dep, edge = self._dep, self._dep._edge[self._row]
+        dep, edge = self._dep, self._dep._edge[self.id]
         if edge < 0:
             return None
         s = self.sector_index
@@ -149,13 +135,13 @@ class Fap:
         """None, or one of this FAP's sector's allocations under the plan."""
         dep, s = self._dep, self.sector_index
         if value is None:
-            dep._edge[self._row] = -1
+            dep._edge[self.id] = -1
         elif dep.plan is None or value != FemtoAllocation(
                 dep.plan.center_band_per_sector[s], value.edge_choice, s):
             raise ValueError(f"FAP {self.id} takes only a sector-{s} allocation of the"
                              " deployment's plan")
         else:
-            dep.assign(dep.plan, _EDGES.index(value.edge_choice), [self._row])
+            dep.assign(dep.plan, _EDGES.index(value.edge_choice), [self.id])
 
     def __repr__(self) -> str:
         return (f"Fap(id={self.id}, position={self.position.tolist()}, "
@@ -177,16 +163,16 @@ class _FapList(Sequence):
     def __getitem__(self, index):
         n = self._dep._n
         if isinstance(index, slice):
-            return [Fap._view(self._dep, i) for i in range(*index.indices(n))]
+            return [Fap(self._dep, i) for i in range(*index.indices(n))]
         index = int(index)
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError(f"FAP index {index} out of range")
-        return Fap._view(self._dep, index)
+        return Fap(self._dep, index)
 
     def __iter__(self):
-        return (Fap._view(self._dep, i) for i in range(self._dep._n))
+        return (Fap(self._dep, i) for i in range(self._dep._n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,10 +252,12 @@ class DeploymentParams:
 
 
 def _cell_side(radius: float) -> float:
-    """Side of a grid cell that holds every offset passing a ``<= radius``
-    distance test: the radius (at least 1e-150, below which a square can
+    """Side of a grid cell that holds every offset passing a ``d² <= radius *
+    radius`` test: the radius (at least 1e-150, below which a square can
     underflow to 0) plus a relative 1e-6, far above the float error of the
-    test and of ``floor(x / side)``."""
+    test and of ``floor(x / side)``; infinite when the square overflows."""
+    if math.isinf(radius * radius):
+        return math.inf
     return max(radius, 1e-150) * (1.0 + 1e-6)
 
 
@@ -289,11 +277,11 @@ def _cell_key(x: float, y: float, side: float) -> int:
 
 class Deployment:
     """FAPs of one deployment as arrays, row i being FAP i.  FAPs join only
-    through ``append``/``extend``, and the arrays are grown by doubling, never
-    rebuilt.  A FAP's allocation is its edge index under ``plan``, which
-    ``assign`` binds when it writes every FAP."""
+    through ``extend``, and the arrays are grown by doubling, never rebuilt.
+    A FAP's allocation is its edge index under ``plan``, which ``assign``
+    binds when it writes every FAP."""
 
-    def __init__(self, macro: MacroBs | None, faps, params: DeploymentParams):
+    def __init__(self, macro: MacroBs | None, params: DeploymentParams):
         self.macro = macro
         self.params = params
         self._n = 0
@@ -305,32 +293,21 @@ class Deployment:
         self.plan: FrequencyPlan | None = None
         self._cell_side = _cell_side(params.neighbor_radius_m)
         self._cells: dict[int, list[int]] = {}
-        for fap in faps:
-            self.append(fap)
 
     @property
     def faps(self) -> Sequence[Fap]:
         return _FapList(self)
 
-    def append(self, fap: Fap) -> None:
-        """Copy ``fap`` into the next row; its id must equal that row, and it
-        joins without an allocation (``assign`` gives it one)."""
-        if fap.id != self._n:
-            raise ValueError(f"FAP id {fap.id} is not the next row {self._n}")
-        if fap.allocation is not None:
-            raise ValueError(f"FAP {fap.id} must join without an allocation")
-        self._append(fap.position[None], fap.sector_index, fap.tx_power, fap.radius, -1)
-
     def extend(self, positions, sectors, edges=-1) -> None:
-        """Append one FAP per row of ``positions`` with the given sectors and
-        edge indices (see ``edges``; -1, the default, is no allocation), at the
-        deployment's default tx power and radius.  Unchecked: the sectors and
-        edges are the caller's to fit ``plan``."""
-        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        p = self.params
-        self._append(positions, sectors, p.fap_tx_power_w, p.femto_radius_m, edges)
-
-    def _append(self, positions, sectors, tx_power, radius, edges) -> None:
+        """Append one FAP per (x, y) row of ``positions`` with the given
+        sectors and edge indices (see ``edges``; -1, the default, is no
+        allocation), at the deployment's default tx power and radius.  Raises
+        ValueError unless ``positions`` is one (x, y) pair or (m, 2) rows;
+        the sectors and edges are the caller's to fit ``plan``."""
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim not in (1, 2) or positions.shape[-1] != 2:
+            raise ValueError(f"FAP positions are (x, y) rows, got shape {positions.shape}")
+        positions = positions.reshape(-1, 2)
         n, m = self._n, len(positions)
         if n + m > len(self._pos):
             capacity = max(2 * len(self._pos), n + m, 16)
@@ -342,8 +319,8 @@ class Deployment:
         rows = slice(n, n + m)
         self._pos[rows] = positions
         self._sector[rows] = sectors
-        self._tx_power[rows] = tx_power
-        self._radius[rows] = radius
+        self._tx_power[rows] = self.params.fap_tx_power_w
+        self._radius[rows] = self.params.femto_radius_m
         self._edge[rows] = edges
         self._n = n + m
         cells, side = self._cells, self._cell_side
@@ -380,12 +357,12 @@ class Deployment:
     def fap_by_id(self, fap_id: int) -> Fap:
         if not 0 <= fap_id < self._n:
             raise ValueError(f"no FAP with id {fap_id}")
-        return Fap._view(self, fap_id)
+        return Fap(self, fap_id)
 
     def near(self, point, radius: float) -> np.ndarray:
-        """Ids, ascending, of the FAPs with ``norm(p - point) <= radius``.
-        The candidates are the FAPs in the 3x3 cells around ``point``, or all
-        FAPs when the radius is wider than the cell side allows."""
+        """Ids, ascending, of the FAPs that pass ``neighbor_graph``'s test at
+        ``radius`` from ``point``, among the FAPs in the 3x3 cells around
+        ``point``, or all FAPs when the radius is wider than the cells."""
         point = np.asarray(point, dtype=float)
         if _cell_side(radius) <= self._cell_side:
             key = _cell_key(*point.tolist(), self._cell_side)
@@ -397,8 +374,8 @@ class Deployment:
             ids = np.arange(self._n)
         d = self._pos.take(ids, axis=0) - point
         d *= d
-        # np.linalg.norm(positions - point, axis=1), term for term
-        ids = ids[np.sqrt(d[:, 0] + d[:, 1]) <= radius]
+        # neighbor_graph's ((p_i - p_j) ** 2).sum(), term for term
+        ids = ids[d[:, 0] + d[:, 1] <= radius * radius]
         ids.sort()
         return ids
 
@@ -489,7 +466,7 @@ def _layout(rng, macro: MacroBs, params: DeploymentParams, separation=None) -> D
                     f"could not place FAP {i} after {params.max_place_attempts} attempts"
                 )
         points = np.array(placed)
-    dep = Deployment(macro, (), params)
+    dep = Deployment(macro, params)
     dep.extend(points, _sectors(macro, points))
     return dep
 
@@ -502,7 +479,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     if scenario is Scenario.A:
         if params.n_faps != 1:
             raise ValueError("scenario A has exactly one FAP")
-        dep = Deployment(None, (), params)
+        dep = Deployment(None, params)
         dep.extend(np.zeros((1, 2)), 0)
         return dep
 
@@ -562,11 +539,8 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
         return NeighborGraph.radius_only(radius)
     r2 = radius * radius
     lo = pos.min(axis=0)
-    if math.isinf(r2):
-        side = math.inf
-    else:
-        extent = float((pos.max(axis=0) - lo).max())
-        side = max(_cell_side(radius), extent / _MAX_CELLS_PER_AXIS)
+    extent = float((pos.max(axis=0) - lo).max())
+    side = max(_cell_side(radius), extent / _MAX_CELLS_PER_AXIS)
     cell = np.floor((pos - lo) / side).astype(np.int64)
     # one empty row of padding per column: a neighborhood key that steps off
     # the top or bottom of a column lands in padding, never in another cell

@@ -1,10 +1,10 @@
 """The deployment's incremental cell index against a plain O(N) scan.
 
 ``Deployment.near`` and ``son.admit_fap`` read only the 3x3 cells around a
-point.  The reference here compares the point with every FAP by
-``np.linalg.norm(positions - point, axis=1) <= radius`` (the O(N) scan the
-index replaces) and picks the admitted color from those sniffed FAPs by the
-documented rule.
+point.  The reference here compares the point with every FAP by the neighbor
+graph's test, ``((positions - point) ** 2).sum(axis=1) <= radius * radius``
+(the O(N) scan the index replaces), and picks the admitted color from those
+sniffed FAPs by the documented rule.
 """
 
 import copy
@@ -22,7 +22,6 @@ from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, build_plan
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
-    Fap,
     MacroBs,
     NeighborGraph,
     Scenario,
@@ -37,7 +36,8 @@ MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
 
 
 def _reference_sniff(positions, point, radius):
-    return np.flatnonzero(np.linalg.norm(positions - point, axis=1) <= radius).tolist()
+    d2 = ((positions - point) ** 2).sum(axis=1)
+    return np.flatnonzero(d2 <= radius * radius).tolist()
 
 
 def _reference_color(dep, point, radius):
@@ -52,10 +52,9 @@ def _reference_color(dep, point, radius):
 
 
 def _layout(points, neighbor_radius):
-    faps = [Fap(id=i, position=p, tx_power=0.01, radius=10.0, sector_index=0)
-            for i, p in enumerate(points)]
-    params = DeploymentParams(n_faps=max(1, len(faps)), neighbor_radius_m=neighbor_radius)
-    return Deployment(None, faps, params)
+    dep = Deployment(None, DeploymentParams(n_faps=len(points), neighbor_radius_m=neighbor_radius))
+    dep.extend(points, 0)
+    return dep
 
 
 def _lattice(step, k=3):
@@ -112,8 +111,44 @@ class TestNearAdversarial:
             _assert_near_matches(dep, p, query)
 
     def test_empty_deployment(self):
-        dep = Deployment(None, [], DeploymentParams(n_faps=1))
+        dep = Deployment(None, DeploymentParams(n_faps=1))
         assert dep.near((0.0, 0.0), 100.0).tolist() == []
+
+
+def _assert_near_matches_graph(dep, radius):
+    """For every FAP i, ``near(p_i, radius)`` less i is row i of the graph."""
+    graph = neighbor_graph(dep, radius)
+    for i, p in enumerate(dep.positions()):
+        ids = dep.near(p, radius)
+        assert ids[ids != i].tolist() == graph.neighbors(i).tolist()
+
+
+class TestNearMatchesGraph:
+    """The admission sniff and the interferer set (``near``) and SON coloring
+    (``neighbor_graph``) decide who is a neighbor by one test."""
+
+    RADII = [100.0, 150.5, 0.1 + 0.2, 100 / 3, 1e-300, 1e200, math.inf]
+
+    @pytest.mark.parametrize("index_radius", ["same", 100.0])
+    @pytest.mark.parametrize("radius", RADII)
+    def test_generated(self, radius, index_radius):
+        # the cell index built at the query radius, or at 100 m
+        index_radius = radius if index_radius == "same" else index_radius
+        params = DeploymentParams(n_faps=400, neighbor_radius_m=index_radius)
+        _assert_near_matches_graph(generate(Scenario.D, params, seed=9), radius)
+
+    def test_pair_whose_distance_rounds_to_the_radius(self):
+        # sqrt(d2) rounds to 150.5, but d2 = 22650.250000000004 > 150.5 * 150.5
+        dep = _layout([(0.0, 0.0), (60.5106484379751, -137.79953347386842)], 150.5)
+        _assert_near_matches_graph(dep, 150.5)
+        assert dep.near((0.0, 0.0), 150.5).tolist() == [0]
+
+    def test_radius_whose_square_overflows(self):
+        # 1e200 * 1e200 is inf, so every pair passes, even one 1e300 apart
+        dep = _layout([(0.0, 0.0), (1e300, 0.0), (3.0, 4.0)], 1e200)
+        with np.errstate(over="ignore"):  # squared offsets overflow to inf too
+            _assert_near_matches_graph(dep, 1e200)
+            assert dep.near((0.0, 0.0), 1e200).tolist() == [0, 1, 2]
 
 
 finite = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
@@ -167,10 +202,8 @@ class TestAdmissionOracle:
     def test_boundary_layout(self, radius):
         # FAPs on cell boundaries and exactly r from later admissions
         start = [(300.0 + x, y) for x, y in _lattice(radius, k=2)]
-        faps = [Fap(id=i, position=p, tx_power=0.01, radius=10.0,
-                    sector_index=sector_of(MACRO, p))
-                for i, p in enumerate(start)]
-        dep = Deployment(MACRO, faps, DeploymentParams(n_faps=len(faps), neighbor_radius_m=radius))
+        dep = Deployment(MACRO, DeploymentParams(n_faps=len(start), neighbor_radius_m=radius))
+        dep.extend(start, [sector_of(MACRO, p) for p in start])
         apply_plan(dep, PLAN)
         configure_frequencies(dep, neighbor_graph(dep, radius), PLAN)
         later = [(300.0 + radius, 0.5 * radius), (300.0 - radius, 0.0), (300.0, 2 * radius),

@@ -147,7 +147,9 @@ class TestRun:
         ["eta_macro=9", "gamma_db=inf", "seed=-1", "wall_loss_db=-3", "band_high_hz=5",
          "macro_radius_m=nan", "densities=0,10", "densities=-5,10", "macro_radius_m=inf",
          "fap_tx_power_w=inf", "p0_femto=inf", "wall_loss_db=inf",
-         "walls_between_femtos=-1000", "gamma_db=1e300", "gamma_db=-1e300"],
+         "walls_between_femtos=-1000", "gamma_db=1e300", "gamma_db=-1e300",
+         "ue_distance_m=1e-155", "ue_distance_m=1e-160", "ue_distance_m=1e-200",
+         "ue_distance_m=1e-300"],
     )
     def test_invalid_values_exit_2_on_validate_and_run(self, tmp_path, override):
         # values that only the parameter objects reject: run must not get as
@@ -157,6 +159,16 @@ class TestRun:
         assert _run(["run", "--experiment", "fig5", "--out", str(out), *FAST,
                      "--set", override]) == 2
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("override", ["ue_distance_m=1e-150", "ue_distance_m=1e-3"])
+    def test_small_ue_distances_run(self, tmp_path, override):
+        # above the floor where the UE offset's square or d^-eta_desired
+        # leaves float64, small UE distances still validate and run
+        assert _run(["validate", "--set", override]) == 0
+        for experiment in ("fig5", "son-ablation"):
+            out = tmp_path / f"{experiment}.csv"
+            assert _run(["run", "--experiment", experiment, "--out", str(out), *FAST,
+                         "--set", override]) == 0
 
     def test_son_ablation_runs_below_1000_faps(self, tmp_path):
         out = tmp_path / "ablation.csv"
@@ -224,7 +236,7 @@ OVERRIDE_KEYS = [
     "macro_radius_m", "femto_radius_m", "reference_distance_m", "neighbor_radius_m",
     "macro_tx_power_w", "fap_tx_power_w", "ue_distance_m", "gamma_db", "wall_loss_db",
 ]
-OVERRIDE_VALUES = [0, -1, 1e-3, 0.5, 5, 50, 300, 1000, 2000, math.nan, math.inf]
+OVERRIDE_VALUES = [0, -1, 1e-300, 1e-3, 0.5, 5, 50, 300, 1000, 2000, math.nan, math.inf]
 
 
 class TestValidateMatchesRun:

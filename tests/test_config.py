@@ -86,12 +86,23 @@ class TestValidation:
             "walls_between_femtos=-1000",  # overflows the wall attenuation
             "gamma_db=1e300",  # overflows the linear threshold
             "gamma_db=-1e300",  # linear threshold underflows to 0
+            "ue_distance_m=1e-155",  # d^-eta_desired overflows
+            "ue_distance_m=1e-160",
+            "ue_distance_m=1e-200",  # the UE offset's square underflows
+            "ue_distance_m=1e-300",
         ],
     )
     def test_invalid_values_rejected(self, override):
         cfg = apply_overrides(ExperimentConfig(), [override])
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_ue_distance_floor_follows_eta_desired(self):
+        # d^-eta_desired must fit float64: 4e-52 ** -2 does, 4e-52 ** -6 does not
+        cfg = apply_overrides(ExperimentConfig(), ["ue_distance_m=4e-52"])
+        cfg.validate()
+        with pytest.raises(ConfigError, match="ue_distance_m"):
+            apply_overrides(cfg, ["eta_desired=6"]).validate()
 
 
 class TestRoundTrip:

@@ -26,7 +26,6 @@ from femtosim.outage import (
 from femtosim.spectrum import Band, EdgeChoice, Scheme, build_plan
 from femtosim.topology import (
     DeploymentParams,
-    Fap,
     NeighborGraph,
     Scenario,
     apply_plan,
@@ -151,8 +150,7 @@ def _dense(scheme, seed=42, n_faps=1000):
 def _pair(scheme, position):
     """The reference FAP of ``_dense`` plus one FAP at ``position``."""
     dep, plan = _dense(scheme, n_faps=1)
-    dep.append(Fap(id=1, position=position, tx_power=0.01, radius=10.0,
-                   sector_index=sector_of(dep.macro, position)))
+    dep.extend(position, [sector_of(dep.macro, position)])
     apply_plan(dep, plan)
     return dep, plan
 

@@ -36,7 +36,6 @@ from femtosim.spectrum import (
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
-    Fap,
     MacroBs,
     NeighborGraph,
     Scenario,
@@ -53,12 +52,8 @@ def _deployment_from_layout(positions):
     """Small handcrafted deployment around the sector-0 axis."""
     macro = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
     params = DeploymentParams(n_faps=len(positions))
-    faps = [
-        Fap(id=i, position=np.array(p, dtype=float), tx_power=0.01, radius=10.0,
-            sector_index=0)
-        for i, p in enumerate(positions)
-    ]
-    dep = Deployment(macro, faps, params)
+    dep = Deployment(macro, params)
+    dep.extend(positions, 0)
     apply_plan(dep, PLAN)
     return dep
 

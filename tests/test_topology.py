@@ -13,7 +13,6 @@ from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, build_p
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
-    Fap,
     MacroBs,
     PlacementError,
     Scenario,
@@ -178,9 +177,9 @@ def assert_positions_match_faps(dep):
     assert got.tobytes() == expected.tobytes()
 
 
-def _fap(fap_id, position):
-    return Fap(id=fap_id, position=position, tx_power=0.01, radius=10.0,
-               sector_index=sector_of(MACRO, position))
+def _extend(dep, position):
+    """Add one FAP at ``position`` in its own sector."""
+    dep.extend(position, [sector_of(MACRO, position)])
 
 
 class TestDeploymentPositions:
@@ -200,56 +199,48 @@ class TestDeploymentPositions:
 
     def test_fap_position_immutable(self):
         source = np.array([300.0, 40.0])
-        fap = _fap(0, source)
-        source[0] = 0.0  # the FAP holds its own copy
+        dep = Deployment(MACRO, DeploymentParams(n_faps=1))
+        _extend(dep, source)
+        source[0] = 0.0  # the deployment holds its own copy
+        fap = dep.faps[0]
         assert fap.position.tolist() == [300.0, 40.0]
+        assert np.shares_memory(fap.position, dep.positions())  # a view of its row
         with pytest.raises(ValueError):
             fap.position[0] = 1.0
         with pytest.raises(AttributeError):
             fap.position = np.array([1.0, 2.0])
-        dep = Deployment(MACRO, [fap], DeploymentParams(n_faps=1))
-        assert np.shares_memory(dep.faps[0].position, dep.positions())  # a view of its row
         with pytest.raises(AttributeError):
             dep.faps[0].position = np.array([1.0, 2.0])
+        # only (x, y) rows join; a flat or 3-column array is not read as pairs
         frozen_triple = np.array([1.0, 2.0, 3.0])
         frozen_triple.flags.writeable = False
-        for bad in (5.0, (1.0, 2.0, 3.0), frozen_triple):
-            with pytest.raises(ValueError):
-                Fap(id=0, position=bad, tx_power=0.01, radius=10.0, sector_index=0)
+        for bad in (5.0, (1.0, 2.0, 3.0), frozen_triple, np.arange(6.0).reshape(2, 3),
+                    np.zeros((1, 1, 2)), []):
+            with pytest.raises(ValueError, match="rows"):
+                dep.extend(bad, 0)
+        assert len(dep.faps) == 1
+        assert_positions_match_faps(dep)
 
     def test_append_grows_past_capacity(self):
         rng = np.random.default_rng(5)
         dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
         before = dep.positions()
-        for i in range(3, 100):
-            dep.append(_fap(i, rng.uniform(-500.0, 500.0, 2)))
+        for _ in range(3, 100):
+            _extend(dep, rng.uniform(-500.0, 500.0, 2))
             assert_positions_match_faps(dep)
         assert np.array_equal(dep.positions()[:3], before)
         assert before.shape == (3, 2)  # earlier views keep their rows
-
-    def test_append_wrong_id_rejected(self):
-        dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
-        for bad_id in (2, 4, 7):
-            with pytest.raises(ValueError):
-                dep.append(_fap(bad_id, (300.0, 0.0)))
-        assert len(dep.faps) == 3
-        assert_positions_match_faps(dep)
-
-    def test_constructor_rejects_ids_off_their_rows(self):
-        params = DeploymentParams(n_faps=2)
-        with pytest.raises(ValueError):
-            Deployment(MACRO, [_fap(0, (300.0, 0.0)), _fap(7, (0.0, 300.0))], params)
 
     def test_growth_outside_append_detected(self):
         # dep.faps is a read-only sequence of views: growing, rebinding or
         # replacing it fails at once and leaves the deployment as it was
         dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
         with pytest.raises(AttributeError):
-            dep.faps.append(_fap(3, (300.0, 0.0)))
+            dep.faps.append(dep.faps[0])
         with pytest.raises(AttributeError):
             dep.faps = list(dep.faps)
         with pytest.raises(TypeError):
-            dep.faps[1] = _fap(1, (0.0, 300.0))
+            dep.faps[1] = dep.faps[0]
         assert len(dep.faps) == 3
         assert_positions_match_faps(dep)
 
@@ -258,7 +249,7 @@ class TestDeploymentPositions:
         twin = copy.deepcopy(dep)
         assert_positions_match_faps(twin)
         assert not np.shares_memory(twin.positions(), dep.positions())
-        twin.append(_fap(20, (0.0, -300.0)))
+        _extend(twin, (0.0, -300.0))
         assert_positions_match_faps(twin)
         assert len(dep.faps) == 20
         assert_positions_match_faps(dep)
@@ -277,7 +268,7 @@ class TestAllocationStorage:
         assert dep.edges().tolist() == [-1] * 40
         apply_plan(dep, PLAN)
         dep.extend([[300.0, 5.0]], [0])
-        dep.append(_fap(41, (0.0, 300.0)))
+        _extend(dep, (0.0, 300.0))
         assert dep.faps[40].allocation is None and dep.faps[41].allocation is None
         assert None not in {f.allocation for f in dep.faps[:40]}
         with pytest.raises(ValueError):
@@ -330,24 +321,13 @@ class TestAllocationStorage:
         fap.allocation = None
         assert fap.allocation is None and dep.edges()[0] == -1
 
-    def test_append_takes_faps_without_an_allocation(self):
-        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=3), seed=5), PLAN)
-        donor = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=5), seed=5), PLAN)
-        with pytest.raises(ValueError, match="without an allocation"):
-            dep.append(donor.faps[3])
-        assert len(dep.faps) == 3
-        donor.faps[3].allocation = None
-        dep.append(donor.faps[3])
-        assert dep.faps[3].allocation is None
-
 
 class TestNeighborGraph:
     def _two_fap_deployment(self, distance):
         params = DeploymentParams(n_faps=1)
         dep = generate(Scenario.D, params, seed=1)
         position = dep.faps[0].position + np.array([distance, 0.0])
-        dep.append(Fap(id=1, position=position, tx_power=0.01, radius=10.0,
-                       sector_index=sector_of(dep.macro, position)))
+        _extend(dep, position)
         return dep
 
     def test_within_radius_adjacent(self):
@@ -396,9 +376,9 @@ class TestNeighborGraph:
 
 def _layout(positions):
     """Deployment of FAPs at arbitrary positions (no macro BS needed)."""
-    faps = [Fap(id=i, position=p, tx_power=0.01, radius=10.0, sector_index=0)
-            for i, p in enumerate(positions)]
-    return Deployment(None, faps, DeploymentParams(n_faps=len(faps)))
+    dep = Deployment(None, DeploymentParams(n_faps=len(positions)))
+    dep.extend(positions, 0)
+    return dep
 
 
 def _all_pairs_edges(pos, radius):
