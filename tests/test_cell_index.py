@@ -129,12 +129,11 @@ class TestNearMatchesGraph:
 
     RADII = [100.0, 150.5, 0.1 + 0.2, 100 / 3, 1e-300, 1e200, math.inf]
 
-    @pytest.mark.parametrize("index_radius", ["same", 100.0])
+    @pytest.mark.parametrize("index_radius", [None, 100.0])
     @pytest.mark.parametrize("radius", RADII)
     def test_generated(self, radius, index_radius):
-        # the cell index built at the query radius, or at 100 m
-        index_radius = radius if index_radius == "same" else index_radius
-        params = DeploymentParams(n_faps=400, neighbor_radius_m=index_radius)
+        # the cell index built at the query radius (None), or at 100 m
+        params = DeploymentParams(n_faps=400, neighbor_radius_m=index_radius or radius)
         _assert_near_matches_graph(generate(Scenario.D, params, seed=9), radius)
 
     def test_pair_whose_distance_rounds_to_the_radius(self):
