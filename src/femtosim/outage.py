@@ -44,7 +44,6 @@ from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, build_plan
 from .topology import (
     Deployment,
     DeploymentParams,
-    NeighborGraph,
     Scenario,
     apply_plan,
     generate,
@@ -344,7 +343,7 @@ def density_sweep(
             s,
             total_band,
             dep_params.n_sectors,
-            femto_fraction=femto_fraction if s in (Scheme.DEDICATED, Scheme.PARTIAL) else None,
+            femto_fraction=femto_fraction,
             edge_split=edge_split,
         )
         for s in schemes
@@ -367,11 +366,11 @@ def density_sweep(
         dep.extend(full.positions()[:dp0.n_faps], full.sectors()[:dp0.n_faps])
         apply_plan(dep, plans[scheme])
         if scheme is Scheme.DYNAMIC_REUSE:
-            graph = neighbor_graph(dep, dp0.neighbor_radius_m)
-            son.configure_frequencies(dep, graph, plans[scheme])
+            # admit_fap reads only its radius, so it serves later admissions
+            bootstrap = neighbor_graph(dep, dp0.neighbor_radius_m)
+            son.configure_frequencies(dep, bootstrap, plans[scheme])
         chains[scheme] = dep
 
-    radius_graph = NeighborGraph.radius_only(dep_params.neighbor_radius_m)
     rows = []
     for idx, density in enumerate(densities):
         trial_seed = _seed_int(trial_seqs[idx])
@@ -380,7 +379,7 @@ def density_sweep(
             grown = slice(len(dep.faps), density)
             if scheme is Scheme.DYNAMIC_REUSE:
                 for p in full.positions()[grown]:
-                    son.admit_fap(dep, p, plans[scheme], radius_graph)
+                    son.admit_fap(dep, p, plans[scheme], bootstrap)
             else:
                 dep.extend(full.positions()[grown], full.sectors()[grown], 0)
         # one Monte Carlo pass for this density's distinct link sets; each

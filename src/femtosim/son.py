@@ -146,13 +146,10 @@ def configure_frequencies(
         neigh = indices[indptr[fid]:indptr[fid + 1]]
         neigh_codes = codes[neigh]
         counts = np.bincount(neigh_codes + 1, minlength=4).tolist()[1:]
-        free = [k for k in range(3) if not counts[k]]
-        if free:
-            k = min(free, key=lambda c: (usage[c], c))
-        else:
-            k = min(range(3), key=lambda c: (counts[c], usage[c], c))
+        # a free color has count 0, the least, so it wins whenever there is one
+        k = min(range(3), key=lambda c: (counts[c], usage[c], c))
         color = EDGE_COLORS[k]
-        if not free and log is not None:
+        if counts[k] and log is not None:
             log.append(
                 SonEventKind.COLOR_CONFLICT, fid,
                 color=color.value, partners=neigh[neigh_codes == k].tolist(),
@@ -284,13 +281,6 @@ def adjust_power(
     return events
 
 
-def _check_in_macro_disc(deployment: Deployment, pos: np.ndarray) -> None:
-    if deployment.macro is None:
-        raise ValueError("admission requires an overlaid macrocell")
-    if float(np.linalg.norm(pos - deployment.macro.position)) > deployment.macro.radius:
-        raise ValueError("new FAP position lies outside the macro disc")
-
-
 def admit_fap(
     deployment: Deployment,
     position,
@@ -308,7 +298,7 @@ def admit_fap(
         raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
     deployment.check_plan(plan)
     pos = np.asarray(position, dtype=float)
-    _check_in_macro_disc(deployment, pos)
+    deployment.check_in_macro_disc(pos)
     sector = sector_of(deployment.macro, pos)
     sniffed = deployment.near(pos, graph.neighbor_radius)
     # counts of edge indices -1..3 over the sniffed FAPs, kept for 1-3
@@ -340,7 +330,7 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
             fap.radius = ev.details["radius_m"]
         elif ev.kind is SonEventKind.NEW_FAP:
             pos = np.array([ev.details["x"], ev.details["y"]])
-            _check_in_macro_disc(deployment, pos)
+            deployment.check_in_macro_disc(pos)
             sector = sector_of(deployment.macro, pos)
             if ev.details["sector"] != sector:
                 raise ValueError(

@@ -15,15 +15,16 @@ none, 0 the center band alone, 1-3 the center band plus that edge color of
 ``EDGE_COLORS``.  ``Fap.allocation`` builds the ``FemtoAllocation`` from the
 plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
 and write those rows.  FAPs join only at the end, through ``extend``, and a
-position never changes, so the deployment also keeps an incremental cell index
-over its positions; ``near`` answers a radius query from the 3x3 cells around
-a point, in O(degree).  ``near`` and ``neighbor_graph`` share one neighbor
-test, ``dx * dx + dy * dy <= r * r`` in float64, so they agree on every pair.
-
-The neighbor graph is found on a uniform cell grid whose side is a hair above
-the neighbor radius, so a FAP's neighbors all lie in the 3x3 cells around its
-own and the search costs O(N * mean degree) rather than O(N^2).  It is stored
-as CSR arrays (int64 row pointers, int32 neighbor ids ascending in each row).
+position is finite and never changes, so the deployment also keeps an
+incremental cell index over its positions; ``near`` answers a radius query
+from the 3x3 cells around a point, in O(degree).  ``near`` and
+``neighbor_graph`` share one neighbor test, ``dx * dx + dy * dy <= r * r`` in
+float64, so they agree on every pair, and one binning rule: cells a hair wider
+than the radius and at least macro_radius / 2**20, with clipped, column-major
+keys.  The graph's candidates are three runs of the key-sorted FAPs, one per
+column of the 3x3 cells, so it costs O(N * mean degree), not O(N^2); it is
+stored as CSR (int64 row pointers, int32 neighbor ids ascending in each row).
+Placement, admission and replay share one disc test, which NaN fails.
 """
 
 from __future__ import annotations
@@ -185,12 +186,6 @@ class NeighborGraph:
     indices: np.ndarray  # (2 * n_edges,) int32
     neighbor_radius: float
 
-    @classmethod
-    def radius_only(cls, radius: float) -> "NeighborGraph":
-        """An edgeless graph over no FAPs that only carries a sniffing radius
-        (all that ``son.admit_fap`` reads)."""
-        return cls(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), radius)
-
     @property
     def n_faps(self) -> int:
         return len(self.indptr) - 1
@@ -249,30 +244,42 @@ class DeploymentParams:
                 raise ValueError(f"{name} must be positive and finite")
         if self.reference_distance_m > self.macro_radius_m:
             raise ValueError("reference_distance_m exceeds macro_radius_m")
-
-
-def _cell_side(radius: float) -> float:
-    """Side of a grid cell that holds every offset passing a ``d² <= radius *
-    radius`` test: the radius (at least 1e-150, below which a square can
-    underflow to 0) plus a relative 1e-6, far above the float error of the
-    test and of ``floor(x / side)``; infinite when the square overflows."""
-    if math.isinf(radius * radius):
-        return math.inf
-    return max(radius, 1e-150) * (1.0 + 1e-6)
+        if math.isinf(self.macro_radius_m * self.macro_radius_m):
+            raise ValueError("macro_radius_m must be below 1.34e154 m: its square overflows")
 
 
 # Cell coordinates are clipped to +-2**30, so keys fit in int64 and the
 # quotients that are floored stay exact to far below the 1e-6 margin.
-# Clipping is monotone, so cells that were adjacent stay adjacent.
+# Clipping is monotone, so cells that were adjacent stay adjacent.  Keys are
+# column-major: the cells dy = -1, 0, 1 of a column have consecutive keys.
 _CELL_CLIP = float(1 << 30)
 _CELL_STRIDE = 1 << 32
 _NEIGHBOR_OFFSETS = [dx * _CELL_STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+def _cell_side(radius: float, span: float) -> float:
+    """Side of a grid cell that holds every offset passing a ``d² <= radius *
+    radius`` test: the radius plus a relative 1e-6, far above the float error
+    of the test and of ``floor(x / side)``, and infinite when the square
+    overflows.  It is at least 1e-150, below which a square can underflow to
+    0, and span / 2**20, so FAPs in a disc of radius ``span`` never reach the
+    clipped cells; a coarser grid only adds candidates."""
+    if math.isinf(radius * radius):
+        return math.inf
+    return max(radius, 1e-150, span / (1 << 20)) * (1.0 + 1e-6)
 
 
 def _cell_key(x: float, y: float, side: float) -> int:
     cx = math.floor(min(max(x / side, -_CELL_CLIP), _CELL_CLIP))
     cy = math.floor(min(max(y / side, -_CELL_CLIP), _CELL_CLIP))
     return cx * _CELL_STRIDE + cy
+
+
+def _cell_keys(points: np.ndarray, side: float) -> np.ndarray:
+    """``_cell_key`` of each (x, y) row of ``points``, as int64."""
+    with np.errstate(over="ignore"):  # an overflowing quotient is clipped
+        cell = np.floor(np.clip(points / side, -_CELL_CLIP, _CELL_CLIP)).astype(np.int64)
+    return cell[:, 0] * _CELL_STRIDE + cell[:, 1]
 
 
 class Deployment:
@@ -291,7 +298,7 @@ class Deployment:
         self._radius = np.empty(0)
         self._edge = np.empty(0, dtype=np.int8)
         self.plan: FrequencyPlan | None = None
-        self._cell_side = _cell_side(params.neighbor_radius_m)
+        self._cell_side = _cell_side(params.neighbor_radius_m, params.macro_radius_m)
         self._cells: dict[int, list[int]] = {}
 
     @property
@@ -301,13 +308,19 @@ class Deployment:
     def extend(self, positions, sectors, edges=-1) -> None:
         """Append one FAP per (x, y) row of ``positions`` with the given
         sectors and edge indices (see ``edges``; -1, the default, is no
-        allocation), at the deployment's default tx power and radius.  Raises
-        ValueError unless ``positions`` is one (x, y) pair or (m, 2) rows;
-        the sectors and edges are the caller's to fit ``plan``."""
+        allocation), at the deployment's default tx power and radius.  Adds
+        nothing and raises ValueError unless ``positions`` is one finite (x,
+        y) pair or (m, 2) finite rows; the caller fits the sectors and edges
+        to ``plan``."""
         positions = np.asarray(positions, dtype=float)
         if positions.ndim not in (1, 2) or positions.shape[-1] != 2:
             raise ValueError(f"FAP positions are (x, y) rows, got shape {positions.shape}")
         positions = positions.reshape(-1, 2)
+        side, keys = self._cell_side, []
+        for x, y in positions.tolist():
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"FAP position ({x}, {y}) is not finite")
+            keys.append(_cell_key(x, y, side))
         n, m = self._n, len(positions)
         if n + m > len(self._pos):
             capacity = max(2 * len(self._pos), n + m, 16)
@@ -323,9 +336,8 @@ class Deployment:
         self._radius[rows] = self.params.femto_radius_m
         self._edge[rows] = edges
         self._n = n + m
-        cells, side = self._cells, self._cell_side
-        for i, (x, y) in enumerate(positions.tolist(), n):
-            key = _cell_key(x, y, side)
+        cells = self._cells
+        for i, key in enumerate(keys, n):
             cell = cells.get(key)
             if cell is None:
                 cells[key] = [i]
@@ -364,7 +376,7 @@ class Deployment:
         ``radius`` from ``point``, among the FAPs in the 3x3 cells around
         ``point``, or all FAPs when the radius is wider than the cells."""
         point = np.asarray(point, dtype=float)
-        if _cell_side(radius) <= self._cell_side:
+        if _cell_side(radius, self.params.macro_radius_m) <= self._cell_side:
             key = _cell_key(*point.tolist(), self._cell_side)
             found = []
             for offset in _NEIGHBOR_OFFSETS:
@@ -378,6 +390,15 @@ class Deployment:
         ids = ids[d[:, 0] + d[:, 1] <= radius * radius]
         ids.sort()
         return ids
+
+    def check_in_macro_disc(self, position) -> None:
+        """Raise ValueError unless ``position`` lies in the macro disc by
+        placement's test, which a NaN coordinate fails."""
+        if self.macro is None:
+            raise ValueError("admission requires an overlaid macrocell")
+        dx, dy = (np.asarray(position, dtype=float) - self.macro.position).tolist()
+        if not _in_disc(dx, dy, self.macro.radius):
+            raise ValueError("new FAP position lies outside the macro disc")
 
     def check_plan(self, plan: FrequencyPlan) -> None:
         """Raise ValueError unless ``plan`` equals the deployment's plan."""
@@ -422,6 +443,12 @@ def sector_of(macro: MacroBs, position) -> int:
     return _sectors(macro, position)[0]
 
 
+def _in_disc(dx, dy, radius):
+    """The disc test of placement, admission and replay, on floats or arrays;
+    a NaN offset fails it."""
+    return dx * dx + dy * dy <= radius * radius
+
+
 def _disc_points(rng: np.random.Generator, radius: float, m: int) -> np.ndarray:
     """``m`` points uniform over the disc by rejection from the bounding
     square.  Pairs are drawn in blocks of the number still needed, which never
@@ -430,7 +457,7 @@ def _disc_points(rng: np.random.Generator, radius: float, m: int) -> np.ndarray:
     blocks = [np.empty((0, 2))]
     while m:
         p = rng.uniform(-radius, radius, (m, 2))
-        p = p[p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] <= radius * radius]
+        p = p[_in_disc(p[:, 0], p[:, 1], radius)]
         blocks.append(p)
         m -= len(p)
     return np.concatenate(blocks)
@@ -504,13 +531,9 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-# Grid cells per axis are capped so that a tiny radius cannot overflow the
-# int64 cell keys; a coarser grid only adds candidate pairs.
-_MAX_CELLS_PER_AXIS = 1 << 20
 # Candidate pairs per source block: bounds one block's temporaries at a few
 # tens of MB whatever N is.
 _CANDIDATE_BLOCK = 1 << 18
-_NEIGHBOR_CELLS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
 def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
@@ -518,60 +541,47 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     ``((p_i - p_j) ** 2).sum() <= radius * radius``: exact Euclidean
     distances, by the same float expression for every pair.
 
-    Positions are binned into a uniform grid of side ``_cell_side(radius)``,
-    which exceeds the largest axis offset that can pass that test.  Two
-    neighbors are therefore never two cells apart on either axis, and each
-    FAP's candidate partners are the FAPs in the 3x3 cells around its own,
-    read as ranges of the FAPs sorted by cell key.  The cell count per axis
-    is capped, and a radius whose square is infinite gives one cell (the
-    complete graph).  Candidates are tested in source blocks of bounded size.
-    A first pass counts each row's neighbors and keeps one bit per candidate,
-    so that a second pass writes the pairs straight into the one CSR buffer:
-    the peak is the result, the bits (about a tenth of it) and one block.
-    Work and memory are O(N * mean degree).  The result is CSR with int32
-    indices, ascending within each row.
+    FAPs are binned by the cell index's rule (``_cell_side`` over the macro
+    radius, ``_cell_keys``): a cell is wider than any axis offset that passes,
+    so each FAP's candidates are the FAPs of the 3x3 cells around its own,
+    three runs of the FAPs sorted by key, one per column.  A radius whose
+    square is infinite gives one cell (the complete graph).  Candidates are
+    tested in source blocks of bounded size.  A first pass counts each row's
+    neighbors and keeps one bit per candidate, so that a second pass writes
+    the pairs straight into the one CSR buffer: the peak is the result, the
+    bits (about a tenth of it) and one block.  Work and memory are O(N *
+    mean degree).  The result is CSR with int32 indices, ascending in rows.
     """
     if not radius > 0:
         raise ValueError("neighbor radius must be positive")
     pos = deployment.positions()
     n = len(pos)
     if n == 0:
-        return NeighborGraph.radius_only(radius)
+        return NeighborGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), radius)
     r2 = radius * radius
-    lo = pos.min(axis=0)
-    extent = float((pos.max(axis=0) - lo).max())
-    side = max(_cell_side(radius), extent / _MAX_CELLS_PER_AXIS)
-    cell = np.floor((pos - lo) / side).astype(np.int64)
-    # one empty row of padding per column: a neighborhood key that steps off
-    # the top or bottom of a column lands in padding, never in another cell
-    stride = int(cell[:, 1].max()) + 2
-    keys = cell[:, 0] * stride + cell[:, 1]
+    keys = _cell_keys(pos, _cell_side(radius, deployment.params.macro_radius_m))
     order = np.argsort(keys, kind="stable")
-    occupied, first, count = np.unique(keys[order], return_index=True, return_counts=True)
+    sorted_keys = keys[order]
 
-    # each FAP's neighborhood as 9 ranges of `order`: start and length
-    starts = np.zeros((n, len(_NEIGHBOR_CELLS)), dtype=np.int64)
-    lengths = np.zeros((n, len(_NEIGHBOR_CELLS)), dtype=np.int64)
-    for k, (dx, dy) in enumerate(_NEIGHBOR_CELLS):
-        target = keys + dx * stride + dy
-        slot = np.minimum(np.searchsorted(occupied, target), len(occupied) - 1)
-        hit = occupied[slot] == target
-        starts[hit, k] = first[slot[hit]]
-        lengths[hit, k] = count[slot[hit]]
+    # each FAP's neighborhood as 3 runs of `order`, one per column: the keys
+    # from its column's dy = -1 cell to its dy = 1 cell
+    column = keys[:, None] + np.array([-_CELL_STRIDE, 0, _CELL_STRIDE])
+    starts = np.searchsorted(sorted_keys, column - 1, side="left")
+    lengths = np.searchsorted(sorted_keys, column + 1, side="right") - starts
     per_fap = lengths.sum(axis=1)  # >= 1: a FAP's own cell holds it
     ends = np.cumsum(per_fap)
     cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CANDIDATE_BLOCK), side="right")
     bounds = sorted({*cuts.tolist(), n})
     blocks = list(zip(bounds[:-1], bounds[1:]))
 
-    # a candidate range is a slice of the cell-sorted coordinates
+    # a candidate run is a slice of the key-sorted coordinates
     x, y = pos[:, 0], pos[:, 1]
     sorted_x, sorted_y = x[order], y[order]
 
     def candidates(a, b):
         """Index in `order` of every candidate of rows a..b."""
         lens = lengths[a:b].ravel()
-        # its range's start plus a ramp
+        # its run's start plus a ramp
         at = np.repeat(starts[a:b].ravel() - (np.cumsum(lens) - lens), lens)
         at += np.arange(len(at))
         return at
@@ -596,7 +606,7 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
         keep = np.unpackbits(bits, count=len(at)).view(bool)
         i = np.repeat(np.arange(a, b), per_fap[a:b])[keep]
         j = order.take(at[keep])
-        # a row's ranges come cell by cell: sort (row, id) pairs, drop i == j
+        # a row's runs come column by column: sort (row, id) pairs, drop i == j
         pair = np.sort((i * n + j)[i != j])
         indices[indptr[a]:indptr[b]] = pair % n
     indptr.flags.writeable = False

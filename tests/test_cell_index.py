@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from femtosim import son
@@ -23,8 +23,10 @@ from femtosim.topology import (
     Deployment,
     DeploymentParams,
     MacroBs,
-    NeighborGraph,
     Scenario,
+    _cell_key,
+    _cell_keys,
+    _cell_side,
     apply_plan,
     generate,
     neighbor_graph,
@@ -98,6 +100,13 @@ class TestNearAdversarial:
         for p in points:
             _assert_near_matches(dep, p, 1e-300)
 
+    def test_tiny_radius_spreads_faps_over_the_cells(self):
+        # cells are at least macro_radius / 2**20 wide, so FAPs in the disc
+        # never reach the clipped cell coordinates and share no crowded cell
+        dep = generate(Scenario.D, DeploymentParams(n_faps=2000, neighbor_radius_m=1e-9), 8)
+        assert len(dep._cells) > 1990
+        assert max(map(len, dep._cells.values())) <= 2
+
     def test_infinite_radius_index(self):
         dep = _layout(_lattice(1e5), math.inf)
         _assert_near_matches(dep, (0.0, 0.0), math.inf)
@@ -127,7 +136,7 @@ class TestNearMatchesGraph:
     """The admission sniff and the interferer set (``near``) and SON coloring
     (``neighbor_graph``) decide who is a neighbor by one test."""
 
-    RADII = [100.0, 150.5, 0.1 + 0.2, 100 / 3, 1e-300, 1e200, math.inf]
+    RADII = [100.0, 150.5, 0.1 + 0.2, 100 / 3, 1e-9, 1e-300, 1e200, math.inf]
 
     @pytest.mark.parametrize("index_radius", [None, 100.0])
     @pytest.mark.parametrize("radius", RADII)
@@ -148,6 +157,37 @@ class TestNearMatchesGraph:
         with np.errstate(over="ignore"):  # squared offsets overflow to inf too
             _assert_near_matches_graph(dep, 1e200)
             assert dep.near((0.0, 0.0), 1e200).tolist() == [0, 1, 2]
+
+
+SIDES = [_cell_side(r, 1000.0) for r in (100.0, 0.1 + 0.2, 1e-9, 1e-300, 1e200)] + [1e-150]
+
+
+@st.composite
+def _keyed_points(draw):
+    """A cell side and points for it: any finite float (-0.0 and quotients
+    past the clip included), and multiples of the side, on cell boundaries."""
+    side = draw(st.sampled_from(SIDES))
+    boundary = st.integers(-(2**32), 2**32).map(
+        lambda k: k * side if math.isfinite(side) else float(k))
+    coord = st.one_of(st.floats(allow_nan=False, allow_infinity=False), boundary,
+                      st.sampled_from([-0.0, 0.0]))
+    return side, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+
+
+EDGE_POINTS = [(-0.0, 0.0), (1e300, -1e300), (2.0**30 * SIDES[0], -(2.0**30) * SIDES[0]),
+               (-SIDES[0], SIDES[0]), (-1e-320, 1e-320)]
+
+
+class TestCellKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(keyed=_keyed_points())
+    @example(keyed=(SIDES[0], EDGE_POINTS))
+    @example(keyed=(1e-150, EDGE_POINTS))
+    @example(keyed=(math.inf, EDGE_POINTS))
+    def test_vector_keys_match_scalar(self, keyed):
+        side, points = keyed
+        expected = [_cell_key(x, y, side) for x, y in points]
+        assert _cell_keys(np.array(points), side).tolist() == expected
 
 
 finite = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
@@ -178,7 +218,7 @@ disc = st.tuples(
 class TestAdmissionOracle:
     @staticmethod
     def _admit_and_check(dep, points, radius):
-        graph = NeighborGraph.radius_only(radius)
+        graph = neighbor_graph(dep, radius)  # admit_fap reads only its radius
         for p in points:
             p = np.asarray(p, dtype=float)
             expected_ids = _reference_sniff(dep.positions(), p, radius)
@@ -258,7 +298,7 @@ def test_allocation_views_write_through():
     assert dep.faps[3].tx_power == 0.005
     assert twin.faps[3].tx_power == 0.01  # a deep copy holds its own arrays
     assert twin.faps[3].allocation.edge_choice is EdgeChoice.NONE
-    son.assign_shared_edge(dep, NeighborGraph.radius_only(100.0), PLAN, EdgeChoice.Z)
+    son.assign_shared_edge(dep, neighbor_graph(dep, 100.0), PLAN, EdgeChoice.Z)
     assert {f.allocation.edge_choice for f in dep.faps} == {EdgeChoice.Z}
 
 

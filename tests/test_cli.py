@@ -149,7 +149,8 @@ class TestRun:
          "fap_tx_power_w=inf", "p0_femto=inf", "wall_loss_db=inf",
          "walls_between_femtos=-1000", "gamma_db=1e300", "gamma_db=-1e300",
          "ue_distance_m=1e-155", "ue_distance_m=1e-160", "ue_distance_m=1e-200",
-         "ue_distance_m=1e-300"],
+         "ue_distance_m=1e-300", "macro_radius_m=1e155", "macro_radius_m=1e200",
+         "macro_radius_m=1e300"],
     )
     def test_invalid_values_exit_2_on_validate_and_run(self, tmp_path, override):
         # values that only the parameter objects reject: run must not get as
@@ -169,6 +170,15 @@ class TestRun:
             out = tmp_path / f"{experiment}.csv"
             assert _run(["run", "--experiment", experiment, "--out", str(out), *FAST,
                          "--set", override]) == 0
+
+    def test_wide_macro_disc_runs(self, tmp_path):
+        # the widest radii whose square is finite still place, admit and run
+        override = ["--set", "macro_radius_m=1e150"]
+        assert _run(["validate", *FAST, *override]) == 0
+        for experiment in ("fig5", "fig6", "son-ablation"):
+            out = tmp_path / f"{experiment}.csv"
+            assert _run(["run", "--experiment", experiment, "--out", str(out),
+                         *FAST, *override]) == 0
 
     def test_son_ablation_runs_below_1000_faps(self, tmp_path):
         out = tmp_path / "ablation.csv"

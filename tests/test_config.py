@@ -90,6 +90,9 @@ class TestValidation:
             "ue_distance_m=1e-160",
             "ue_distance_m=1e-200",  # the UE offset's square underflows
             "ue_distance_m=1e-300",
+            "macro_radius_m=1e155",  # the disc test's r * r overflows
+            "macro_radius_m=1e200",
+            "macro_radius_m=1e300",
         ],
     )
     def test_invalid_values_rejected(self, override):

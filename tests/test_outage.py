@@ -26,7 +26,6 @@ from femtosim.outage import (
 from femtosim.spectrum import Band, EdgeChoice, Scheme, build_plan
 from femtosim.topology import (
     DeploymentParams,
-    NeighborGraph,
     Scenario,
     apply_plan,
     generate,
@@ -439,7 +438,7 @@ class TestSweepGrowth:
         )
         ref = copy.deepcopy(start)
         ue_angle = nearest_fap_angle(full, full.faps[0])
-        radius_graph = NeighborGraph.radius_only(radius)
+        radius_graph = neighbor_graph(start, radius)  # admit_fap reads only its radius
         expected = []
         for idx, density in enumerate(densities):
             for f in full.faps[len(ref.faps):density]:

@@ -236,12 +236,13 @@ class TestAllocationIsTheEdgeIndexUnderThePlan:
 
     def test_admission_and_replay(self):
         dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=100), seed=7), PLAN)
-        colors = configure_frequencies(dep, _graph(dep), PLAN).colors
+        graph = _graph(dep)  # admission reuses it: admit_fap reads only its radius
+        colors = configure_frequencies(dep, graph, PLAN).colors
         pre = copy.deepcopy(dep)
         log = SonEventLog()
         full = generate(Scenario.D, DeploymentParams(n_faps=160), seed=7)
         for p in full.positions()[100:]:
-            admit_fap(dep, p, PLAN, NeighborGraph.radius_only(100.0), log=log)
+            admit_fap(dep, p, PLAN, graph, log=log)
         for ev in log.events:
             if ev.kind is SonEventKind.RECONFIGURE:
                 colors[ev.subject] = EdgeChoice(ev.details["color"])
@@ -478,8 +479,10 @@ class TestAdmitFap:
 
     def test_outside_disc_rejected(self):
         dep = _deployment_from_layout([(200, 0)])
-        with pytest.raises(ValueError):
-            admit_fap(dep, (2000.0, 0.0), PLAN, _graph(dep))
+        for position in ((2000.0, 0.0), (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)):
+            with pytest.raises(ValueError, match="macro disc"):
+                admit_fap(dep, position, PLAN, _graph(dep))
+        assert len(dep.faps) == 1
 
     def test_sequential_vs_one_shot_conflicts(self):
         # admitting FAPs one at a time can never beat recoloring everything
@@ -488,7 +491,7 @@ class TestAdmitFap:
         positions = [f.position for f in full.faps]
         base = _deployment_from_layout([tuple(positions[0])])
         _set_edge_color(base.faps[0], PLAN, EdgeChoice.X)
-        radius_graph = NeighborGraph.radius_only(100.0)
+        radius_graph = _graph(base)  # admit_fap reads only its radius
         for p in positions[1:]:
             admit_fap(base, p, PLAN, radius_graph)
         _assert_positions_match_faps(base)
@@ -562,8 +565,9 @@ class TestEventLogAndReplay:
 
     def test_replay_rejects_new_fap_outside_macro_disc(self):
         dep = _deployment_from_layout([(200, 0), (220, 0), (240, 0)])
-        with pytest.raises(ValueError):
-            replay(dep, self._new_fap_event(3, 2000.0, 0.0), PLAN)
+        for x in (2000.0, math.nan):
+            with pytest.raises(ValueError, match="macro disc"):
+                replay(dep, self._new_fap_event(3, x, 0.0), PLAN)
         assert len(dep.faps) == 3
 
     def test_replay_rejects_new_fap_in_the_wrong_sector(self):

@@ -70,6 +70,7 @@ class TestDeploymentParams:
             {"fap_tx_power_w": math.inf},
             {"macro_tx_power_w": math.nan},
             {"reference_distance_m": 1500.0},  # outside the 1000 m macro disc
+            {"macro_radius_m": 1e155},  # the disc test's r * r overflows
         ],
     )
     def test_invalid_geometry_rejected(self, kwargs):
@@ -220,6 +221,20 @@ class TestDeploymentPositions:
                 dep.extend(bad, 0)
         assert len(dep.faps) == 1
         assert_positions_match_faps(dep)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_adds_nothing(self, bad):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=20), seed=6)
+        before = dep.positions().copy()
+        for rows in ([bad, 0.0], [0.0, bad], [[1.0, 2.0], [3.0, bad]]):
+            with pytest.raises(ValueError, match="not finite"):
+                dep.extend(rows, 0)
+            assert len(dep.faps) == 20
+            assert dep.positions().tobytes() == before.tobytes()
+            # the valid row (1, 2) before the bad one was not indexed either
+            assert dep.near((1.0, 2.0), 1.0).tolist() == []
+        assert_positions_match_faps(dep)
+        assert neighbor_graph(dep, 100.0).n_faps == 20
 
     def test_append_grows_past_capacity(self):
         rng = np.random.default_rng(5)
