@@ -20,7 +20,7 @@ from .spectrum import (
     UeRegion,
     build_plan,
 )
-from .topology import Deployment, DeploymentParams, Fap, MacroBs, NeighborGraph, Scenario
+from .topology import Deployment, DeploymentParams, Fap, NeighborGraph, Scenario
 
 __all__ = [
     "Band",
@@ -30,7 +30,6 @@ __all__ = [
     "Fap",
     "FemtoAllocation",
     "FrequencyPlan",
-    "MacroBs",
     "MacroSector",
     "NeighborGraph",
     "OutageConfig",

@@ -112,13 +112,12 @@ def link_coefficients(
             * params.wall_attenuation
         )
     macro_coeff = 0.0
-    if deployment.macro is not None:
+    if deployment.macro:
         y = cochannel(plan, alloc_ref, ue_region, MacroSector(reference_fap.sector_index))
         if y:
-            d_m = float(np.linalg.norm(deployment.macro.position - ue))
-            macro_coeff = (
-                deployment.macro.tx_power * params.p0_macro * d_m ** (-params.eta_macro)
-            )
+            d_m = float(np.linalg.norm(ue))  # the macro BS sits at the origin
+            macro_tx_power = deployment.params.macro_tx_power_w
+            macro_coeff = macro_tx_power * params.p0_macro * d_m ** (-params.eta_macro)
     d0 = float(np.linalg.norm(reference_fap.position - ue))
     s_bar = mean_desired_power(reference_fap, d0, params)
     return ids, coeffs, macro_coeff, s_bar

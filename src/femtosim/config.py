@@ -29,6 +29,8 @@ class ConfigError(ValueError):
 
 
 _SCHEME_TOKENS = {s.value: s for s in Scheme}
+# floor of ue_distance_m in ulps of reference_distance_m (see validate)
+_UE_OFFSET_ULPS = 2e6
 
 
 def _parse_db(raw: str) -> float:
@@ -122,10 +124,16 @@ class ExperimentConfig:
 
         prop = attempt(self.propagation)
         attempt(self.outage_config)
-        if prop is not None:
+        if prop is not None and 0 < self.reference_distance_m < math.inf:
             # s_bar takes the UE offset's norm d to the power -eta_desired:
-            # keep d * d a normal float64 (>= 2**-1022) and d^-eta <= 2**1023
-            d_min = max(2.0 ** -511, 2.0 ** (-1023 / prop.eta_desired))
+            # keep d * d a normal float64 (>= 2**-1022) and d^-eta <= 2**1023.
+            # The UE sits at FAP 0 (x = reference_distance_m) plus the offset,
+            # and the channel takes the offset back as a difference, off by
+            # the rounding of that sum: at most one ulp of x, when it rounds
+            # up into the next binade.  2e6 ulps keep the distance it uses
+            # within 5e-7 of d on every bearing, and so its d^-eta finite.
+            d_min = max(2.0 ** -511, 2.0 ** (-1023 / prop.eta_desired),
+                        _UE_OFFSET_ULPS * math.ulp(self.reference_distance_m))
             if 0 < self.ue_distance_m < d_min:
                 problems.append(f"ue_distance_m must be at least {d_min:.4g} m")
         for n in (self.n_faps, *self.densities):

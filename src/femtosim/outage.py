@@ -362,8 +362,8 @@ def density_sweep(
 
     chains = {}
     for scheme in schemes:
-        dep = Deployment(full.macro, dp0)
-        dep.extend(full.positions()[:dp0.n_faps], full.sectors()[:dp0.n_faps])
+        dep = Deployment(dp0)
+        dep.extend(full.positions()[:dp0.n_faps])
         apply_plan(dep, plans[scheme])
         if scheme is Scheme.DYNAMIC_REUSE:
             # admit_fap reads only its radius, so it serves later admissions
@@ -381,7 +381,7 @@ def density_sweep(
                 for p in full.positions()[grown]:
                     son.admit_fap(dep, p, plans[scheme], bootstrap)
             else:
-                dep.extend(full.positions()[grown], full.sectors()[grown], 0)
+                dep.extend(full.positions()[grown], 0)
         # one Monte Carlo pass for this density's distinct link sets; each
         # row's estimate then finds its own among them
         links = [

@@ -291,27 +291,28 @@ def admit_fap(
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
     pick an edge color absent among them (else their minority color; ties go
     to the first of ``EDGE_COLORS``), and append the FAP without touching
-    existing colors.  The sniff reads only the cells around the position.
-    Raises ValueError when ``plan`` has no edge bands or is not the
+    existing colors; ``extend`` gives it its position's sector, which the
+    NEW_FAP event records.  The sniff reads only the cells around the
+    position.  Raises ValueError when ``plan`` has no edge bands or is not the
     deployment's."""
     if not plan.has_edge_bands:
         raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
     deployment.check_plan(plan)
     pos = np.asarray(position, dtype=float)
     deployment.check_in_macro_disc(pos)
-    sector = sector_of(deployment.macro, pos)
     sniffed = deployment.near(pos, graph.neighbor_radius)
     # counts of edge indices -1..3 over the sniffed FAPs, kept for 1-3
     counts = np.bincount(deployment.edges()[sniffed] + 1, minlength=5)[2:]
     k = int(np.argmin(counts))  # the first absent color, if one is
     new_id = len(deployment.faps)
-    deployment.extend(pos, [sector], k + 1)
+    deployment.extend(pos, k + 1)
 
     local_log = log if log is not None else SonEventLog()
     events = [
         local_log.append(
             SonEventKind.NEW_FAP, new_id,
-            x=float(pos[0]), y=float(pos[1]), sector=sector,
+            x=float(pos[0]), y=float(pos[1]),
+            sector=deployment.faps[new_id].sector_index,
         ),
         local_log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[k].value),
     ]
@@ -331,7 +332,7 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
         elif ev.kind is SonEventKind.NEW_FAP:
             pos = np.array([ev.details["x"], ev.details["y"]])
             deployment.check_in_macro_disc(pos)
-            sector = sector_of(deployment.macro, pos)
+            sector = sector_of(deployment.params.n_sectors, pos)
             if ev.details["sector"] != sector:
                 raise ValueError(
                     f"NEW_FAP {ev.subject} names sector {ev.details['sector']},"
@@ -341,7 +342,7 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
                 raise ValueError(
                     f"NEW_FAP id {ev.subject} is not the next row {len(deployment.faps)}"
                 )
-            deployment.extend(pos, [sector])
+            deployment.extend(pos)
         elif ev.kind is SonEventKind.RECONFIGURE:
             deployment.fap_by_id(ev.subject)  # range check
             edge = list(EdgeChoice).index(EdgeChoice(ev.details["color"]))

@@ -7,6 +7,12 @@ reference FAP used by outage experiments is always FAP 0, pinned at the
 configured distance from the macro BS on the +x axis; all other positions are
 random.  Distances are 2-D horizontal.
 
+The macro BS sits at the origin, and a deployment's ``DeploymentParams`` is
+the one source of its radius, tx power and sector count, checked there; the
+``macro`` flag is off only in scenario A, which has no macrocell.  A FAP's
+sector is its angle around the macro BS (``sector_of``), which ``extend``
+derives from its position as it joins.
+
 A deployment stores its FAPs as arrays, row i being FAP i: position, sector,
 tx power, radius and an int8 edge index.  Under dynamic re-use a FAP sends on
 its sector's center band plus at most one of three edge bands, so with the
@@ -24,7 +30,9 @@ than the radius and at least macro_radius / 2**20, with clipped, column-major
 keys.  The graph's candidates are three runs of the key-sorted FAPs, one per
 column of the 3x3 cells, so it costs O(N * mean degree), not O(N^2); it is
 stored as CSR (int64 row pointers, int32 neighbor ids ascending in each row).
-Placement, admission and replay share one disc test, which NaN fails.
+Placement, admission and replay share one disc test, which NaN fails, and
+scenario B redraws a FAP while ``near`` finds a neighbor, so the graph links
+none of its pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ __all__ = [
     "Deployment",
     "DeploymentParams",
     "Fap",
-    "MacroBs",
     "NeighborGraph",
     "PlacementError",
     "Scenario",
@@ -66,19 +73,6 @@ class Scenario(Enum):
 
 class PlacementError(RuntimeError):
     """Raised when a scenario's geometric constraints cannot be satisfied."""
-
-
-@dataclass(frozen=True)
-class MacroBs:
-    position: np.ndarray  # (2,) meters
-    tx_power: float  # W
-    radius: float  # m
-    n_sectors: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if self.radius <= 0 or self.tx_power <= 0:
-            raise ValueError("macro radius and tx power must be positive")
 
 
 class Fap:
@@ -285,12 +279,14 @@ def _cell_keys(points: np.ndarray, side: float) -> np.ndarray:
 class Deployment:
     """FAPs of one deployment as arrays, row i being FAP i.  FAPs join only
     through ``extend``, and the arrays are grown by doubling, never rebuilt.
-    A FAP's allocation is its edge index under ``plan``, which ``assign``
-    binds when it writes every FAP."""
+    With ``macro``, a macro BS sits at the origin with the radius, tx power
+    and sector count of ``params``; without it (scenario A) there is no macro
+    disc and every FAP is in sector 0.  A FAP's allocation is its edge index
+    under ``plan``, which ``assign`` binds when it writes every FAP."""
 
-    def __init__(self, macro: MacroBs | None, params: DeploymentParams):
-        self.macro = macro
+    def __init__(self, params: DeploymentParams, macro: bool = True):
         self.params = params
+        self.macro = macro
         self._n = 0
         self._pos = np.empty((0, 2))
         self._sector = np.empty(0, dtype=np.int64)
@@ -305,22 +301,25 @@ class Deployment:
     def faps(self) -> Sequence[Fap]:
         return _FapList(self)
 
-    def extend(self, positions, sectors, edges=-1) -> None:
-        """Append one FAP per (x, y) row of ``positions`` with the given
-        sectors and edge indices (see ``edges``; -1, the default, is no
-        allocation), at the deployment's default tx power and radius.  Adds
+    def extend(self, positions, edges=-1) -> None:
+        """Append one FAP per (x, y) row of ``positions`` with edge indices
+        ``edges`` (see ``edges``; -1, the default, is no allocation), at the
+        deployment's default tx power and radius.  A FAP's sector is the one
+        ``sector_of`` gives its position, or 0 without a macro BS.  Adds
         nothing and raises ValueError unless ``positions`` is one finite (x,
-        y) pair or (m, 2) finite rows; the caller fits the sectors and edges
-        to ``plan``."""
+        y) pair or (m, 2) finite rows, none at the macro BS; the caller fits
+        the edges to ``plan``."""
         positions = np.asarray(positions, dtype=float)
         if positions.ndim not in (1, 2) or positions.shape[-1] != 2:
             raise ValueError(f"FAP positions are (x, y) rows, got shape {positions.shape}")
         positions = positions.reshape(-1, 2)
-        side, keys = self._cell_side, []
+        side, keys, sectors = self._cell_side, [], []
+        n_sectors = self.params.n_sectors
         for x, y in positions.tolist():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"FAP position ({x}, {y}) is not finite")
             keys.append(_cell_key(x, y, side))
+            sectors.append(_sector(x, y, n_sectors) if self.macro else 0)
         n, m = self._n, len(positions)
         if n + m > len(self._pos):
             capacity = max(2 * len(self._pos), n + m, 16)
@@ -394,10 +393,10 @@ class Deployment:
     def check_in_macro_disc(self, position) -> None:
         """Raise ValueError unless ``position`` lies in the macro disc by
         placement's test, which a NaN coordinate fails."""
-        if self.macro is None:
+        if not self.macro:
             raise ValueError("admission requires an overlaid macrocell")
-        dx, dy = (np.asarray(position, dtype=float) - self.macro.position).tolist()
-        if not _in_disc(dx, dy, self.macro.radius):
+        x, y = np.asarray(position, dtype=float).tolist()
+        if not _in_disc(x, y, self.params.macro_radius_m):
             raise ValueError("new FAP position lies outside the macro disc")
 
     def check_plan(self, plan: FrequencyPlan) -> None:
@@ -427,20 +426,19 @@ class Deployment:
             self.plan = plan
 
 
-def _sectors(macro: MacroBs, points) -> list[int]:
-    """Angular sector index of each point: floor(angle / (2*pi/N))."""
-    width = TWO_PI / macro.n_sectors
-    out = []
-    for dx, dy in (np.asarray(points, dtype=float).reshape(-1, 2) - macro.position).tolist():
-        if dx == 0.0 and dy == 0.0:
-            raise ValueError("position coincides with the macro BS")
-        out.append(min(int(math.atan2(dy, dx) % TWO_PI // width), macro.n_sectors - 1))
-    return out
+def _sector(x: float, y: float, n_sectors: int) -> int:
+    """Sector of the point (x, y) around the macro BS at the origin."""
+    if x == 0.0 and y == 0.0:
+        raise ValueError("position coincides with the macro BS")
+    return min(int(math.atan2(y, x) % TWO_PI // (TWO_PI / n_sectors)), n_sectors - 1)
 
 
-def sector_of(macro: MacroBs, position) -> int:
-    """Angular sector index of a position: floor(angle / (2*pi/N))."""
-    return _sectors(macro, position)[0]
+def sector_of(n_sectors: int, position) -> int:
+    """Angular sector index of an (x, y) position around the macro BS at the
+    origin: floor(angle / (2*pi/N)), the angle counterclockwise from +x in
+    [0, 2*pi).  Raises ValueError at the macro BS."""
+    x, y = np.asarray(position, dtype=float).tolist()
+    return _sector(x, y, n_sectors)
 
 
 def _in_disc(dx, dy, radius):
@@ -463,38 +461,25 @@ def _disc_points(rng: np.random.Generator, radius: float, m: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _make_macro(params: DeploymentParams) -> MacroBs:
-    return MacroBs(
-        position=np.zeros(2),
-        tx_power=params.macro_tx_power_w,
-        radius=params.macro_radius_m,
-        n_sectors=params.n_sectors,
-    )
-
-
-def _layout(rng, macro: MacroBs, params: DeploymentParams, separation=None) -> Deployment:
+def _layout(rng, params: DeploymentParams, separation=None) -> Deployment:
     """Reference FAP pinned at reference_distance on the +x axis, rest uniform;
     with ``separation``, each FAP is redrawn (up to max_place_attempts times)
-    until it is farther than that from every FAP placed before it."""
-    reference = np.array([[params.reference_distance_m, 0.0]])
+    while some FAP placed before it is its neighbor at that radius."""
+    dep = Deployment(params)
+    dep.extend((params.reference_distance_m, 0.0))
     if separation is None:
-        points = np.concatenate([reference, _disc_points(rng, params.macro_radius_m,
-                                                         params.n_faps - 1)])
-    else:
-        placed = [reference[0]]
-        for i in range(1, params.n_faps):
-            for _ in range(params.max_place_attempts):
-                p = _disc_points(rng, params.macro_radius_m, 1)[0]
-                if all(np.linalg.norm(p - q) > separation for q in placed):
-                    placed.append(p)
-                    break
-            else:
-                raise PlacementError(
-                    f"could not place FAP {i} after {params.max_place_attempts} attempts"
-                )
-        points = np.array(placed)
-    dep = Deployment(macro, params)
-    dep.extend(points, _sectors(macro, points))
+        dep.extend(_disc_points(rng, params.macro_radius_m, params.n_faps - 1))
+        return dep
+    for i in range(1, params.n_faps):
+        for _ in range(params.max_place_attempts):
+            p = _disc_points(rng, params.macro_radius_m, 1)
+            if not len(dep.near(p[0], separation)):
+                dep.extend(p)
+                break
+        else:
+            raise PlacementError(
+                f"could not place FAP {i} after {params.max_place_attempts} attempts"
+            )
     return dep
 
 
@@ -506,18 +491,16 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     if scenario is Scenario.A:
         if params.n_faps != 1:
             raise ValueError("scenario A has exactly one FAP")
-        dep = Deployment(None, params)
-        dep.extend(np.zeros((1, 2)), 0)
+        dep = Deployment(params, macro=False)
+        dep.extend((0.0, 0.0))
         return dep
 
-    macro = _make_macro(params)
-
     if scenario is Scenario.B:
-        return _layout(rng, macro, params, separation=params.neighbor_radius_m)
+        return _layout(rng, params, separation=params.neighbor_radius_m)
 
     if scenario is Scenario.C:
         for _ in range(params.max_layout_attempts):
-            dep = _layout(rng, macro, params)
+            dep = _layout(rng, params)
             g = neighbor_graph(dep, params.neighbor_radius_m)
             if g.n_edges >= 1 and g.mean_degree < params.c_max_mean_degree:
                 return dep
@@ -526,7 +509,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
         )
 
     if scenario is Scenario.D:
-        return _layout(rng, macro, params)
+        return _layout(rng, params)
 
     raise ValueError(f"unknown scenario {scenario!r}")
 

@@ -22,7 +22,6 @@ from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, build_plan
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
-    MacroBs,
     Scenario,
     _cell_key,
     _cell_keys,
@@ -30,11 +29,9 @@ from femtosim.topology import (
     apply_plan,
     generate,
     neighbor_graph,
-    sector_of,
 )
 
 PLAN = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 60_000_000), 3)
-MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
 
 
 def _reference_sniff(positions, point, radius):
@@ -54,8 +51,9 @@ def _reference_color(dep, point, radius):
 
 
 def _layout(points, neighbor_radius):
-    dep = Deployment(None, DeploymentParams(n_faps=len(points), neighbor_radius_m=neighbor_radius))
-    dep.extend(points, 0)
+    params = DeploymentParams(n_faps=len(points), neighbor_radius_m=neighbor_radius)
+    dep = Deployment(params, macro=False)
+    dep.extend(points)
     return dep
 
 
@@ -120,7 +118,7 @@ class TestNearAdversarial:
             _assert_near_matches(dep, p, query)
 
     def test_empty_deployment(self):
-        dep = Deployment(None, DeploymentParams(n_faps=1))
+        dep = Deployment(DeploymentParams(n_faps=1), macro=False)
         assert dep.near((0.0, 0.0), 100.0).tolist() == []
 
 
@@ -241,8 +239,8 @@ class TestAdmissionOracle:
     def test_boundary_layout(self, radius):
         # FAPs on cell boundaries and exactly r from later admissions
         start = [(300.0 + x, y) for x, y in _lattice(radius, k=2)]
-        dep = Deployment(MACRO, DeploymentParams(n_faps=len(start), neighbor_radius_m=radius))
-        dep.extend(start, [sector_of(MACRO, p) for p in start])
+        dep = Deployment(DeploymentParams(n_faps=len(start), neighbor_radius_m=radius))
+        dep.extend(start)
         apply_plan(dep, PLAN)
         configure_frequencies(dep, neighbor_graph(dep, radius), PLAN)
         later = [(300.0 + radius, 0.5 * radius), (300.0 - radius, 0.0), (300.0, 2 * radius),

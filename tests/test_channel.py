@@ -7,15 +7,15 @@ import pytest
 
 from femtosim.channel import PropagationParams, link_coefficients, mean_desired_power
 from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, UeRegion, build_plan, cochannel
-from femtosim.topology import Deployment, DeploymentParams, Scenario, apply_plan, generate, sector_of
+from femtosim.topology import Deployment, DeploymentParams, Scenario, apply_plan, generate
 
 TOTAL = Band(0, 60_000_000)
 
 
 def _fap(power=0.01):
     """The one FAP of a deployment, at the origin with tx power ``power``."""
-    dep = Deployment(None, DeploymentParams(n_faps=1, fap_tx_power_w=power))
-    dep.extend((0.0, 0.0), [0])
+    dep = Deployment(DeploymentParams(n_faps=1, fap_tx_power_w=power), macro=False)
+    dep.extend((0.0, 0.0))
     return dep.faps[0]
 
 
@@ -75,7 +75,7 @@ def _pair_setup(scheme, offset):
     from it, in its own sector."""
     dep, plan = _dense_setup(scheme, n_faps=1)
     position = dep.faps[0].position + np.asarray(offset)
-    dep.extend(position, [sector_of(dep.macro, position)])
+    dep.extend(position)
     apply_plan(dep, plan)
     return dep, plan
 
@@ -221,7 +221,7 @@ class TestCochannelLookup:
     def test_neighbor_appended_after_the_plan_rejected(self):
         dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
         position = dep.faps[0].position + np.array([0.0, 40.0])
-        dep.extend(position, [sector_of(dep.macro, position)])
+        dep.extend(position)
         assert dep.faps[2].allocation is None
         ref = dep.faps[0]
         with pytest.raises(ValueError, match="FAP 2 has no allocation"):

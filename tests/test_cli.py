@@ -161,15 +161,36 @@ class TestRun:
                      "--set", override]) == 2
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("override", ["ue_distance_m=1e-150", "ue_distance_m=1e-3"])
-    def test_small_ue_distances_run(self, tmp_path, override):
-        # above the floor where the UE offset's square or d^-eta_desired
-        # leaves float64, small UE distances still validate and run
-        assert _run(["validate", "--set", override]) == 0
+    @pytest.mark.parametrize("overrides", [
+        ("ue_distance_m=1e-7",),
+        ("ue_distance_m=1e-3",),
+        # a reference FAP close to the macro BS lowers the floor its ulp sets
+        # below the one of the offset's square; eta_macro=2 keeps the macro
+        # term, at about 1e-145 m, finite
+        ("reference_distance_m=1e-145", "eta_macro=2", "ue_distance_m=1e-150"),
+    ], ids=",".join)
+    def test_small_ue_distances_run(self, tmp_path, overrides):
+        # above the floors where the UE offset's square or d^-eta_desired
+        # leaves float64, or the offset is lost beside the reference FAP's
+        # coordinate, small UE distances still validate and run
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert _run(["validate", *sets]) == 0
         for experiment in ("fig5", "son-ablation"):
             out = tmp_path / f"{experiment}.csv"
             assert _run(["run", "--experiment", experiment, "--out", str(out), *FAST,
-                         "--set", override]) == 0
+                         *sets]) == 0
+
+    @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
+    def test_ue_offset_lost_beside_the_reference_exit_2(self, tmp_path, experiment):
+        # 5e-52 m clears the eta_desired=6 floor (4.7e-52 m), but beside FAP 0
+        # at x = 200 m (ulp 2.8e-14 m) the offset's x part is lost, and the
+        # channel's d^-6 overflowed: validate and run both reject it now
+        sets = ["--set", "eta_desired=6", "--set", "ue_distance_m=5e-52",
+                "--set", "n_faps=300", "--set", "n_trials=2000"]
+        assert _run(["validate", *sets]) == 2
+        out = tmp_path / "never.csv"
+        assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 2
+        assert os.listdir(tmp_path) == []
 
     def test_wide_macro_disc_runs(self, tmp_path):
         # the widest radii whose square is finite still place, admit and run

@@ -101,8 +101,11 @@ class TestValidation:
             cfg.validate()
 
     def test_ue_distance_floor_follows_eta_desired(self):
-        # d^-eta_desired must fit float64: 4e-52 ** -2 does, 4e-52 ** -6 does not
-        cfg = apply_overrides(ExperimentConfig(), ["ue_distance_m=4e-52"])
+        # d^-eta_desired must fit float64: 4e-52 ** -2 does, 4e-52 ** -6 does
+        # not.  A reference FAP 1e-43 m from the macro BS puts the floor that
+        # the reference's ulp sets (4e-53 m) below both.
+        cfg = apply_overrides(ExperimentConfig(),
+                              ["reference_distance_m=1e-43", "ue_distance_m=4e-52"])
         cfg.validate()
         with pytest.raises(ConfigError, match="ue_distance_m"):
             apply_overrides(cfg, ["eta_desired=6"]).validate()

@@ -1,7 +1,10 @@
 """Golden outputs: SHA-256 of the CSV bodies of small fig5, fig6 and
 son-ablation runs, captured before FAP state moved into arrays.  Any change
 to placement, sectors, the neighbor graph, coloring, admission or the outage
-estimator that moves a single bit of a result changes a hash.
+estimator that moves a single bit of a result changes a hash.  The
+random-bearing cases, captured before the macro cell moved into
+``DeploymentParams``, cover the UE bearing that fig6 and son-ablation each
+draw from their own seed child.
 
 The hashes hold for one numpy build: ``p_out_mc`` counts comparisons of
 matrix products, and a BLAS with another summation order may flip one.
@@ -30,14 +33,31 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("experiment, seed", sorted(GOLDEN), ids=lambda v: str(v))
-def test_csv_body_hash(tmp_path, experiment, seed):
+RANDOM_BEARING = {
+    ("fig6", 1): "2597ce278b1d350baac1f7d1b4be398c38e4409955c707a1877753e8c3282dd6",
+    ("fig6", 2): "e526cd5bbf9e331db80ebb0bb9ae0b6f745188f90ff249f7580e41fc9cfe98c3",
+    ("son-ablation", 1): "72c75dd212dfbfcc99b1ee7126bb74c4faa5639543cb5c04732686eddb13aaf2",
+    ("son-ablation", 2): "5ff8cd7b48e1e8482c440d7288a6d64f9458abf7196ad49bcedd32434d4a4273",
+}
+
+
+def _body_hash(tmp_path, experiment, sets):
     out = tmp_path / f"{experiment}.csv"
-    cfg = apply_overrides(
-        ExperimentConfig(), [*CASES[experiment], f"seed={seed}", f"out={out}"]
-    )
+    cfg = apply_overrides(ExperimentConfig(), [*sets, f"out={out}"])
     cli.run_experiment(cfg, experiment, 1)
     body = "".join(
         line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")
     )
-    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN[(experiment, seed)]
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(GOLDEN), ids=lambda v: str(v))
+def test_csv_body_hash(tmp_path, experiment, seed):
+    sets = [*CASES[experiment], f"seed={seed}"]
+    assert _body_hash(tmp_path, experiment, sets) == GOLDEN[(experiment, seed)]
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(RANDOM_BEARING), ids=lambda v: str(v))
+def test_random_bearing_csv_body_hash(tmp_path, experiment, seed):
+    sets = [*CASES[experiment], "ue_direction=random", f"seed={seed}"]
+    assert _body_hash(tmp_path, experiment, sets) == RANDOM_BEARING[(experiment, seed)]

@@ -30,7 +30,6 @@ from femtosim.topology import (
     apply_plan,
     generate,
     neighbor_graph,
-    sector_of,
 )
 
 TOTAL = Band(0, 60_000_000)
@@ -149,7 +148,7 @@ def _dense(scheme, seed=42, n_faps=1000):
 def _pair(scheme, position):
     """The reference FAP of ``_dense`` plus one FAP at ``position``."""
     dep, plan = _dense(scheme, n_faps=1)
-    dep.extend(position, [sector_of(dep.macro, position)])
+    dep.extend(position)
     apply_plan(dep, plan)
     return dep, plan
 
@@ -419,6 +418,27 @@ class TestSweepGrowth:
         assert [len(p) for p, _, _ in seen] == [d for d in densities for _ in schemes]
         for positions, from_faps, _ in seen:
             assert positions.tobytes() == from_faps.tobytes()
+
+    @pytest.mark.parametrize("n_sectors", [3, 4])
+    def test_chains_hold_the_full_deployment_sector_prefix(self, monkeypatch, n_sectors):
+        sectors = []
+        real = outage.estimate
+
+        def spy(dep, *args, **kwargs):
+            sectors.append(dep.sectors().copy())
+            return real(dep, *args, **kwargs)
+
+        monkeypatch.setattr(outage, "estimate", spy)
+        densities, seed = [20, 60, 150], 4
+        dep_params = DeploymentParams(n_sectors=n_sectors)
+        density_sweep(densities, list(Scheme), OutageConfig(n_trials=50), PropagationParams(),
+                      seed=seed, dep_params=dep_params)
+        dep_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
+        full = generate(Scenario.D, DeploymentParams(n_faps=150, n_sectors=n_sectors), dep_seed)
+        assert set(full.sectors().tolist()) == set(range(n_sectors))
+        assert [len(s) for s in sectors] == [d for d in densities for _ in Scheme]
+        for s in sectors:
+            assert s.tolist() == full.sectors()[:len(s)].tolist()
 
     def test_admission_matches_plain_admit_fap(self, monkeypatch):
         # the sweep's dynamic column must equal growing a copy of its starting

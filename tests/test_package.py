@@ -134,7 +134,7 @@ def test_growth_guard_flags(snippet):
 
 
 def test_growth_guard_allows_append_and_reads():
-    source = "dep.extend(p, [s])\nx = dep.faps[0].position\nfaps.append(f)\nlog.append(e)"
+    source = "dep.extend(p)\nx = dep.faps[0].position\nfaps.append(f)\nlog.append(e)"
     assert _growth_outside_extend(source) == []
 
 

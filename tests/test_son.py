@@ -36,7 +36,6 @@ from femtosim.spectrum import (
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
-    MacroBs,
     NeighborGraph,
     Scenario,
     apply_plan,
@@ -50,10 +49,8 @@ PLAN = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
 
 def _deployment_from_layout(positions):
     """Small handcrafted deployment around the sector-0 axis."""
-    macro = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
-    params = DeploymentParams(n_faps=len(positions))
-    dep = Deployment(macro, params)
-    dep.extend(positions, 0)
+    dep = Deployment(DeploymentParams(n_faps=len(positions)))
+    dep.extend(positions)
     apply_plan(dep, PLAN)
     return dep
 
@@ -466,6 +463,23 @@ class TestAdmitFap:
         graph = _graph(dep)
         dep2, _ = admit_fap(dep, (215.0, 5.0), PLAN, graph)
         assert dep2.faps[-1].allocation.edge_choice in (EdgeChoice.Y, EdgeChoice.Z)
+
+    def test_new_fap_events_log_the_stored_sector(self):
+        full = generate(Scenario.D, DeploymentParams(n_faps=300), seed=44)
+        dep = generate(Scenario.D, DeploymentParams(n_faps=50), seed=44)
+        apply_plan(dep, PLAN)
+        graph = _graph(dep)
+        configure_frequencies(dep, graph, PLAN)
+        pre, log = copy.deepcopy(dep), SonEventLog()
+        for p in full.positions()[50:]:
+            admit_fap(dep, p, PLAN, graph, log)
+        logged = {ev.subject: ev.details["sector"] for ev in log.events
+                  if ev.kind is SonEventKind.NEW_FAP}
+        assert sorted(logged) == list(range(50, 300))
+        assert set(logged.values()) == {0, 1, 2}
+        assert [logged[i] for i in range(50, 300)] == dep.sectors()[50:].tolist()
+        assert dep.sectors().tolist() == full.sectors().tolist()
+        assert replay(pre, log.events, PLAN).sectors().tolist() == dep.sectors().tolist()
 
     def test_existing_colors_untouched(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=200), seed=3)

@@ -1,6 +1,7 @@
 """Deployment generation, sector assignment, and neighbor-graph tests."""
 
 import copy
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -9,20 +10,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from femtosim import topology
 from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, build_plan
 from femtosim.topology import (
     Deployment,
     DeploymentParams,
-    MacroBs,
     PlacementError,
     Scenario,
+    _cell_side,
     apply_plan,
     generate,
     neighbor_graph,
     sector_of,
 )
 
-MACRO = MacroBs(position=np.zeros(2), tx_power=1.5, radius=1000.0, n_sectors=3)
 PLAN = build_plan(Scheme.DYNAMIC_REUSE, Band(0, 60_000_000), 3)
 
 
@@ -33,19 +34,19 @@ def _adjacency(g):
 
 class TestSectorOf:
     def test_angle_zero(self):
-        assert sector_of(MACRO, (100.0, 0.0)) == 0
+        assert sector_of(3, (100.0, 0.0)) == 0
 
     def test_angle_pi(self):
         # pi / (2 pi / 3) = 1.5 -> floor 1
-        assert sector_of(MACRO, (-100.0, 0.0)) == 1
+        assert sector_of(3, (-100.0, 0.0)) == 1
 
     def test_angle_just_below_two_pi(self):
         p = (100.0 * math.cos(-1e-9), 100.0 * math.sin(-1e-9))
-        assert sector_of(MACRO, p) == 2
+        assert sector_of(3, p) == 2
 
     def test_coincident_position_rejected(self):
         with pytest.raises(ValueError):
-            sector_of(MACRO, (0.0, 0.0))
+            sector_of(3, (0.0, 0.0))
 
     def test_rotation_permutes_sectors(self):
         rng = np.random.default_rng(5)
@@ -56,7 +57,63 @@ class TestSectorOf:
             if np.linalg.norm(p) < 1e-9:
                 continue
             q = (c * p[0] - s * p[1], s * p[0] + c * p[1])
-            assert sector_of(MACRO, q) == (sector_of(MACRO, p) + 1) % 3
+            assert sector_of(3, q) == (sector_of(3, p) + 1) % 3
+
+
+class TestStoredSectors:
+    """``extend`` derives each FAP's sector from its position."""
+
+    @pytest.mark.parametrize("n_sectors", [3, 4, 6])
+    def test_generated_sectors_follow_positions(self, n_sectors):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=2000, n_sectors=n_sectors), 3)
+        expected = [sector_of(n_sectors, p) for p in dep.positions()]
+        assert dep.sectors().tolist() == expected
+        assert set(expected) == set(range(n_sectors))
+
+    def test_position_at_the_macro_bs_adds_nothing(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=20), seed=6)
+        before = [a.copy() for a in (dep.positions(), dep.sectors(), dep.edges())]
+        for rows in ([0.0, 0.0], [[1.0, 2.0], [0.0, -0.0]]):
+            with pytest.raises(ValueError, match="macro BS"):
+                dep.extend(rows)
+            after = (dep.positions(), dep.sectors(), dep.edges())
+            assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+            assert dep.near((1.0, 2.0), 1.0).tolist() == []
+        assert_positions_match_faps(dep)
+
+    def test_without_a_macro_every_fap_is_in_sector_0(self):
+        dep = Deployment(DeploymentParams(n_faps=3, n_sectors=6), macro=False)
+        dep.extend([(0.0, 0.0), (-5.0, 1.0), (3.0, -4.0)])
+        assert dep.sectors().tolist() == [0, 0, 0]
+
+
+class TestMacroCell:
+    """The macro cell is the deployment's ``DeploymentParams``: nothing else
+    carries its radius, tx power or sector count."""
+
+    def test_only_params_carry_the_macro_cell(self):
+        assert not hasattr(topology, "MacroBs")
+        assert list(inspect.signature(Deployment).parameters) == ["params", "macro"]
+        with pytest.raises(ValueError):  # once admitted x = 1e300 through a hand-built macro
+            DeploymentParams(macro_radius_m=1e200)
+        with pytest.raises(ValueError, match="macro disc"):
+            Deployment(DeploymentParams()).check_in_macro_disc((1e300, 0.0))
+
+    def test_disc_test_and_cell_grid_read_one_radius(self):
+        # at a 1e12 m macro radius the cells (radius / 2**20) are wider than
+        # the 100 m neighbor radius, so the grid's side shows which radius it read
+        params = DeploymentParams(n_faps=1, macro_radius_m=1e12)
+        dep = Deployment(params)
+        dep.check_in_macro_disc((params.macro_radius_m, 0.0))
+        with pytest.raises(ValueError, match="macro disc"):
+            dep.check_in_macro_disc((math.nextafter(params.macro_radius_m, math.inf), 0.0))
+        side = _cell_side(params.neighbor_radius_m, params.macro_radius_m)
+        assert dep._cell_side == side > 1000 * params.neighbor_radius_m
+
+    def test_no_macro_no_disc(self):
+        dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
+        with pytest.raises(ValueError, match="macrocell"):
+            dep.check_in_macro_disc((1.0, 0.0))
 
 
 class TestDeploymentParams:
@@ -86,7 +143,7 @@ class TestDeploymentParams:
 class TestGenerate:
     def test_scenario_a(self):
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
-        assert dep.macro is None
+        assert dep.macro is False
         assert len(dep.faps) == 1
         assert neighbor_graph(dep, 100.0).n_edges == 0
 
@@ -123,6 +180,26 @@ class TestGenerate:
         dep = generate(Scenario.B, params, seed=9)
         g = neighbor_graph(dep, params.neighbor_radius_m)
         assert g.n_edges == 0
+
+    def test_scenario_b_redraws_a_graph_neighbor(self, monkeypatch):
+        # the first candidate is 100.00000000000001 m from FAP 0 at (200, 0)
+        # by norm, but its d2 is 100 * 100, so the graph links the pair:
+        # scenario B must redraw it
+        stub = np.array([[187.25192387233957, -99.18410434663095]])
+        draw = topology._disc_points
+        calls = []
+
+        def first_draw_stubbed(rng, radius, m):
+            calls.append(m)
+            points = draw(rng, radius, m)  # the stream advances as before
+            return stub if len(calls) == 1 else points
+
+        monkeypatch.setattr(topology, "_disc_points", first_draw_stubbed)
+        params = DeploymentParams(n_faps=2)
+        dep = generate(Scenario.B, params, seed=9)
+        assert len(calls) >= 2
+        assert dep.positions()[1].tolist() != stub[0].tolist()
+        assert neighbor_graph(dep, params.neighbor_radius_m).n_edges == 0
 
     def test_scenario_b_infeasible_packing(self):
         # 500 FAPs pairwise >100 m apart cannot fit a 300 m disc
@@ -178,11 +255,6 @@ def assert_positions_match_faps(dep):
     assert got.tobytes() == expected.tobytes()
 
 
-def _extend(dep, position):
-    """Add one FAP at ``position`` in its own sector."""
-    dep.extend(position, [sector_of(MACRO, position)])
-
-
 class TestDeploymentPositions:
     @pytest.mark.parametrize("scenario, n_faps, seed", [
         (Scenario.A, 1, 1), (Scenario.B, 40, 9), (Scenario.C, 60, 21), (Scenario.D, 1000, 3),
@@ -200,8 +272,8 @@ class TestDeploymentPositions:
 
     def test_fap_position_immutable(self):
         source = np.array([300.0, 40.0])
-        dep = Deployment(MACRO, DeploymentParams(n_faps=1))
-        _extend(dep, source)
+        dep = Deployment(DeploymentParams(n_faps=1))
+        dep.extend(source)
         source[0] = 0.0  # the deployment holds its own copy
         fap = dep.faps[0]
         assert fap.position.tolist() == [300.0, 40.0]
@@ -218,7 +290,7 @@ class TestDeploymentPositions:
         for bad in (5.0, (1.0, 2.0, 3.0), frozen_triple, np.arange(6.0).reshape(2, 3),
                     np.zeros((1, 1, 2)), []):
             with pytest.raises(ValueError, match="rows"):
-                dep.extend(bad, 0)
+                dep.extend(bad)
         assert len(dep.faps) == 1
         assert_positions_match_faps(dep)
 
@@ -228,7 +300,7 @@ class TestDeploymentPositions:
         before = dep.positions().copy()
         for rows in ([bad, 0.0], [0.0, bad], [[1.0, 2.0], [3.0, bad]]):
             with pytest.raises(ValueError, match="not finite"):
-                dep.extend(rows, 0)
+                dep.extend(rows)
             assert len(dep.faps) == 20
             assert dep.positions().tobytes() == before.tobytes()
             # the valid row (1, 2) before the bad one was not indexed either
@@ -241,7 +313,7 @@ class TestDeploymentPositions:
         dep = generate(Scenario.D, DeploymentParams(n_faps=3), seed=5)
         before = dep.positions()
         for _ in range(3, 100):
-            _extend(dep, rng.uniform(-500.0, 500.0, 2))
+            dep.extend(rng.uniform(-500.0, 500.0, 2))
             assert_positions_match_faps(dep)
         assert np.array_equal(dep.positions()[:3], before)
         assert before.shape == (3, 2)  # earlier views keep their rows
@@ -264,7 +336,7 @@ class TestDeploymentPositions:
         twin = copy.deepcopy(dep)
         assert_positions_match_faps(twin)
         assert not np.shares_memory(twin.positions(), dep.positions())
-        _extend(twin, (0.0, -300.0))
+        twin.extend((0.0, -300.0))
         assert_positions_match_faps(twin)
         assert len(dep.faps) == 20
         assert_positions_match_faps(dep)
@@ -282,8 +354,8 @@ class TestAllocationStorage:
         assert {f.allocation for f in dep.faps} == {None}
         assert dep.edges().tolist() == [-1] * 40
         apply_plan(dep, PLAN)
-        dep.extend([[300.0, 5.0]], [0])
-        _extend(dep, (0.0, 300.0))
+        dep.extend([[300.0, 5.0]])
+        dep.extend((0.0, 300.0))
         assert dep.faps[40].allocation is None and dep.faps[41].allocation is None
         assert None not in {f.allocation for f in dep.faps[:40]}
         with pytest.raises(ValueError):
@@ -342,7 +414,7 @@ class TestNeighborGraph:
         params = DeploymentParams(n_faps=1)
         dep = generate(Scenario.D, params, seed=1)
         position = dep.faps[0].position + np.array([distance, 0.0])
-        _extend(dep, position)
+        dep.extend(position)
         return dep
 
     def test_within_radius_adjacent(self):
@@ -391,8 +463,8 @@ class TestNeighborGraph:
 
 def _layout(positions):
     """Deployment of FAPs at arbitrary positions (no macro BS needed)."""
-    dep = Deployment(None, DeploymentParams(n_faps=len(positions)))
-    dep.extend(positions, 0)
+    dep = Deployment(DeploymentParams(n_faps=len(positions)), macro=False)
+    dep.extend(positions)
     return dep
 
 
