@@ -136,6 +136,20 @@ class ExperimentConfig:
                         _UE_OFFSET_ULPS * math.ulp(self.reference_distance_m))
             if 0 < self.ue_distance_m < d_min:
                 problems.append(f"ue_distance_m must be at least {d_min:.4g} m")
+            # the macro term takes the UE's distance to the macro BS (at the
+            # origin) to the power -eta_macro.  That distance is at least
+            # |reference_distance_m - ue_distance_m| on every bearing, less
+            # the rounding of the UE's position (a few ulps of its larger
+            # term).  A floor of 2**(-1022/eta) keeps d^-eta <= 2**1022, half
+            # the float64 range, which leaves room for the norm's rounding.
+            if 0 < self.ue_distance_m < math.inf:
+                d_m_min = 2.0 ** (-1022 / prop.eta_macro)
+                slack = 4 * math.ulp(max(self.reference_distance_m, self.ue_distance_m))
+                if abs(self.reference_distance_m - self.ue_distance_m) - slack < d_m_min:
+                    problems.append(
+                        f"|reference_distance_m - ue_distance_m| must be at least "
+                        f"{d_m_min:.4g} m, or the macro term d^-eta_macro can overflow"
+                    )
         for n in (self.n_faps, *self.densities):
             attempt(self.deployment_params, n)
         attempt(np.random.SeedSequence, self.seed)

@@ -42,7 +42,7 @@ def _default_sweep(densities, schemes, n_trials=None):
 
 
 def test_criterion_1_closed_form_mc_equivalence():
-    # >= 1e5 trials on the Table-2 dense scenario: the averaged closed form
+    # >= 1e5 trials on the Table-2 dense scenario: the exact closed form
     # and the direct Monte Carlo count agree within 3 combined standard errors
     rows = _default_sweep([CFG.n_faps], [Scheme.SAME], n_trials=100_000)
     est = rows[0].estimate

@@ -192,6 +192,17 @@ class TestRun:
         assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 2
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
+    def test_ue_beside_the_macro_bs_exit_2(self, tmp_path, experiment):
+        # FAP 0 1e-100 m from the macro BS puts the UE about 1e-95 m from it,
+        # and the macro term's (1e-95)^-3.5 overflowed at run time (exit 1)
+        sets = ["--set", "n_faps=300", "--set", "n_trials=2000",
+                "--set", "reference_distance_m=1e-100", "--set", "ue_distance_m=1e-95"]
+        assert _run(["validate", *sets]) == 2
+        out = tmp_path / "never.csv"
+        assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 2
+        assert os.listdir(tmp_path) == []
+
     def test_wide_macro_disc_runs(self, tmp_path):
         # the widest radii whose square is finite still place, admit and run
         override = ["--set", "macro_radius_m=1e150"]

@@ -3,6 +3,7 @@ exact value against an independent scipy evaluation."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -609,10 +610,10 @@ class TestShardKernel:
 
         def run(sets):
             """Counts, and the last set's gamma I / s_bar left in the buffer."""
-            xi = np.full((m + 9, k), np.nan)
-            z, work = xi.copy(), np.full((5, m + 9), np.nan)
-            flags = np.ones(m + 9, dtype=bool)
-            counts = outage._run_shard(seq, xi[:m], z[:m], work[:, :m], flags[:m], sets, gamma)
+            xi, work = np.full((m + 9, k), np.nan), np.full((4, m + 9), np.nan)
+            b = 300  # the last of 7 blocks is short
+            block = (np.full((b, k), np.nan), np.full(b, np.nan), np.ones(b, dtype=bool))
+            counts = outage._run_shard(seq, xi[:m], work[:, :m], block, sets, gamma)
             return counts, work[3, :m]
 
         counts, _ = run(links)
@@ -624,6 +625,57 @@ class TestShardKernel:
             assert threshold.tobytes() == _reference_threshold(seq, m, *link, gamma)[1].tobytes()
         assert counts[1] == counts[4] == 0
         assert counts[3] > 0 and (counts[0] > 0) is (k > 0)
+
+
+class TestBlockedKernel:
+    """Z is drawn, and the per-trial arithmetic done, in row blocks; the gemv
+    is not.  None of it may change a draw or a rounding."""
+
+    BLOCKS = {
+        "default": None,
+        "one-row": (1, 1),  # (_BLOCK_VALUES, _MIN_BLOCK_ROWS)
+        "seven-rows": (1, 7),  # divides none of the shard sizes 167, 166, 1000, 999
+    }
+
+    @pytest.mark.parametrize("blocks", list(BLOCKS))
+    @pytest.mark.parametrize("k", [0, 1, 10, 97])
+    def test_blocking_changes_no_draw(self, monkeypatch, k, blocks):
+        if self.BLOCKS[blocks] is not None:
+            block_values, min_rows = self.BLOCKS[blocks]
+            monkeypatch.setattr(outage, "_BLOCK_VALUES", block_values)
+            monkeypatch.setattr(outage, "_MIN_BLOCK_ROWS", min_rows)
+        b = outage._block_rows(k)
+        live = np.random.default_rng(k).uniform(0.0, 0.08, k)
+        live[::3] = 0.0
+        # no macro term, both, macro only, a second live set
+        links = [(live, 0.0, 1.0), (live, 0.02, 1.3), (np.zeros(k), 0.03, 0.8),
+                 (2.0 * live, 0.0, 2.5)]
+        # shards below one block, and shards of whole blocks and a short one
+        trials = [500, 2999] if blocks != "default" else [500, 3 * (2 * b + 5) + 1]
+        for n_trials in trials:
+            for n_workers in (1, 2):
+                cfg = OutageConfig(n_trials=n_trials, n_shards=3)
+                counts = outage._count_outages(23, cfg, links, n_workers)
+                # one (m, K) fill per array in the order xi, Z, xi_m, Z_m, Z_0
+                assert counts == [_reference_count(23, cfg, *link) for link in links]
+                assert counts[1] > 0 and counts[2] > 0 and (counts[0] > 0) is (k > 1)
+
+    def test_footprint_is_xi_and_four_vectors_plus_a_block(self):
+        k, m = 10, 20_000
+        links = [(np.linspace(0.0, 0.05, k), 0.02, 1.0)]
+        cfg = OutageConfig(n_trials=m, n_shards=1)
+        # the first draw imports numpy.random's generator modules
+        outage._count_outages(7, OutageConfig(n_trials=1, n_shards=1), links, 1)
+        tracemalloc.start()
+        try:
+            outage._count_outages(7, cfg, links, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # xi (m, K) and xi_m, z_m, z0, I (m,), with Z in one block and the
+        # per-trial scratch in another: no (m, K) array but xi
+        block = outage._BLOCK_VALUES * 8
+        assert peak <= (k + 4) * m * 8 + 2 * block + 64 * 1024
 
 
 class TestSharedEstimates:
