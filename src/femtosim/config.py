@@ -123,7 +123,7 @@ class ExperimentConfig:
                 problems.append(str(exc))
 
         prop = attempt(self.propagation)
-        attempt(self.outage_config)
+        outage_cfg = attempt(self.outage_config)
         if prop is not None and 0 < self.reference_distance_m < math.inf:
             # s_bar takes the UE offset's norm d to the power -eta_desired:
             # keep d * d a normal float64 (>= 2**-1022) and d^-eta <= 2**1023.
@@ -136,22 +136,33 @@ class ExperimentConfig:
                         _UE_OFFSET_ULPS * math.ulp(self.reference_distance_m))
             if 0 < self.ue_distance_m < d_min:
                 problems.append(f"ue_distance_m must be at least {d_min:.4g} m")
-            # the macro term takes the UE's distance to the macro BS (at the
-            # origin) to the power -eta_macro.  That distance is at least
-            # |reference_distance_m - ue_distance_m| on every bearing, less
-            # the rounding of the UE's position (a few ulps of its larger
-            # term).  A floor of 2**(-1022/eta) keeps d^-eta <= 2**1022, half
-            # the float64 range, which leaves room for the norm's rounding.
-            if 0 < self.ue_distance_m < math.inf:
-                d_m_min = 2.0 ** (-1022 / prop.eta_macro)
-                slack = 4 * math.ulp(max(self.reference_distance_m, self.ue_distance_m))
-                if abs(self.reference_distance_m - self.ue_distance_m) - slack < d_m_min:
-                    problems.append(
-                        f"|reference_distance_m - ue_distance_m| must be at least "
-                        f"{d_m_min:.4g} m, or the macro term d^-eta_macro can overflow"
-                    )
-        for n in (self.n_faps, *self.densities):
-            attempt(self.deployment_params, n)
+        deps = [attempt(self.deployment_params, n) for n in (self.n_faps, *self.densities)]
+        if (prop is not None and outage_cfg is not None and deps[0] is not None
+                and 0 < self.reference_distance_m < math.inf
+                and 0 < self.ue_distance_m < math.inf):
+            # the kernel's macro term is c xi_m z_m, times gamma, over s_bar,
+            # with c = P_M P0m d^-eta_macro at the UE's distance d to the
+            # macro BS (at the origin).  d is at least |reference_distance_m -
+            # ue_distance_m| on every bearing, less the rounding of the UE's
+            # position (a few ulps of its larger term), and s_bar at least
+            # P_F P0f (1.000001 ue_distance_m)^-eta_desired (see above).  Each
+            # exponential draw is below 2**6, so c max(1, gamma) max(1, 1 /
+            # s_bar) <= 2**1010 keeps every step finite, with room to spare.
+            slack = 4 * math.ulp(max(self.reference_distance_m, self.ue_distance_m))
+            d_m = abs(self.reference_distance_m - self.ue_distance_m) - slack
+            log2_peak = math.inf
+            if d_m > 0:
+                log2_c = (math.log2(self.macro_tx_power_w) + math.log2(self.p0_macro)
+                          - prop.eta_macro * math.log2(d_m))
+                log2_s_bar = (math.log2(self.fap_tx_power_w) + math.log2(self.p0_femto)
+                              - prop.eta_desired * math.log2(1.000001 * self.ue_distance_m))
+                log2_peak = (log2_c + max(0.0, math.log2(outage_cfg.gamma_linear))
+                             + max(0.0, -log2_s_bar))
+            if log2_peak > 1010:
+                problems.append(
+                    "macro_tx_power_w * p0_macro * d^-eta_macro * gamma / s_bar can "
+                    "overflow at d = |reference_distance_m - ue_distance_m|"
+                )
         attempt(np.random.SeedSequence, self.seed)
         band = attempt(self.total_band)
         if band is not None:

@@ -14,17 +14,16 @@ spawned from the seed.  Shard counts are integers, so their sum does not depend
 on the order shards finish in, and the result is bit-identical for a given
 (seed, shard count) no matter how many workers execute the shards.  Each
 worker runs a strided group of shards and reuses its buffers across the group:
-the (m, K) slow fading xi and four (m,) vectors, m being the largest shard,
-plus one block of about 2**15 fast-fading values and its per-trial scratch,
-(K + 4) m doubles and a block in all.  The fast fading Z is drawn one row
-block at a time and folded into xi in place.  A fill draws its values row
+the (m, K) slow fading xi, five (m,) float vectors and one (m,) bool vector, m
+being the largest shard, and one block of about 2**15 fast-fading values, so
+(K + 5) m doubles, m bools and a block in all.  The fast fading Z is drawn one
+row block at a time and folded into xi in place.  A fill draws its values row
 after row and carries nothing but the bit generator, so the blocks draw the
 numbers of one (m, K) fill, and blocking changes no draw and no count.  The
-per-trial arithmetic after the interference sum runs over row blocks too, and
-is elementwise, so unchanged by them.  The sum itself, xi @ c, is one
-matrix-vector product over the whole shard: BLAS may round a product over row
-blocks differently from the whole one.  When no interferer is co-channel, no
-trial can be in outage and no fading is drawn.
+interference sum xi @ c is one matrix-vector product over the whole shard:
+BLAS may round a product over row blocks differently from the whole one.
+When no interferer is co-channel, no trial can be in outage and no fading is
+drawn.
 
 Within one density of ``density_sweep`` every scheme shares the trial seed,
 the configuration and the geometry, hence the number K of neighbors, so every
@@ -71,11 +70,8 @@ __all__ = [
 
 SWEEP_CSV_COLUMNS = "scheme,density,p_out_closed,p_out_mc,ci95,n_trials,seed"
 # A shard's fast fading is drawn in row blocks of about 2**15 values (256 KiB,
-# an L2-sized block), and its per-trial arithmetic, on (m,) vectors, runs in
-# blocks of 2**15 trials.  A block has at least 64 trials, which keeps its few
-# Python calls under 1% of its work at K = 1000 (64 000 fading values).
+# an L2-sized block).
 _BLOCK_VALUES = 1 << 15
-_MIN_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -172,23 +168,20 @@ def _ue_position(deployment, ref, distance, direction, rng, angle=None) -> np.nd
 
 
 def _block_rows(k: int) -> int:
-    """Trials per block of a K-interferer shard: about ``_BLOCK_VALUES``
-    fading values, and never fewer than ``_MIN_BLOCK_ROWS`` trials."""
-    return max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // max(k, 1))
+    """Trials per fast-fading block of a K-interferer shard: about
+    ``_BLOCK_VALUES`` values, and at least one trial."""
+    return max(1, _BLOCK_VALUES // max(k, 1))
 
 
-def _run_shard(seed_seq, xi, work, block, links, gamma_linear):
+def _run_shard(seed_seq, xi, z, work, flags, links, gamma_linear):
     """One shard of Monte Carlo trials, one per row of the (m, K) buffer
     ``xi``, over which every (coeffs, macro_coeff, s_bar) link set in
     ``links`` is evaluated; returns their outage counts.  It overwrites
-    ``xi``, the (4, m) float buffer ``work`` (xi_m, z_m, z0 and the last set's
-    gamma I / s_bar) and the ``block`` buffers: the (b, K) float fast fading,
-    and the (t,) float macro term and (t,) bool flags of the per-trial
-    arithmetic, which works on (m,) vectors and so in longer blocks."""
+    ``xi``, the (b, K) fast-fading block ``z``, the (5, m) float buffer
+    ``work`` and the (m,) bool buffer ``flags``."""
     rng = np.random.default_rng(seed_seq)
-    xi_m, z_m, z0, i_total = work
-    z, macro, flags = block
-    m, b, t = len(xi), len(z), len(macro)
+    xi_m, z_m, z0, i_total, macro = work
+    m, b = len(xi), len(z)
     rng.standard_exponential(out=xi)
     # a fill draws row after row and carries nothing but the bit generator, so
     # Z drawn block by block is the Z of one (m, K) fill
@@ -202,23 +195,15 @@ def _run_shard(seed_seq, xi, work, block, links, gamma_linear):
     counts = []
     for coeffs, macro_coeff, s_bar in links:
         # one gemv per link set over the whole shard (a gemv over row blocks
-        # may round otherwise, as may a fused (K, L) product), then row
-        # blocks of + m * xi_m * z_m, * gamma, / s_bar in that order
+        # may round otherwise, as may a fused (K, L) product), in the order of
+        # xi @ c + m * xi_m * z_m, then gamma * i / s_bar
         np.matmul(xi, coeffs, out=i_total)
-        count = 0
-        for a in range(0, m, t):
-            rows = slice(a, a + t)
-            i_block = i_total[rows]
-            # with no macro term this adds +0.0 to a sum >= 0: a no-op
-            if macro_coeff != 0.0:
-                macro_block = macro[:len(i_block)]
-                np.multiply(macro_coeff, xi_m[rows], out=macro_block)
-                macro_block *= z_m[rows]
-                i_block += macro_block
-            i_block *= gamma_linear
-            i_block /= s_bar
-            count += np.count_nonzero(np.less(z0[rows], i_block, out=flags[:len(i_block)]))
-        counts.append(int(count))
+        np.multiply(macro_coeff, xi_m, out=macro)
+        macro *= z_m
+        i_total += macro
+        i_total *= gamma_linear
+        i_total /= s_bar
+        counts.append(int(np.count_nonzero(np.less(z0, i_total, out=flags))))
     return counts
 
 
@@ -236,14 +221,13 @@ def _count_outages(seed, config, links, n_workers):
     def run_group(shards):
         k = len(links[0][0])
         xi = np.empty((sizes[0], k))
-        work = np.empty((4, sizes[0]))
-        # the per-trial arithmetic's (m,) vectors have one column
-        z_rows, vec_rows = (min(sizes[0], _block_rows(n)) for n in (k, 1))
-        block = (np.empty((z_rows, k)), np.empty(vec_rows), np.empty(vec_rows, dtype=bool))
+        z = np.empty((min(sizes[0], _block_rows(k)), k))
+        work = np.empty((5, sizes[0]))
+        flags = np.empty(sizes[0], dtype=bool)
         counts = [0] * len(links)
         for i in shards:
             m = sizes[i]
-            shard = _run_shard(shard_seqs[i], xi[:m], work[:, :m], block, links, gamma)
+            shard = _run_shard(shard_seqs[i], xi[:m], z, work[:, :m], flags[:m], links, gamma)
             counts = [a + b for a, b in zip(counts, shard)]
         return counts
 

@@ -193,15 +193,36 @@ class TestRun:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
-    def test_ue_beside_the_macro_bs_exit_2(self, tmp_path, experiment):
-        # FAP 0 1e-100 m from the macro BS puts the UE about 1e-95 m from it,
-        # and the macro term's (1e-95)^-3.5 overflowed at run time (exit 1)
+    @pytest.mark.parametrize("overrides", [
+        # the UE about 1e-95 m from the macro BS: (1e-95)^-3.5 overflowed in
+        # link_coefficients (exit 1)
+        ("reference_distance_m=1e-100", "ue_distance_m=1e-95"),
+        # d^-eta_macro is finite, but times 1000 W and p0_macro = 1 it is not:
+        # the closed form took log(0) (exit 1 with warnings as errors)
+        ("reference_distance_m=3e-88", "ue_distance_m=1e-96", "macro_tx_power_w=1000",
+         "p0_macro=1"),
+        # the macro coefficient, about 3e305, is finite, and times gamma = 1e6
+        # in the kernel it is not (exit 1 with warnings as errors)
+        ("reference_distance_m=1.7e-88", "ue_distance_m=1e-96", "gamma_db=60"),
+    ], ids=",".join)
+    def test_ue_beside_the_macro_bs_exit_2(self, tmp_path, experiment, overrides):
         sets = ["--set", "n_faps=300", "--set", "n_trials=2000",
-                "--set", "reference_distance_m=1e-100", "--set", "ue_distance_m=1e-95"]
+                *(arg for override in overrides for arg in ("--set", override))]
         assert _run(["validate", *sets]) == 2
         out = tmp_path / "never.csv"
         assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 2
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
+    def test_ue_near_the_macro_bs_runs(self, tmp_path, experiment):
+        # a macro coefficient of about 2**1001 with gamma about 2**3 sits just
+        # inside the bound, and every step of the macro term stays finite
+        sets = ["--set", "n_faps=300", "--set", "n_trials=2000",
+                "--set", "reference_distance_m=2e-87", "--set", "ue_distance_m=1e-96"]
+        assert _run(["validate", *sets]) == 0
+        out = tmp_path / f"{experiment}.csv"
+        assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 0
 
     def test_wide_macro_disc_runs(self, tmp_path):
         # the widest radii whose square is finite still place, admit and run

@@ -610,10 +610,10 @@ class TestShardKernel:
 
         def run(sets):
             """Counts, and the last set's gamma I / s_bar left in the buffer."""
-            xi, work = np.full((m + 9, k), np.nan), np.full((4, m + 9), np.nan)
-            b = 300  # the last of 7 blocks is short
-            block = (np.full((b, k), np.nan), np.full(b, np.nan), np.ones(b, dtype=bool))
-            counts = outage._run_shard(seq, xi[:m], work[:, :m], block, sets, gamma)
+            xi, work = np.full((m + 9, k), np.nan), np.full((5, m + 9), np.nan)
+            z = np.full((300, k), np.nan)  # the last of 7 blocks is short
+            flags = np.ones(m + 9, dtype=bool)
+            counts = outage._run_shard(seq, xi[:m], z, work[:, :m], flags[:m], sets, gamma)
             return counts, work[3, :m]
 
         counts, _ = run(links)
@@ -628,22 +628,16 @@ class TestShardKernel:
 
 
 class TestBlockedKernel:
-    """Z is drawn, and the per-trial arithmetic done, in row blocks; the gemv
-    is not.  None of it may change a draw or a rounding."""
+    """Z is drawn in row blocks and the gemv is not: neither may change a
+    draw or a rounding."""
 
-    BLOCKS = {
-        "default": None,
-        "one-row": (1, 1),  # (_BLOCK_VALUES, _MIN_BLOCK_ROWS)
-        "seven-rows": (1, 7),  # divides none of the shard sizes 167, 166, 1000, 999
-    }
+    BLOCK_ROWS = {"default": None, "one-row": 1, "seven-rows": 7}  # 7 divides no shard size
 
-    @pytest.mark.parametrize("blocks", list(BLOCKS))
+    @pytest.mark.parametrize("blocks", list(BLOCK_ROWS))
     @pytest.mark.parametrize("k", [0, 1, 10, 97])
     def test_blocking_changes_no_draw(self, monkeypatch, k, blocks):
-        if self.BLOCKS[blocks] is not None:
-            block_values, min_rows = self.BLOCKS[blocks]
-            monkeypatch.setattr(outage, "_BLOCK_VALUES", block_values)
-            monkeypatch.setattr(outage, "_MIN_BLOCK_ROWS", min_rows)
+        if self.BLOCK_ROWS[blocks] is not None:
+            monkeypatch.setattr(outage, "_BLOCK_VALUES", self.BLOCK_ROWS[blocks] * max(k, 1))
         b = outage._block_rows(k)
         live = np.random.default_rng(k).uniform(0.0, 0.08, k)
         live[::3] = 0.0
@@ -660,7 +654,7 @@ class TestBlockedKernel:
                 assert counts == [_reference_count(23, cfg, *link) for link in links]
                 assert counts[1] > 0 and counts[2] > 0 and (counts[0] > 0) is (k > 1)
 
-    def test_footprint_is_xi_and_four_vectors_plus_a_block(self):
+    def test_footprint_is_xi_and_the_vectors_plus_a_block(self):
         k, m = 10, 20_000
         links = [(np.linspace(0.0, 0.05, k), 0.02, 1.0)]
         cfg = OutageConfig(n_trials=m, n_shards=1)
@@ -672,10 +666,9 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # xi (m, K) and xi_m, z_m, z0, I (m,), with Z in one block and the
-        # per-trial scratch in another: no (m, K) array but xi
-        block = outage._BLOCK_VALUES * 8
-        assert peak <= (k + 4) * m * 8 + 2 * block + 64 * 1024
+        # xi (m, K), five (m,) float vectors and the (m,) flags, with Z in one
+        # block: no (m, K) array but xi
+        assert peak <= (k + 5) * m * 8 + m + outage._BLOCK_VALUES * 8 + 64 * 1024
 
 
 class TestSharedEstimates:
