@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel, cochannel_row
-from .topology import Deployment, Fap
+from .topology import Deployment, Fap, check_domain
 
 __all__ = [
     "PropagationParams",
@@ -43,11 +43,10 @@ class PropagationParams:
     walls_between_femtos: int = 1
 
     def __post_init__(self):
-        for eta in (self.eta_desired, self.eta_femto_interf, self.eta_macro):
-            if not 1.5 <= eta <= 6.0:
-                raise ValueError(f"path-loss exponent {eta} outside [1.5, 6]")
-        if not (0 < self.p0_femto < math.inf and 0 < self.p0_macro < math.inf):
-            raise ValueError("propagation constants must be positive and finite")
+        for name in ("eta_desired", "eta_femto_interf", "eta_macro"):
+            check_domain(name, getattr(self, name), 1.5, 6.0)
+        for name in ("p0_femto", "p0_macro"):
+            check_domain(name, getattr(self, name), 1e-20, 1.0)
         if not 0 <= self.wall_loss_db < math.inf:
             raise ValueError("wall loss must be finite and >= 0 dB")
         if self.walls_between_femtos < 0:

@@ -11,7 +11,6 @@ for provenance.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .channel import PropagationParams
 from .outage import OutageConfig
 from .spectrum import Band, Scheme, UeRegion, build_plan
-from .topology import DeploymentParams
+from .topology import MIN_DISTANCE_M, DeploymentParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_hash", "effective_text", "parse_text"]
 
@@ -29,8 +28,6 @@ class ConfigError(ValueError):
 
 
 _SCHEME_TOKENS = {s.value: s for s in Scheme}
-# floor of ue_distance_m in ulps of reference_distance_m (see validate)
-_UE_OFFSET_ULPS = 2e6
 
 
 def _parse_db(raw: str) -> float:
@@ -98,12 +95,9 @@ class ExperimentConfig:
         """Raise ConfigError unless every experiment can run on this config.
 
         Builds the objects the experiments build (their constructors check
-        their own values) and checks here only what no constructor does."""
-        problems = [
-            f"{f.name} must not be NaN"
-            for f in fields(self)
-            if isinstance(getattr(self, f.name), float) and math.isnan(getattr(self, f.name))
-        ]
+        each key's domain, see ``topology.check_domain``) and checks here only
+        the rules across keys and lists."""
+        problems = []
         if not self.densities:
             problems.append("densities must be non-empty")
         elif any(b <= a for a, b in zip(self.densities, self.densities[1:])):
@@ -115,6 +109,9 @@ class ExperimentConfig:
                 problems.append(f"unknown scheme {tok!r}")
         if not self.ue_distance_m <= self.femto_radius_m:
             problems.append("ue_distance_m must not exceed femto_radius_m")
+        # keeps the UE at least 1 mm from the macro BS on every bearing
+        if not abs(self.reference_distance_m - self.ue_distance_m) >= MIN_DISTANCE_M:
+            problems.append("reference_distance_m and ue_distance_m must differ by 1 mm or more")
 
         def attempt(build, *args, **kwargs):
             try:
@@ -122,47 +119,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 problems.append(str(exc))
 
-        prop = attempt(self.propagation)
-        outage_cfg = attempt(self.outage_config)
-        if prop is not None and 0 < self.reference_distance_m < math.inf:
-            # s_bar takes the UE offset's norm d to the power -eta_desired:
-            # keep d * d a normal float64 (>= 2**-1022) and d^-eta <= 2**1023.
-            # The UE sits at FAP 0 (x = reference_distance_m) plus the offset,
-            # and the channel takes the offset back as a difference, off by
-            # the rounding of that sum: at most one ulp of x, when it rounds
-            # up into the next binade.  2e6 ulps keep the distance it uses
-            # within 5e-7 of d on every bearing, and so its d^-eta finite.
-            d_min = max(2.0 ** -511, 2.0 ** (-1023 / prop.eta_desired),
-                        _UE_OFFSET_ULPS * math.ulp(self.reference_distance_m))
-            if 0 < self.ue_distance_m < d_min:
-                problems.append(f"ue_distance_m must be at least {d_min:.4g} m")
-        deps = [attempt(self.deployment_params, n) for n in (self.n_faps, *self.densities)]
-        if (prop is not None and outage_cfg is not None and deps[0] is not None
-                and 0 < self.reference_distance_m < math.inf
-                and 0 < self.ue_distance_m < math.inf):
-            # the kernel's macro term is c xi_m z_m, times gamma, over s_bar,
-            # with c = P_M P0m d^-eta_macro at the UE's distance d to the
-            # macro BS (at the origin).  d is at least |reference_distance_m -
-            # ue_distance_m| on every bearing, less the rounding of the UE's
-            # position (a few ulps of its larger term), and s_bar at least
-            # P_F P0f (1.000001 ue_distance_m)^-eta_desired (see above).  Each
-            # exponential draw is below 2**6, so c max(1, gamma) max(1, 1 /
-            # s_bar) <= 2**1010 keeps every step finite, with room to spare.
-            slack = 4 * math.ulp(max(self.reference_distance_m, self.ue_distance_m))
-            d_m = abs(self.reference_distance_m - self.ue_distance_m) - slack
-            log2_peak = math.inf
-            if d_m > 0:
-                log2_c = (math.log2(self.macro_tx_power_w) + math.log2(self.p0_macro)
-                          - prop.eta_macro * math.log2(d_m))
-                log2_s_bar = (math.log2(self.fap_tx_power_w) + math.log2(self.p0_femto)
-                              - prop.eta_desired * math.log2(1.000001 * self.ue_distance_m))
-                log2_peak = (log2_c + max(0.0, math.log2(outage_cfg.gamma_linear))
-                             + max(0.0, -log2_s_bar))
-            if log2_peak > 1010:
-                problems.append(
-                    "macro_tx_power_w * p0_macro * d^-eta_macro * gamma / s_bar can "
-                    "overflow at d = |reference_distance_m - ue_distance_m|"
-                )
+        attempt(self.propagation)
+        attempt(self.outage_config)
+        for n in (self.n_faps, *self.densities):
+            attempt(self.deployment_params, n)
         attempt(np.random.SeedSequence, self.seed)
         band = attempt(self.total_band)
         if band is not None:

@@ -49,10 +49,13 @@ from . import son
 from .channel import PropagationParams, link_coefficients
 from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, build_plan
 from .topology import (
+    MAX_DISTANCE_M,
+    MIN_DISTANCE_M,
     Deployment,
     DeploymentParams,
     Scenario,
     apply_plan,
+    check_domain,
     generate,
     neighbor_graph,
 )
@@ -86,11 +89,8 @@ class OutageConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        # keeps gamma_linear a positive, finite float
-        if not -300.0 <= self.gamma_db <= 300.0:
-            raise ValueError("gamma_db must be within [-300, 300] dB")
-        if self.ue_distance <= 0:
-            raise ValueError("ue_distance must be positive")
+        check_domain("gamma_db", self.gamma_db, -100.0, 100.0)
+        check_domain("ue_distance", self.ue_distance, MIN_DISTANCE_M, MAX_DISTANCE_M)
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if self.ue_direction not in ("nearest", "random"):

@@ -21,13 +21,13 @@ none, 0 the center band alone, 1-3 the center band plus that edge color of
 ``EDGE_COLORS``.  ``Fap.allocation`` builds the ``FemtoAllocation`` from the
 plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
 and write those rows.  FAPs join only at the end, through ``extend``, and a
-position is finite and never changes, so the deployment also keeps an
-incremental cell index over its positions; ``near`` answers a radius query
-from the 3x3 cells around a point, in O(degree).  ``near`` and
-``neighbor_graph`` share one neighbor test, ``dx * dx + dy * dy <= r * r`` in
-float64, so they agree on every pair, and one binning rule: cells a hair wider
-than the radius and at least macro_radius / 2**20, with clipped, column-major
-keys.  The graph's candidates are three runs of the key-sorted FAPs, one per
+position lies within 100 km of the macro BS on each axis and never changes,
+so the deployment also keeps an incremental cell index over its positions;
+``near`` answers a radius query from the 3x3 cells around a point, in
+O(degree).  ``near`` and ``neighbor_graph`` share one neighbor test, ``dx * dx
++ dy * dy <= r * r`` in float64, so they agree on every pair, and one binning
+rule: cells a hair wider than the radius, with column-major keys.  The
+graph's candidates are three runs of the key-sorted FAPs, one per
 column of the 3x3 cells, so it costs O(N * mean degree), not O(N^2); it is
 stored as CSR (int64 row pointers, int32 neighbor ids ascending in each row).
 Placement, admission and replay share one disc test, which NaN fails, and
@@ -62,6 +62,43 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # an edge index is a position in this tuple: 0 no edge band, 1-3 EDGE_COLORS
 _EDGES = tuple(EdgeChoice)
+# the distance domain (see check_domain)
+MIN_DISTANCE_M, MAX_DISTANCE_M = 1e-3, 1e5
+
+
+def check_domain(name: str, value, low, high=math.inf) -> None:
+    """Raise ValueError unless ``low <= value <= high``, which NaN fails.
+
+    Each key has one physical domain, checked by the constructor that owns
+    it: distances (the macro and femto radii, the reference FAP's distance,
+    the UE offset) from 1 mm to 100 km, and the neighbor radius at least 1
+    mm, or infinite; tx powers from 1 nW to 1 kW; the path-loss constants p0
+    from 1e-20 to 1 (-200 to 0 dB); path-loss exponents from 1.5 to 6; the
+    SIR threshold from -100 to 100 dB; FAP coordinates within 100 km of the
+    macro BS on each axis.  ``ExperimentConfig.validate`` adds the rules
+    across keys: the UE lies within the femto radius and at least 1 mm from
+    the macro BS.  On that domain:
+
+    - s_bar = P_F p0 d^-eta is at least about 1e-9 * 1e-20 * (1e5)^-6 = 1e-59,
+      and the macro coefficient P_M p0 d^-eta at most about 1e3 * 1 *
+      (1e-3)^-6 = 1e21, so the kernel's macro term c gamma / s_bar stays at
+      or below about 1e21 * 1e10 / 1e-59 = 1e90, whatever the fading draws.
+    - The UE offset is at least 1 mm, about 7e7 ulps of FAP 0's coordinate
+      (ulp(1e5) = 1.5e-11), so the distances taken back from the UE's
+      position are exact to 2e-8 relative; and the square of every finite
+      distance key lies in [1e-6, 1e10].
+    - Cells are at least 1 mm wide and coordinates at most 1e5 m, so cell
+      coordinates stay within +-1e8 < 2**27: keys fit int64, and a quotient
+      x / side is exact to 2**-26 of a cell, far below the cells' 1e-6 margin.
+    """
+    if not low <= value <= high:
+        bound = f"at least {low:g}" if high == math.inf else f"within [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_position(x: float, y: float) -> None:
+    if not (abs(x) <= MAX_DISTANCE_M and abs(y) <= MAX_DISTANCE_M):  # NaN fails
+        raise ValueError(f"position ({x}, {y}) is not finite or lies beyond 100 km on an axis")
 
 
 class Scenario(Enum):
@@ -229,50 +266,37 @@ class DeploymentParams:
         if self.n_faps < 1:
             raise ValueError(f"a deployment needs at least 1 FAP, got {self.n_faps}")
         # an infinite neighbor radius is allowed: every FAP is then a neighbor
-        if not self.neighbor_radius_m > 0:
-            raise ValueError("neighbor_radius_m must be positive")
-        for name in ("macro_radius_m", "femto_radius_m", "reference_distance_m",
-                     "macro_tx_power_w", "fap_tx_power_w"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+        check_domain("neighbor_radius_m", self.neighbor_radius_m, MIN_DISTANCE_M)
+        for name in ("macro_radius_m", "femto_radius_m", "reference_distance_m"):
+            check_domain(name, getattr(self, name), MIN_DISTANCE_M, MAX_DISTANCE_M)
+        for name in ("macro_tx_power_w", "fap_tx_power_w"):
+            check_domain(name, getattr(self, name), 1e-9, 1e3)
+        check_domain("n_sectors", self.n_sectors, 1)
         if self.reference_distance_m > self.macro_radius_m:
             raise ValueError("reference_distance_m exceeds macro_radius_m")
-        if math.isinf(self.macro_radius_m * self.macro_radius_m):
-            raise ValueError("macro_radius_m must be below 1.34e154 m: its square overflows")
 
 
-# Cell coordinates are clipped to +-2**30, so keys fit in int64 and the
-# quotients that are floored stay exact to far below the 1e-6 margin.
-# Clipping is monotone, so cells that were adjacent stay adjacent.  Keys are
-# column-major: the cells dy = -1, 0, 1 of a column have consecutive keys.
-_CELL_CLIP = float(1 << 30)
+# Keys are column-major: the cells dy = -1, 0, 1 of a column have
+# consecutive keys.  Within the domain a cell coordinate fits 2**27 (see
+# check_domain), so keys fit int64.
 _CELL_STRIDE = 1 << 32
 _NEIGHBOR_OFFSETS = [dx * _CELL_STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
-def _cell_side(radius: float, span: float) -> float:
+def _cell_side(radius: float) -> float:
     """Side of a grid cell that holds every offset passing a ``d² <= radius *
     radius`` test: the radius plus a relative 1e-6, far above the float error
-    of the test and of ``floor(x / side)``, and infinite when the square
-    overflows.  It is at least 1e-150, below which a square can underflow to
-    0, and span / 2**20, so FAPs in a disc of radius ``span`` never reach the
-    clipped cells; a coarser grid only adds candidates."""
-    if math.isinf(radius * radius):
-        return math.inf
-    return max(radius, 1e-150, span / (1 << 20)) * (1.0 + 1e-6)
+    of the test and of ``floor(x / side)``."""
+    return radius * (1.0 + 1e-6)
 
 
 def _cell_key(x: float, y: float, side: float) -> int:
-    cx = math.floor(min(max(x / side, -_CELL_CLIP), _CELL_CLIP))
-    cy = math.floor(min(max(y / side, -_CELL_CLIP), _CELL_CLIP))
-    return cx * _CELL_STRIDE + cy
+    return math.floor(x / side) * _CELL_STRIDE + math.floor(y / side)
 
 
 def _cell_keys(points: np.ndarray, side: float) -> np.ndarray:
     """``_cell_key`` of each (x, y) row of ``points``, as int64."""
-    with np.errstate(over="ignore"):  # an overflowing quotient is clipped
-        cell = np.floor(np.clip(points / side, -_CELL_CLIP, _CELL_CLIP)).astype(np.int64)
+    cell = np.floor(points / side).astype(np.int64)
     return cell[:, 0] * _CELL_STRIDE + cell[:, 1]
 
 
@@ -294,7 +318,7 @@ class Deployment:
         self._radius = np.empty(0)
         self._edge = np.empty(0, dtype=np.int8)
         self.plan: FrequencyPlan | None = None
-        self._cell_side = _cell_side(params.neighbor_radius_m, params.macro_radius_m)
+        self._cell_side = _cell_side(params.neighbor_radius_m)
         self._cells: dict[int, list[int]] = {}
 
     @property
@@ -306,9 +330,9 @@ class Deployment:
         ``edges`` (see ``edges``; -1, the default, is no allocation), at the
         deployment's default tx power and radius.  A FAP's sector is the one
         ``sector_of`` gives its position, or 0 without a macro BS.  Adds
-        nothing and raises ValueError unless ``positions`` is one finite (x,
-        y) pair or (m, 2) finite rows, none at the macro BS; the caller fits
-        the edges to ``plan``."""
+        nothing and raises ValueError unless ``positions`` is one (x, y) pair
+        or (m, 2) rows, each coordinate within 100 km of the macro BS and none
+        at it; the caller fits the edges to ``plan``."""
         positions = np.asarray(positions, dtype=float)
         if positions.ndim not in (1, 2) or positions.shape[-1] != 2:
             raise ValueError(f"FAP positions are (x, y) rows, got shape {positions.shape}")
@@ -316,8 +340,7 @@ class Deployment:
         side, keys, sectors = self._cell_side, [], []
         n_sectors = self.params.n_sectors
         for x, y in positions.tolist():
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"FAP position ({x}, {y}) is not finite")
+            _check_position(x, y)
             keys.append(_cell_key(x, y, side))
             sectors.append(_sector(x, y, n_sectors) if self.macro else 0)
         n, m = self._n, len(positions)
@@ -373,10 +396,13 @@ class Deployment:
     def near(self, point, radius: float) -> np.ndarray:
         """Ids, ascending, of the FAPs that pass ``neighbor_graph``'s test at
         ``radius`` from ``point``, among the FAPs in the 3x3 cells around
-        ``point``, or all FAPs when the radius is wider than the cells."""
+        ``point``, or all FAPs when the radius is wider than the cells.
+        Raises ValueError at a coordinate that is NaN or beyond 100 km."""
         point = np.asarray(point, dtype=float)
-        if _cell_side(radius, self.params.macro_radius_m) <= self._cell_side:
-            key = _cell_key(*point.tolist(), self._cell_side)
+        x, y = point.tolist()
+        _check_position(x, y)
+        if _cell_side(radius) <= self._cell_side:
+            key = _cell_key(x, y, self._cell_side)
             found = []
             for offset in _NEIGHBOR_OFFSETS:
                 found += self._cells.get(key + offset, ())
@@ -524,25 +550,24 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     ``((p_i - p_j) ** 2).sum() <= radius * radius``: exact Euclidean
     distances, by the same float expression for every pair.
 
-    FAPs are binned by the cell index's rule (``_cell_side`` over the macro
-    radius, ``_cell_keys``): a cell is wider than any axis offset that passes,
-    so each FAP's candidates are the FAPs of the 3x3 cells around its own,
-    three runs of the FAPs sorted by key, one per column.  A radius whose
-    square is infinite gives one cell (the complete graph).  Candidates are
+    FAPs are binned by the cell index's rule (``_cell_side``,
+    ``_cell_keys``): a cell is wider than any axis offset that passes, so each
+    FAP's candidates are the FAPs of the 3x3 cells around its own, three runs
+    of the FAPs sorted by key, one per column.  The radius is at least 1 mm,
+    or infinite, which gives one cell (the complete graph).  Candidates are
     tested in source blocks of bounded size.  A first pass counts each row's
     neighbors and keeps one bit per candidate, so that a second pass writes
     the pairs straight into the one CSR buffer: the peak is the result, the
     bits (about a tenth of it) and one block.  Work and memory are O(N *
     mean degree).  The result is CSR with int32 indices, ascending in rows.
     """
-    if not radius > 0:
-        raise ValueError("neighbor radius must be positive")
+    check_domain("neighbor radius", radius, MIN_DISTANCE_M)
     pos = deployment.positions()
     n = len(pos)
     if n == 0:
         return NeighborGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), radius)
     r2 = radius * radius
-    keys = _cell_keys(pos, _cell_side(radius, deployment.params.macro_radius_m))
+    keys = _cell_keys(pos, _cell_side(radius))
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
 

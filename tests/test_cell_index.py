@@ -20,6 +20,7 @@ from femtosim.channel import neighbor_ids
 from femtosim.son import admit_fap, assign_uniform_random_colors, configure_frequencies
 from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, build_plan
 from femtosim.topology import (
+    MAX_DISTANCE_M,
     Deployment,
     DeploymentParams,
     Scenario,
@@ -63,7 +64,7 @@ def _lattice(step, k=3):
     return [(a * step, b * step) for a in range(-k, k + 1) for b in range(-k, k + 1)]
 
 
-RADII = [100.0, 0.1 + 0.2, 100 / 3, 1e-300, math.inf]
+RADII = [100.0, 0.1 + 0.2, 100 / 3, 1e-3, math.inf]
 
 
 def _assert_near_matches(dep, point, radius):
@@ -91,22 +92,25 @@ class TestNearAdversarial:
             _assert_near_matches(dep, p, radius)
 
     def test_tiny_radius(self):
-        # 1e-300 squared underflows to 0: FAPs 1e-300 apart still pass
+        # the domain's smallest radius, 1 mm, among coincident FAPs and FAPs
+        # about 1 mm apart
         base = generate(Scenario.D, DeploymentParams(n_faps=200), seed=5).positions()
-        points = [tuple(p) for p in base] + [tuple(base[7]), (1e-300, 0.0), (2e-300, 1e-300)]
-        dep = _layout(points, 1e-300)
+        x, y = base[3]
+        points = [tuple(p) for p in base] + [tuple(base[7]), (x + 1e-3, y),
+                                             (x, math.nextafter(y + 1e-3, math.inf))]
+        dep = _layout(points, 1e-3)
         for p in points:
-            _assert_near_matches(dep, p, 1e-300)
+            _assert_near_matches(dep, p, 1e-3)
 
     def test_tiny_radius_spreads_faps_over_the_cells(self):
-        # cells are at least macro_radius / 2**20 wide, so FAPs in the disc
-        # never reach the clipped cell coordinates and share no crowded cell
-        dep = generate(Scenario.D, DeploymentParams(n_faps=2000, neighbor_radius_m=1e-9), 8)
+        # the cells are 1 mm wide, with no floor from the macro radius, so
+        # FAPs in the 1 km disc share no crowded cell
+        dep = generate(Scenario.D, DeploymentParams(n_faps=2000, neighbor_radius_m=1e-3), 8)
         assert len(dep._cells) > 1990
         assert max(map(len, dep._cells.values())) <= 2
 
     def test_infinite_radius_index(self):
-        dep = _layout(_lattice(1e5), math.inf)
+        dep = _layout(_lattice(MAX_DISTANCE_M, k=1), math.inf)
         _assert_near_matches(dep, (0.0, 0.0), math.inf)
         assert len(dep.near((3.0, -4.0), math.inf)) == len(dep.faps)
 
@@ -134,7 +138,7 @@ class TestNearMatchesGraph:
     """The admission sniff and the interferer set (``near``) and SON coloring
     (``neighbor_graph``) decide who is a neighbor by one test."""
 
-    RADII = [100.0, 150.5, 0.1 + 0.2, 100 / 3, 1e-9, 1e-300, 1e200, math.inf]
+    RADII = [100.0, 150.5, 0.1 + 0.2, 100 / 3, 1e-3, 1e200, math.inf]
 
     @pytest.mark.parametrize("index_radius", [None, 100.0])
     @pytest.mark.parametrize("radius", RADII)
@@ -150,29 +154,29 @@ class TestNearMatchesGraph:
         assert dep.near((0.0, 0.0), 150.5).tolist() == [0]
 
     def test_radius_whose_square_overflows(self):
-        # 1e200 * 1e200 is inf, so every pair passes, even one 1e300 apart
-        dep = _layout([(0.0, 0.0), (1e300, 0.0), (3.0, 4.0)], 1e200)
-        with np.errstate(over="ignore"):  # squared offsets overflow to inf too
-            _assert_near_matches_graph(dep, 1e200)
-            assert dep.near((0.0, 0.0), 1e200).tolist() == [0, 1, 2]
+        # 1e200 * 1e200 is inf, so every pair passes, even ones 100 km apart
+        dep = _layout([(0.0, 0.0), (1e5, 0.0), (-1e5, -1e5), (3.0, 4.0)], 1e200)
+        _assert_near_matches_graph(dep, 1e200)
+        assert dep.near((0.0, 0.0), 1e200).tolist() == [0, 1, 2, 3]
 
 
-SIDES = [_cell_side(r, 1000.0) for r in (100.0, 0.1 + 0.2, 1e-9, 1e-300, 1e200)] + [1e-150]
+SIDES = [_cell_side(r) for r in (100.0, 0.1 + 0.2, 1e-3, 1e200)]
 
 
 @st.composite
 def _keyed_points(draw):
-    """A cell side and points for it: any finite float (-0.0 and quotients
-    past the clip included), and multiples of the side, on cell boundaries."""
+    """A cell side and points for it: any coordinate of the domain (-0.0
+    included), and multiples of the side, on cell boundaries."""
     side = draw(st.sampled_from(SIDES))
-    boundary = st.integers(-(2**32), 2**32).map(
-        lambda k: k * side if math.isfinite(side) else float(k))
-    coord = st.one_of(st.floats(allow_nan=False, allow_infinity=False), boundary,
+    k_max = int(MAX_DISTANCE_M // side)
+    coord = st.one_of(st.floats(-MAX_DISTANCE_M, MAX_DISTANCE_M),
+                      st.integers(-k_max, k_max).map(lambda k: k * side),
                       st.sampled_from([-0.0, 0.0]))
     return side, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
 
 
-EDGE_POINTS = [(-0.0, 0.0), (1e300, -1e300), (2.0**30 * SIDES[0], -(2.0**30) * SIDES[0]),
+# the domain's corners, where the 1 mm cells' keys are largest
+EDGE_POINTS = [(-0.0, 0.0), (MAX_DISTANCE_M, -MAX_DISTANCE_M), (-MAX_DISTANCE_M, MAX_DISTANCE_M),
                (-SIDES[0], SIDES[0]), (-1e-320, 1e-320)]
 
 
@@ -180,7 +184,7 @@ class TestCellKeys:
     @settings(max_examples=300, deadline=None)
     @given(keyed=_keyed_points())
     @example(keyed=(SIDES[0], EDGE_POINTS))
-    @example(keyed=(1e-150, EDGE_POINTS))
+    @example(keyed=(SIDES[2], EDGE_POINTS))
     @example(keyed=(math.inf, EDGE_POINTS))
     def test_vector_keys_match_scalar(self, keyed):
         side, points = keyed
@@ -195,7 +199,7 @@ points_st = st.lists(st.tuples(finite, finite), min_size=1, max_size=60)
 class TestNearProperty:
     @settings(max_examples=150, deadline=None)
     @given(points=points_st, probe=st.tuples(finite, finite),
-           radius=st.sampled_from([100.0, 7.0, 0.1 + 0.2, 1e-300, math.inf]),
+           radius=st.sampled_from([100.0, 7.0, 0.1 + 0.2, 1e-3, math.inf]),
            snap=st.booleans())
     def test_matches_all_pairs_scan(self, points, probe, radius, snap):
         if snap and math.isfinite(radius):
@@ -228,7 +232,7 @@ class TestAdmissionOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(points=st.lists(disc, min_size=1, max_size=80),
-           radius=st.sampled_from([100.0, 30.0, 1e-300, math.inf]))
+           radius=st.sampled_from([100.0, 30.0, 1e-3, math.inf]))
     def test_sequence_matches_reference(self, points, radius):
         dep = generate(Scenario.D, DeploymentParams(n_faps=30, neighbor_radius_m=radius), 3)
         apply_plan(dep, PLAN)

@@ -34,6 +34,15 @@ class TestPropagationParams:
         with pytest.raises(ValueError):
             PropagationParams(eta_macro=7.0)
 
+    @pytest.mark.parametrize("name", ["p0_femto", "p0_macro"])
+    def test_p0_bounds(self, name):
+        # -200 to 0 dB
+        for inside in (1e-20, 1.0):
+            PropagationParams(**{name: inside})
+        for outside in (math.nextafter(1e-20, 0.0), math.nextafter(1.0, 2.0), math.nan):
+            with pytest.raises(ValueError, match=name):
+                PropagationParams(**{name: outside})
+
     def test_wall_attenuation(self):
         p = PropagationParams(wall_loss_db=10.0, walls_between_femtos=1)
         assert p.wall_attenuation == pytest.approx(0.1)

@@ -150,7 +150,9 @@ class TestRun:
          "walls_between_femtos=-1000", "gamma_db=1e300", "gamma_db=-1e300",
          "ue_distance_m=1e-155", "ue_distance_m=1e-160", "ue_distance_m=1e-200",
          "ue_distance_m=1e-300", "macro_radius_m=1e155", "macro_radius_m=1e200",
-         "macro_radius_m=1e300"],
+         "macro_radius_m=1e300",
+         # outside the physical domain (see topology.check_domain)
+         "ue_distance_m=1e-7", "gamma_db=200", "macro_radius_m=2e5"],
     )
     def test_invalid_values_exit_2_on_validate_and_run(self, tmp_path, override):
         # values that only the parameter objects reject: run must not get as
@@ -162,17 +164,14 @@ class TestRun:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("overrides", [
-        ("ue_distance_m=1e-7",),
         ("ue_distance_m=1e-3",),
-        # a reference FAP close to the macro BS lowers the floor its ulp sets
-        # below the one of the offset's square; eta_macro=2 keeps the macro
-        # term, at about 1e-145 m, finite
-        ("reference_distance_m=1e-145", "eta_macro=2", "ue_distance_m=1e-150"),
+        # beside FAP 0 at 100 km the 1 mm offset is still about 7e7 ulps of
+        # its coordinate, so the distance taken back from the UE is exact to
+        # 2e-8 relative
+        ("macro_radius_m=1e5", "reference_distance_m=1e5", "ue_distance_m=1e-3"),
     ], ids=",".join)
     def test_small_ue_distances_run(self, tmp_path, overrides):
-        # above the floors where the UE offset's square or d^-eta_desired
-        # leaves float64, or the offset is lost beside the reference FAP's
-        # coordinate, small UE distances still validate and run
+        # the domain's smallest UE distance, 1 mm, validates and runs
         sets = [arg for override in overrides for arg in ("--set", override)]
         assert _run(["validate", *sets]) == 0
         for experiment in ("fig5", "son-ablation"):
@@ -182,10 +181,12 @@ class TestRun:
 
     @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
     def test_ue_offset_lost_beside_the_reference_exit_2(self, tmp_path, experiment):
-        # 5e-52 m clears the eta_desired=6 floor (4.7e-52 m), but beside FAP 0
-        # at x = 200 m (ulp 2.8e-14 m) the offset's x part is lost, and the
-        # channel's d^-6 overflowed: validate and run both reject it now
-        sets = ["--set", "eta_desired=6", "--set", "ue_distance_m=5e-52",
+        # offsets far below 1 mm can be lost beside FAP 0's coordinate (5e-52
+        # m beside 200 m makes the channel's d^-6 overflow); validate and run
+        # both reject an offset even one ulp below the 1 mm floor
+        sets = ["--set", "eta_desired=6", "--set", "macro_radius_m=1e5",
+                "--set", "reference_distance_m=1e5",
+                "--set", f"ue_distance_m={math.nextafter(1e-3, 0.0)!r}",
                 "--set", "n_faps=300", "--set", "n_trials=2000"]
         assert _run(["validate", *sets]) == 2
         out = tmp_path / "never.csv"
@@ -194,11 +195,14 @@ class TestRun:
 
     @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
     @pytest.mark.parametrize("overrides", [
-        # the UE about 1e-95 m from the macro BS: (1e-95)^-3.5 overflowed in
-        # link_coefficients (exit 1)
+        # a UE less than 1 mm from the macro BS on some bearing
+        ("reference_distance_m=1.9e-3", "femto_radius_m=1e-3", "ue_distance_m=1e-3"),
+        # far below 1 mm, each of the three below would fail at run time
+        # (exit 1).  The UE about 1e-95 m from the macro BS: (1e-95)^-3.5
+        # overflows in link_coefficients
         ("reference_distance_m=1e-100", "ue_distance_m=1e-95"),
         # d^-eta_macro is finite, but times 1000 W and p0_macro = 1 it is not:
-        # the closed form took log(0) (exit 1 with warnings as errors)
+        # the closed form takes log(0) (exit 1 with warnings as errors)
         ("reference_distance_m=3e-88", "ue_distance_m=1e-96", "macro_tx_power_w=1000",
          "p0_macro=1"),
         # the macro coefficient, about 3e305, is finite, and times gamma = 1e6
@@ -216,17 +220,20 @@ class TestRun:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("experiment", ["fig5", "son-ablation"])
     def test_ue_near_the_macro_bs_runs(self, tmp_path, experiment):
-        # a macro coefficient of about 2**1001 with gamma about 2**3 sits just
-        # inside the bound, and every step of the macro term stays finite
+        # the UE 1 mm from the macro BS, the closest the domain allows, with
+        # the largest macro power, p0_macro and eta_macro: every step of the
+        # macro term stays finite
         sets = ["--set", "n_faps=300", "--set", "n_trials=2000",
-                "--set", "reference_distance_m=2e-87", "--set", "ue_distance_m=1e-96"]
+                "--set", "reference_distance_m=2e-3", "--set", "femto_radius_m=1e-3",
+                "--set", "ue_distance_m=1e-3", "--set", "macro_tx_power_w=1000",
+                "--set", "p0_macro=1", "--set", "eta_macro=6"]
         assert _run(["validate", *sets]) == 0
         out = tmp_path / f"{experiment}.csv"
         assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 0
 
     def test_wide_macro_disc_runs(self, tmp_path):
-        # the widest radii whose square is finite still place, admit and run
-        override = ["--set", "macro_radius_m=1e150"]
+        # the domain's widest macro disc, 100 km, places, admits and runs
+        override = ["--set", "macro_radius_m=1e5"]
         assert _run(["validate", *FAST, *override]) == 0
         for experiment in ("fig5", "fig6", "son-ablation"):
             out = tmp_path / f"{experiment}.csv"
@@ -295,23 +302,39 @@ class TestConfigCommands:
         assert "unknown key 'dense_threshold'" in capsys.readouterr().err
 
 
-OVERRIDE_KEYS = [
-    "macro_radius_m", "femto_radius_m", "reference_distance_m", "neighbor_radius_m",
-    "macro_tx_power_w", "fap_tx_power_w", "ue_distance_m", "gamma_db", "wall_loss_db",
-]
+# each key's domain (see topology.check_domain)
+DOMAINS = {
+    **dict.fromkeys(["macro_radius_m", "femto_radius_m", "reference_distance_m",
+                     "ue_distance_m"], (1e-3, 1e5)),
+    "neighbor_radius_m": (1e-3, math.inf),
+    **dict.fromkeys(["macro_tx_power_w", "fap_tx_power_w"], (1e-9, 1e3)),
+    **dict.fromkeys(["p0_femto", "p0_macro"], (1e-20, 1.0)),
+    **dict.fromkeys(["eta_desired", "eta_femto", "eta_macro"], (1.5, 6.0)),
+    "gamma_db": (-100.0, 100.0),
+    "wall_loss_db": (0.0, math.inf),
+}
 OVERRIDE_VALUES = [0, -1, 1e-300, 1e-3, 0.5, 5, 50, 300, 1000, 2000, math.nan, math.inf]
+
+
+def _edges(low, high):
+    """Each bound of a domain and the float just outside it."""
+    return [low, math.nextafter(low, -math.inf), high, math.nextafter(high, math.inf)]
+
+
+# a key with a common value, or with a bound of its domain or the float just
+# outside it
+OVERRIDES = st.sampled_from(sorted(DOMAINS)).flatmap(lambda key: st.tuples(
+    st.just(key), st.sampled_from(OVERRIDE_VALUES + _edges(*DOMAINS[key]))))
 
 
 class TestValidateMatchesRun:
     @given(
-        overrides=st.dictionaries(
-            st.sampled_from(OVERRIDE_KEYS), st.sampled_from(OVERRIDE_VALUES), max_size=3
-        ),
+        overrides=st.lists(OVERRIDES, max_size=3).map(dict),
         n_faps=st.integers(-1, 60),
         densities=st.lists(st.integers(-3, 40), min_size=1, max_size=3, unique=True).map(sorted),
         experiment=st.sampled_from(["fig5", "fig6", "son-ablation"]),
     )
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_validate_accepts_iff_run_succeeds(self, overrides, n_faps, densities, experiment):
         pairs = [f"{k}={v}" for k, v in overrides.items()] + [
             f"n_faps={n_faps}",
@@ -326,3 +349,29 @@ class TestValidateMatchesRun:
                         "--out", os.path.join(tmp, "out.csv"), *sets])
         assert ran != 1
         assert (validated == 0) == (ran == 0)
+
+
+# corners of the domain, each of which keeps every step finite
+CORNERS = {
+    "a": ["macro_radius_m=1e5", "reference_distance_m=2e-3", "ue_distance_m=1e-3",
+          "femto_radius_m=1e-3", "macro_tx_power_w=1000", "p0_macro=1", "eta_macro=6",
+          "gamma_db=100", "fap_tx_power_w=1e-9", "p0_femto=1e-20", "eta_desired=1.5",
+          "neighbor_radius_m=1e-3"],
+    "b": ["macro_radius_m=1e5", "reference_distance_m=1e5", "femto_radius_m=1e5",
+          "ue_distance_m=5e4", "eta_desired=6", "eta_macro=1.5", "neighbor_radius_m=1e5"],
+    "c": ["macro_radius_m=2e-3", "reference_distance_m=2e-3", "gamma_db=-100",
+          "eta_desired=6"],
+    "d": ["neighbor_radius_m=inf"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", ["fig5", "fig6", "son-ablation"])
+@pytest.mark.parametrize("corner", sorted(CORNERS))
+def test_domain_corners_run(tmp_path, corner, experiment):
+    pairs = CORNERS[corner] + ["n_faps=300", "densities=100,300", "n_trials=2000"]
+    sets = [arg for pair in pairs for arg in ("--set", pair)]
+    assert _run(["validate", *sets]) == 0
+    out = tmp_path / f"{experiment}.csv"
+    assert _run(["run", "--experiment", experiment, "--out", str(out), *sets]) == 0
+    assert len(_body(out)) > 1

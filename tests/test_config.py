@@ -1,5 +1,7 @@
 """Config parsing, validation, and canonical round-trip tests."""
 
+import math
+
 import pytest
 
 from femtosim.config import (
@@ -93,6 +95,13 @@ class TestValidation:
             "macro_radius_m=1e155",  # the disc test's r * r overflows
             "macro_radius_m=1e200",
             "macro_radius_m=1e300",
+            # outside the physical domain (see topology.check_domain)
+            "ue_distance_m=1e-7",
+            "gamma_db=200",
+            "macro_radius_m=2e5",
+            "n_sectors=0",
+            "p0_macro=2",
+            "reference_distance_m=5.0005",  # the UE can come 0.5 mm from the macro BS
         ],
     )
     def test_invalid_values_rejected(self, override):
@@ -100,15 +109,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
-    def test_ue_distance_floor_follows_eta_desired(self):
-        # d^-eta_desired must fit float64: 4e-52 ** -2 does, 4e-52 ** -6 does
-        # not.  A reference FAP 1e-43 m from the macro BS puts the floor that
-        # the reference's ulp sets (4e-53 m) below both.
-        cfg = apply_overrides(ExperimentConfig(),
-                              ["reference_distance_m=1e-43", "ue_distance_m=4e-52"])
+    @pytest.mark.parametrize("eta", [1.5, 6])
+    def test_ue_distance_floor_is_1_mm(self, eta):
+        # one floor whatever the exponent or the reference FAP's distance
+        for ref in ("1e-2", "1e5"):
+            cfg = apply_overrides(ExperimentConfig(), [
+                f"eta_desired={eta}", "macro_radius_m=1e5", f"reference_distance_m={ref}",
+                "femto_radius_m=1e-3", "ue_distance_m=1e-3"])
+            cfg.validate()
+            with pytest.raises(ConfigError, match="ue_distance"):
+                apply_overrides(cfg, [f"ue_distance_m={math.nextafter(1e-3, 0.0)!r}"]).validate()
+
+    def test_ue_at_least_1_mm_from_the_macro_bs(self):
+        cfg = apply_overrides(ExperimentConfig(), [
+            "reference_distance_m=2e-3", "femto_radius_m=1e-3", "ue_distance_m=1e-3"])
         cfg.validate()
-        with pytest.raises(ConfigError, match="ue_distance_m"):
-            apply_overrides(cfg, ["eta_desired=6"]).validate()
+        for ref in (math.nextafter(2e-3, 0.0), 1.5e-3, 1e-3):
+            with pytest.raises(ConfigError, match="1 mm"):
+                apply_overrides(cfg, [f"reference_distance_m={ref!r}"]).validate()
 
 
 class TestRoundTrip:

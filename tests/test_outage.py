@@ -246,6 +246,24 @@ class TestEstimate:
         with pytest.raises(ValueError):
             OutageConfig(n_trials=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        # with a NaN UE distance, estimate would report both outages as 0
+        {"ue_distance": math.nan},
+        {"ue_distance": math.nextafter(1e-3, 0.0)},
+        {"ue_distance": math.nextafter(1e5, math.inf)},
+        {"gamma_db": math.nan},
+        {"gamma_db": math.nextafter(-100.0, -math.inf)},
+        {"gamma_db": math.nextafter(100.0, math.inf)},
+    ])
+    def test_outside_the_domain_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            OutageConfig(**kwargs)
+
+    def test_domain_bounds_accepted(self):
+        for ue_distance, gamma_db in ((1e-3, -100.0), (1e5, 100.0)):
+            cfg = OutageConfig(ue_distance=ue_distance, gamma_db=gamma_db)
+            assert 0.0 < cfg.gamma_linear < math.inf
+
     def test_ue_distance_beyond_cell_rejected(self):
         dep, plan = _dense(Scheme.SAME, n_faps=10)
         cfg = OutageConfig(n_trials=10, ue_distance=25.0)

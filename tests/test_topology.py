@@ -13,6 +13,7 @@ from scipy import stats
 from femtosim import topology
 from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, build_plan
 from femtosim.topology import (
+    MAX_DISTANCE_M,
     Deployment,
     DeploymentParams,
     PlacementError,
@@ -94,21 +95,20 @@ class TestMacroCell:
     def test_only_params_carry_the_macro_cell(self):
         assert not hasattr(topology, "MacroBs")
         assert list(inspect.signature(Deployment).parameters) == ["params", "macro"]
-        with pytest.raises(ValueError):  # once admitted x = 1e300 through a hand-built macro
-            DeploymentParams(macro_radius_m=1e200)
+        with pytest.raises(ValueError):
+            DeploymentParams(macro_radius_m=math.nextafter(MAX_DISTANCE_M, math.inf))
         with pytest.raises(ValueError, match="macro disc"):
             Deployment(DeploymentParams()).check_in_macro_disc((1e300, 0.0))
 
     def test_disc_test_and_cell_grid_read_one_radius(self):
-        # at a 1e12 m macro radius the cells (radius / 2**20) are wider than
-        # the 100 m neighbor radius, so the grid's side shows which radius it read
-        params = DeploymentParams(n_faps=1, macro_radius_m=1e12)
+        # the macro radius bounds the disc test alone: at the domain's widest
+        # disc the cells are still the neighbor radius, a hair wider
+        params = DeploymentParams(n_faps=1, macro_radius_m=MAX_DISTANCE_M)
         dep = Deployment(params)
         dep.check_in_macro_disc((params.macro_radius_m, 0.0))
         with pytest.raises(ValueError, match="macro disc"):
             dep.check_in_macro_disc((math.nextafter(params.macro_radius_m, math.inf), 0.0))
-        side = _cell_side(params.neighbor_radius_m, params.macro_radius_m)
-        assert dep._cell_side == side > 1000 * params.neighbor_radius_m
+        assert dep._cell_side == _cell_side(params.neighbor_radius_m) == 100.0 * (1 + 1e-6)
 
     def test_no_macro_no_disc(self):
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
@@ -127,12 +127,31 @@ class TestDeploymentParams:
             {"fap_tx_power_w": math.inf},
             {"macro_tx_power_w": math.nan},
             {"reference_distance_m": 1500.0},  # outside the 1000 m macro disc
-            {"macro_radius_m": 1e155},  # the disc test's r * r overflows
+            # one step outside each bound of the domain
+            {"macro_radius_m": math.nextafter(1e5, math.inf)},
+            {"femto_radius_m": math.nextafter(1e-3, 0.0)},
+            {"reference_distance_m": math.nextafter(1e-3, 0.0)},
+            {"neighbor_radius_m": math.nextafter(1e-3, 0.0)},
+            {"fap_tx_power_w": math.nextafter(1e-9, 0.0)},
+            {"macro_tx_power_w": math.nextafter(1e3, math.inf)},
         ],
     )
     def test_invalid_geometry_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DeploymentParams(**kwargs)
+
+    @pytest.mark.parametrize("n_sectors", [0, -1])
+    def test_sectorless_macro_cell_rejected(self, n_sectors):
+        # 0 sectors would make extend divide by zero, and -1 would put FAPs
+        # in sector -2
+        with pytest.raises(ValueError, match="n_sectors"):
+            DeploymentParams(n_sectors=n_sectors)
+
+    def test_domain_bounds_accepted(self):
+        DeploymentParams(macro_radius_m=1e5, femto_radius_m=1e-3, reference_distance_m=1e-3,
+                         neighbor_radius_m=1e-3, fap_tx_power_w=1e-9, macro_tx_power_w=1e3)
+        DeploymentParams(macro_radius_m=1e5, femto_radius_m=1e5, reference_distance_m=1e5,
+                         fap_tx_power_w=1e3, macro_tx_power_w=1e-9, n_sectors=1)
 
     def test_infinite_neighbor_radius_accepted(self):
         params = DeploymentParams(n_faps=20, neighbor_radius_m=math.inf)
@@ -307,6 +326,18 @@ class TestDeploymentPositions:
             assert dep.near((1.0, 2.0), 1.0).tolist() == []
         assert_positions_match_faps(dep)
         assert neighbor_graph(dep, 100.0).n_faps == 20
+
+    def test_position_beyond_100_km_rejected(self):
+        dep = generate(Scenario.D, DeploymentParams(n_faps=20), seed=6)
+        dep.extend([(1e5, -1e5), (-1e5, 1e5)])  # the domain's corners join
+        beyond = math.nextafter(1e5, math.inf)
+        for p in ((beyond, 0.0), (0.0, -beyond), (1e300, 1e300)):
+            with pytest.raises(ValueError, match="beyond 100 km"):
+                dep.extend(p)
+            with pytest.raises(ValueError, match="beyond 100 km"):
+                dep.near(p, 100.0)
+        assert len(dep.faps) == 22
+        assert_positions_match_faps(dep)
 
     def test_append_grows_past_capacity(self):
         rng = np.random.default_rng(5)
@@ -512,7 +543,7 @@ class TestNeighborGraphOracle:
         dep = generate(Scenario.D, DeploymentParams(n_faps=n_faps), seed)
         _assert_csr_matches_all_pairs(dep, radius)
 
-    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3, 1e-300, math.inf])
+    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3, 1e-3, math.inf])
     def test_lattice_on_cell_boundaries(self, radius):
         step = radius if math.isfinite(radius) else 100.0
         edges = _assert_csr_matches_all_pairs(_layout(_lattice(step)), radius)
@@ -528,21 +559,22 @@ class TestNeighborGraphOracle:
         _assert_csr_matches_all_pairs(dep, radius)
 
     def test_tiny_radius(self):
-        # 1e-300 squared underflows to 0, so only offsets whose squares also
-        # underflow (coincident FAPs, FAPs 1e-300 apart) pass the test
+        # the domain's smallest radius, 1 mm: only FAPs within 1 mm pass, and
+        # the 1 mm cells' keys, up to 1e8 per axis at the 100 km corners, fit
+        # int64
         dep = generate(Scenario.D, DeploymentParams(n_faps=300), seed=5)
         pos = dep.positions()
-        layout = [tuple(p) for p in pos] + [tuple(pos[7]), (1e-300, 0.0), (2e-300, 1e-300)]
+        layout = [tuple(p) for p in pos] + [tuple(pos[7]), (1e-3, 0.0), (2e-3, 0.0),
+                                            (1e5, 1e5), (1e5, 1e5 - 5e-4), (-1e5, -1e5)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # cell keys must not overflow
-            edges = _assert_csr_matches_all_pairs(_layout(layout), 1e-300)
-        assert (7, 300) in edges and (301, 302) in edges
+            edges = _assert_csr_matches_all_pairs(_layout(layout), 1e-3)
+        assert {(7, 300), (301, 302), (303, 304)} <= edges
 
     def test_radius_whose_square_overflows(self):
-        # 1e200 ** 2 is inf, so every pair passes, even ones 1e300 apart
-        dep = _layout([(0.0, 0.0), (1e300, 0.0), (-1e300, 5e299), (3.0, 4.0)])
-        with np.errstate(over="ignore"):  # squared offsets overflow to inf too
-            assert len(_assert_csr_matches_all_pairs(dep, 1e200)) == 4 * 3 // 2
+        # 1e200 ** 2 is inf, so every pair passes, even ones 100 km apart
+        dep = _layout([(0.0, 0.0), (1e5, 0.0), (-1e5, 1e5), (3.0, 4.0)])
+        assert len(_assert_csr_matches_all_pairs(dep, 1e200)) == 4 * 3 // 2
 
     def test_infinite_radius_is_complete(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=60), seed=6)
