@@ -49,8 +49,7 @@ class PropagationParams:
             check_domain(name, getattr(self, name), 1e-20, 1.0)
         if not 0 <= self.wall_loss_db < math.inf:
             raise ValueError("wall loss must be finite and >= 0 dB")
-        if self.walls_between_femtos < 0:
-            raise ValueError("walls_between_femtos must be >= 0")
+        check_domain("walls_between_femtos", self.walls_between_femtos, 0, 100)
 
     @property
     def wall_attenuation(self) -> float:

@@ -74,10 +74,11 @@ def check_domain(name: str, value, low, high=math.inf) -> None:
     the UE offset) from 1 mm to 100 km, and the neighbor radius at least 1
     mm, or infinite; tx powers from 1 nW to 1 kW; the path-loss constants p0
     from 1e-20 to 1 (-200 to 0 dB); path-loss exponents from 1.5 to 6; the
-    SIR threshold from -100 to 100 dB; FAP coordinates within 100 km of the
-    macro BS on each axis.  ``ExperimentConfig.validate`` adds the rules
-    across keys: the UE lies within the femto radius and at least 1 mm from
-    the macro BS.  On that domain:
+    SIR threshold from -100 to 100 dB; the wall count from 0 to 100; FAP
+    coordinates within 100 km of the macro BS on each axis.
+    ``ExperimentConfig.validate`` adds the rules across keys: the UE lies
+    within the femto radius and at least 1 mm from the macro BS.  On that
+    domain:
 
     - s_bar = P_F p0 d^-eta is at least about 1e-9 * 1e-20 * (1e5)^-6 = 1e-59,
       and the macro coefficient P_M p0 d^-eta at most about 1e3 * 1 *
@@ -540,9 +541,11 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-# Candidate pairs per source block: bounds one block's temporaries at a few
-# tens of MB whatever N is.
-_CANDIDATE_BLOCK = 1 << 18
+# Candidate pairs per source block, whatever N is: 2**14, so each of the
+# block's ten or so float64/int64 temporaries is 128 KiB and together they fit
+# an L2 cache.  The build then peaks 1.9 MiB above its result at 8000 FAPs
+# (10.7 MiB with blocks of 2**18).
+_CANDIDATE_BLOCK = 1 << 14
 
 
 def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
@@ -555,11 +558,14 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     FAP's candidates are the FAPs of the 3x3 cells around its own, three runs
     of the FAPs sorted by key, one per column.  The radius is at least 1 mm,
     or infinite, which gives one cell (the complete graph).  Candidates are
-    tested in source blocks of bounded size.  A first pass counts each row's
-    neighbors and keeps one bit per candidate, so that a second pass writes
-    the pairs straight into the one CSR buffer: the peak is the result, the
-    bits (about a tenth of it) and one block.  Work and memory are O(N *
-    mean degree).  The result is CSR with int32 indices, ascending in rows.
+    tested in source blocks of about 2**14 (``_CANDIDATE_BLOCK``), cut on
+    row boundaries, whose temporaries take about 1.3 MiB.  A first
+    pass counts each row's neighbors and keeps one bit per candidate, so that
+    a second pass writes the pairs straight into the one CSR buffer: the peak
+    is the result, the bits (about a tenth of it), a few per-FAP arrays and
+    one block, 1.9 MiB above the result at 8000 FAPs and 11.2 MiB at 40000.
+    Work and memory are O(N * mean degree).  The result is CSR with int32
+    indices, ascending in rows.
     """
     check_domain("neighbor radius", radius, MIN_DISTANCE_M)
     pos = deployment.positions()
@@ -612,11 +618,16 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     for (a, b), bits in zip(blocks, passed):
         at = candidates(a, b)
         keep = np.unpackbits(bits, count=len(at)).view(bool)
-        i = np.repeat(np.arange(a, b), per_fap[a:b])[keep]
         j = order.take(at[keep])
-        # a row's runs come column by column: sort (row, id) pairs, drop i == j
-        pair = np.sort((i * n + j)[i != j])
-        indices[indptr[a]:indptr[b]] = pair % n
+        # a row keeps its neighbors, counted in indptr, and itself
+        i = np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1]) + 1)
+        # a row's runs come column by column: drop i == j and sort (row, id)
+        # pairs; the rows stay in place, so taking i * n off leaves the ids
+        other = i != j
+        i = i[other] * n
+        pair = i + j[other]
+        pair.sort()
+        indices[indptr[a]:indptr[b]] = pair - i
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)

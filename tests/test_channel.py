@@ -43,6 +43,13 @@ class TestPropagationParams:
             with pytest.raises(ValueError, match=name):
                 PropagationParams(**{name: outside})
 
+    def test_wall_count_bounds(self):
+        for inside in (0, 100):
+            PropagationParams(walls_between_femtos=inside)
+        for outside in (-1, 101, 10**400):
+            with pytest.raises(ValueError, match="walls_between_femtos"):
+                PropagationParams(walls_between_femtos=outside)
+
     def test_wall_attenuation(self):
         p = PropagationParams(wall_loss_db=10.0, walls_between_femtos=1)
         assert p.wall_attenuation == pytest.approx(0.1)

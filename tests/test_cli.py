@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from femtosim import cli, son
@@ -147,7 +147,9 @@ class TestRun:
         ["eta_macro=9", "gamma_db=inf", "seed=-1", "wall_loss_db=-3", "band_high_hz=5",
          "macro_radius_m=nan", "densities=0,10", "densities=-5,10", "macro_radius_m=inf",
          "fap_tx_power_w=inf", "p0_femto=inf", "wall_loss_db=inf",
-         "walls_between_femtos=-1000", "gamma_db=1e300", "gamma_db=-1e300",
+         "walls_between_femtos=-1000", "walls_between_femtos=101",
+         pytest.param("walls_between_femtos=1" + "0" * 400, id="walls_between_femtos=10**400"),
+         "gamma_db=1e300", "gamma_db=-1e300",
          "ue_distance_m=1e-155", "ue_distance_m=1e-160", "ue_distance_m=1e-200",
          "ue_distance_m=1e-300", "macro_radius_m=1e155", "macro_radius_m=1e200",
          "macro_radius_m=1e300",
@@ -312,12 +314,16 @@ DOMAINS = {
     **dict.fromkeys(["eta_desired", "eta_femto", "eta_macro"], (1.5, 6.0)),
     "gamma_db": (-100.0, 100.0),
     "wall_loss_db": (0.0, math.inf),
+    "walls_between_femtos": (0, 100),
 }
 OVERRIDE_VALUES = [0, -1, 1e-300, 1e-3, 0.5, 5, 50, 300, 1000, 2000, math.nan, math.inf]
 
 
 def _edges(low, high):
-    """Each bound of a domain and the float just outside it."""
+    """Each bound of a domain and the number just outside it: the next float,
+    or the next integer of an integer domain."""
+    if isinstance(low, int):
+        return [low, low - 1, high, high + 1]
     return [low, math.nextafter(low, -math.inf), high, math.nextafter(high, math.inf)]
 
 
@@ -334,6 +340,9 @@ class TestValidateMatchesRun:
         densities=st.lists(st.integers(-3, 40), min_size=1, max_size=3, unique=True).map(sorted),
         experiment=st.sampled_from(["fig5", "fig6", "son-ablation"]),
     )
+    # a wall count no float holds used to validate and then exit 1 in run
+    @example(overrides={"walls_between_femtos": 10**400}, n_faps=300, densities=[10, 40],
+             experiment="fig5")
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_validate_accepts_iff_run_succeeds(self, overrides, n_faps, densities, experiment):
         pairs = [f"{k}={v}" for k, v in overrides.items()] + [

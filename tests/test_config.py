@@ -86,6 +86,9 @@ class TestValidation:
             "p0_femto=inf",  # inf / inf outage ratio is NaN
             "wall_loss_db=inf",  # NaN wall attenuation with zero walls
             "walls_between_femtos=-1000",  # overflows the wall attenuation
+            "walls_between_femtos=101",
+            # no float holds the wall loss's exponent
+            pytest.param("walls_between_femtos=1" + "0" * 400, id="walls_between_femtos=10**400"),
             "gamma_db=1e300",  # overflows the linear threshold
             "gamma_db=-1e300",  # linear threshold underflows to 0
             "ue_distance_m=1e-155",  # d^-eta_desired overflows

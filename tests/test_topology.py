@@ -591,29 +591,69 @@ class TestNeighborGraphOracle:
         assert _assert_csr_matches_all_pairs(dep, 100.0) == {(0, 1)}
 
 
+def _csr_row_by_row(pos, radius):
+    """CSR arrays of the graph, each row by comparing its FAP with all others
+    by the graph's float expression; rows come out ascending."""
+    r2 = radius * radius
+    rows = []
+    for i, p in enumerate(pos):
+        row = np.flatnonzero(((p - pos) ** 2).sum(axis=1) <= r2)
+        rows.append(row[row != i])
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return indptr.astype(np.int64), np.concatenate(rows).astype(np.int32)
+
+
+class TestCandidateBlocks:
+    """Blocks are cut on row boundaries and every step inside one is
+    elementwise, so the block size cannot change a bit of the result."""
+
+    @staticmethod
+    def _case(name):
+        if name == "crowded-inf":
+            # one cell: every row has all 1100 FAPs as candidates, more than
+            # a block of 2**10
+            return generate(Scenario.D, DeploymentParams(n_faps=1100), seed=9), math.inf
+        radius = {"d-100": 100.0, "d-250": 250.0}[name]
+        return generate(Scenario.D, DeploymentParams(n_faps=2000), seed=4), radius
+
+    @pytest.mark.parametrize("block", [1, 7, 2**10, None])
+    @pytest.mark.parametrize("case", ["d-100", "d-250", "crowded-inf"])
+    def test_graph_is_bit_identical_at_every_block_size(self, monkeypatch, case, block):
+        dep, radius = self._case(case)
+        if block is not None:  # None keeps the default
+            monkeypatch.setattr(topology, "_CANDIDATE_BLOCK", block)
+        g = neighbor_graph(dep, radius)
+        indptr, indices = _csr_row_by_row(dep.positions(), radius)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        assert g.indptr.tobytes() == indptr.tobytes()
+        assert g.indices.tobytes() == indices.tobytes()
+
+
 class TestNeighborGraphMemory:
     # The dense-block search it replaced held 512 x N x 2 float64 differences
     # plus their squares, sums and masks: about 130 MB at N = 8000.  The grid
-    # search holds one bounded block of candidate pairs plus the CSR result
-    # (about 2.5 MB of int32 at 8000 FAPs); any N-wide pairwise block, even a
-    # single float64 row block of 512 x 8000 x 2, breaks the bound.
-    BOUND_MB = 40
+    # search holds the CSR result (about 2.4 MiB at 8000 FAPs), its pass bits,
+    # a few per-FAP arrays and one block of 2**14 candidates (about 10
+    # temporaries of 128 KiB): 1.9 MiB above the result at 8000 FAPs.  A block
+    # of 2**18 candidates puts it at 10.7 MiB, and any N-wide pairwise block,
+    # even a single float64 row block of 512 x 8000 x 2 (62.5 MiB), far above.
+    EXCESS_MB = 4
 
     def test_peak_well_below_dense_blocks(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=8000), seed=8)
         tracemalloc.start()
         try:
-            neighbor_graph(dep, 100.0)
+            g = neighbor_graph(dep, 100.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < self.BOUND_MB * 2**20
+        assert peak - (g.indices.nbytes + g.indptr.nbytes) <= self.EXCESS_MB * 2**20
 
     def test_peak_near_the_result(self):
         # Holding the int32 indices twice (per-block pieces plus their
         # concatenation) puts the peak at twice the result.  The build may
         # hold the result, a tenth of it in pass bits, and one block's
-        # temporaries plus a few per-FAP arrays (about 16 MiB at 40000 FAPs).
+        # temporaries plus a few per-FAP arrays (11.2 MiB at 40000 FAPs).
         dep = generate(Scenario.D, DeploymentParams(n_faps=40000), seed=8)
         tracemalloc.start()
         try:
