@@ -15,7 +15,6 @@ from .spectrum import (
     EdgeChoice,
     FemtoAllocation,
     FrequencyPlan,
-    MacroSector,
     Scheme,
     UeRegion,
     build_plan,
@@ -30,7 +29,6 @@ __all__ = [
     "Fap",
     "FemtoAllocation",
     "FrequencyPlan",
-    "MacroSector",
     "NeighborGraph",
     "OutageConfig",
     "OutageEstimate",

@@ -4,8 +4,10 @@ Every link follows P_R = P_T * P0 * d^(-eta) * xi * Z with unit-mean
 exponential slow (xi) and fast (Z) fading; the desired link is same-indoor so
 its slow fading is dropped and its deterministic part is the mean power
 ``s_bar``.  Femto-to-femto interference additionally crosses a configurable
-number of walls.  All powers are linear watts internally; dB only appears at
-I/O boundaries.
+number of walls.  Each interference term carries its binary co-channel flag,
+X per neighbor FAP and Y for the macro sector, both from one
+``spectrum.cochannel`` call on the reference's (sector, edge index).  All
+powers are linear watts internally; dB only appears at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FrequencyPlan, MacroSector, UeRegion, cochannel, cochannel_row
+from .spectrum import FrequencyPlan, UeRegion, cochannel
 from .topology import Deployment, Fap, check_domain
 
 __all__ = [
@@ -88,17 +90,16 @@ def link_coefficients(
     Raises ValueError when a FAP has no allocation or ``plan`` is not the
     deployment's.
     """
-    alloc_ref = reference_fap.allocation
-    if alloc_ref is None:
-        raise ValueError("reference FAP has no allocation; apply a plan first")
     deployment.check_plan(plan)
     ue = np.asarray(ue_position, dtype=float)
     ids = neighbor_ids(deployment, reference_fap)
-    edges = deployment.edges()[ids]
+    linked = [reference_fap.id, *ids]
+    sectors, edges = deployment.sectors()[linked], deployment.edges()[linked]
     if np.any(edges < 0):
-        raise ValueError(f"FAP {ids[np.argmin(edges)]} has no allocation; apply a plan first")
-    # the X flag depends only on the neighbor's sector and edge index
-    x = cochannel_row(plan, alloc_ref, ue_region)[deployment.sectors()[ids], edges]
+        raise ValueError(f"FAP {linked[np.argmin(edges)]} has no allocation; apply a plan first")
+    x_row, y = cochannel(plan, ue_region, int(sectors[0]), int(edges[0]))
+    # a neighbor's X flag depends only on its sector and edge index
+    x = x_row[sectors[1:], edges[1:]]
     positions, tx_powers = deployment.positions(), deployment.tx_powers()
     coeffs = np.zeros(len(ids))
     for k in np.flatnonzero(x).tolist():
@@ -110,12 +111,10 @@ def link_coefficients(
             * params.wall_attenuation
         )
     macro_coeff = 0.0
-    if deployment.macro:
-        y = cochannel(plan, alloc_ref, ue_region, MacroSector(reference_fap.sector_index))
-        if y:
-            d_m = float(np.linalg.norm(ue))  # the macro BS sits at the origin
-            macro_tx_power = deployment.params.macro_tx_power_w
-            macro_coeff = macro_tx_power * params.p0_macro * d_m ** (-params.eta_macro)
+    if deployment.macro and y:
+        d_m = float(np.linalg.norm(ue))  # the macro BS sits at the origin
+        macro_tx_power = deployment.params.macro_tx_power_w
+        macro_coeff = macro_tx_power * params.p0_macro * d_m ** (-params.eta_macro)
     d0 = float(np.linalg.norm(reference_fap.position - ue))
     s_bar = mean_desired_power(reference_fap, d0, params)
     return ids, coeffs, macro_coeff, s_bar

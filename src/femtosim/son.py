@@ -24,7 +24,7 @@ from .spectrum import (
     FrequencyPlan,
     Scheme,
     UeRegion,
-    cochannel_table,
+    cochannel,
 )
 from .topology import Deployment, NeighborGraph, sector_of
 
@@ -116,6 +116,13 @@ def same_color_conflicts(graph: NeighborGraph, colors: dict[int, EdgeChoice]) ->
     return set(zip(rows[hit].tolist(), graph.indices[hit].tolist()))
 
 
+def _check_graph(deployment: Deployment, graph: NeighborGraph) -> None:
+    """Raise ValueError unless ``graph`` covers exactly the deployment's FAPs."""
+    n = len(deployment.faps)
+    if graph.n_faps != n:
+        raise ValueError(f"neighbor graph covers {graph.n_faps} FAPs, the deployment has {n}")
+
+
 def configure_frequencies(
     deployment: Deployment,
     graph: NeighborGraph,
@@ -133,14 +140,12 @@ def configure_frequencies(
     """
     if plan.scheme is not Scheme.DYNAMIC_REUSE:
         raise ValueError(f"{plan.scheme.value} scheme has no edge bands to configure")
-    n = len(deployment.faps)
-    if graph.n_faps != n:
-        raise ValueError(f"neighbor graph covers {graph.n_faps} FAPs, the deployment has {n}")
+    _check_graph(deployment, graph)
 
     indptr, indices = graph.indptr.tolist(), graph.indices
-    order = np.lexsort((np.arange(n), -np.diff(graph.indptr))).tolist()
+    order = np.lexsort((np.arange(graph.n_faps), -np.diff(graph.indptr))).tolist()
     colors: dict[int, EdgeChoice] = {}
-    codes = np.full(n, -1, dtype=np.int8)  # index in EDGE_COLORS; -1 uncolored
+    codes = np.full(graph.n_faps, -1, dtype=np.int8)  # index in EDGE_COLORS; -1 uncolored
     usage = [0, 0, 0]
     for fid in order:
         neigh = indices[indptr[fid]:indptr[fid + 1]]
@@ -171,6 +176,7 @@ def assign_uniform_random_colors(
 ) -> ColoringState:
     """Uncoordinated baseline: every FAP picks an edge color at random, in id
     order (one ``rng.integers(0, 3)`` draw each)."""
+    _check_graph(deployment, graph)
     ks = rng.integers(0, 3, size=len(deployment.faps))
     deployment.assign(plan, ks + 1)
     return ColoringState(colors=dict(enumerate(EDGE_COLORS[k] for k in ks.tolist())), graph=graph)
@@ -183,6 +189,7 @@ def assign_shared_edge(
     color: EdgeChoice = EdgeChoice.X,
 ) -> ColoringState:
     """Degenerate baseline: all FAPs share a single edge band."""
+    _check_graph(deployment, graph)
     deployment.assign(plan, list(EdgeChoice).index(color))
     return ColoringState(colors=dict.fromkeys(range(len(deployment.faps)), color), graph=graph)
 
@@ -195,9 +202,10 @@ def noncochannel_fraction(
 ) -> float:
     """Fraction of ordered neighbor pairs whose interference indicator is 0,
     i.e. how often a neighbor does not reach the reference UE's band.  Raises
-    ValueError when ``plan`` is not the deployment's or a FAP of a pair has
-    no allocation."""
+    ValueError when ``plan`` is not the deployment's, ``graph`` is another
+    deployment's or a FAP of a pair has no allocation."""
     deployment.check_plan(plan)
+    _check_graph(deployment, graph)
     if not len(graph.indices):
         return 1.0
     edges, sectors = deployment.edges(), deployment.sectors()
@@ -205,7 +213,10 @@ def noncochannel_fraction(
     if np.any(edges[graph.indices] < 0):
         raise ValueError("a FAP of a neighbor pair has no allocation")
     rows, cols = graph.rows(), graph.indices
-    x = cochannel_table(plan, ue_region)[sectors[rows], edges[rows], sectors[cols], edges[cols]]
+    # (S, E, S, E): entry [s, e] is the X row of allocation (s, e)
+    table = np.array([[cochannel(plan, ue_region, s, e)[0] for e in range(plan.n_edges)]
+                      for s in range(plan.n_sectors)])
+    x = table[sectors[rows], edges[rows], sectors[cols], edges[cols]]
     return int(np.count_nonzero(x == 0)) / len(graph.indices)
 
 
@@ -295,7 +306,7 @@ def admit_fap(
     NEW_FAP event records.  The sniff reads only the cells around the
     position.  Raises ValueError when ``plan`` has no edge bands or is not the
     deployment's."""
-    if not plan.has_edge_bands:
+    if plan.n_edges == 1:
         raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
     deployment.check_plan(plan)
     pos = np.asarray(position, dtype=float)

@@ -12,6 +12,10 @@ implemented:
   most one of three edge bands carved from the band after that, so neighboring
   femtocells can be pushed onto non-overlapping edge bands
 
+A femtocell's allocation under a plan is a (sector, edge index) pair, and
+every scheme reaches the femto-UE SIR only through binary co-channel flags:
+X per neighbor femtocell and Y for the macro sector.  ``cochannel`` gives
+both for one allocation, X as a row over every allocation of the plan.
 Sector indices are 0-based throughout.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -27,15 +32,10 @@ __all__ = [
     "EdgeChoice",
     "FemtoAllocation",
     "FrequencyPlan",
-    "MacroSector",
     "Scheme",
     "UeRegion",
-    "active_band",
-    "bands_for_femto",
     "build_plan",
     "cochannel",
-    "cochannel_row",
-    "cochannel_table",
     "split_band",
 ]
 
@@ -91,16 +91,9 @@ class Band:
 
 
 @dataclass(frozen=True)
-class MacroSector:
-    """Interference source tag for one macrocell sector."""
-
-    sector_index: int
-
-
-@dataclass(frozen=True)
 class FemtoAllocation:
-    """Bands a single femtocell transmits on: a center band plus at most one
-    edge band (the edge band is resolved against the plan by its color)."""
+    """A femtocell's allocation as ``Fap.allocation`` reads it: its sector's
+    center band plus at most one edge band, named by its color."""
 
     center: Band
     edge_choice: EdgeChoice
@@ -140,24 +133,10 @@ class FrequencyPlan:
         return len(self.macro_sector_bands)
 
     @property
-    def has_edge_bands(self) -> bool:
-        return all(self.edge_bands_per_sector)
-
-    def allocations(self) -> tuple[tuple[FemtoAllocation, ...], ...]:
-        """The plan's own allocations: [s][e] is sector s's center band with
-        edge index e, 0 for no edge band and 1-3 for the ``EDGE_COLORS``; a
-        plan without edge bands has e = 0 only."""
-        edges = tuple(EdgeChoice) if self.has_edge_bands else (EdgeChoice.NONE,)
-        return tuple(tuple(FemtoAllocation(center, e, s) for e in edges)
-                     for s, center in enumerate(self.center_band_per_sector))
-
-    def edge_band(self, sector_index: int, choice: EdgeChoice) -> Band | None:
-        if choice is EdgeChoice.NONE:
-            return None
-        edges = self.edge_bands_per_sector[sector_index]
-        if not edges:
-            raise ValueError(f"{self.scheme.value} plan has no edge bands")
-        return edges[EDGE_COLORS.index(choice)]
+    def n_edges(self) -> int:
+        """Edge indices an allocation can take: 0 (no edge band) only, or
+        also 1-3 (the ``EDGE_COLORS``) when every sector has edge bands."""
+        return 1 + len(EDGE_COLORS) if all(self.edge_bands_per_sector) else 1
 
     def validate(self) -> None:
         """Check the structural invariants of the plan; raises ValueError."""
@@ -171,20 +150,15 @@ class FrequencyPlan:
             raise ValueError("macro sector bands are not equal-width within 1 Hz")
         if sum(widths) != self.total.width:
             raise ValueError("macro sector bands do not partition the total band")
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self.macro_sector_bands[a].intersects(self.macro_sector_bands[b]):
-                    raise ValueError("macro sector bands overlap")
-        for s in range(n):
-            local = self.macro_sector_bands[s]
+        if any(a.intersects(b) for a, b in combinations(self.macro_sector_bands, 2)):
+            raise ValueError("macro sector bands overlap")
+        for s, local in enumerate(self.macro_sector_bands):
             femto_bands = (self.center_band_per_sector[s], *self.edge_bands_per_sector[s])
             for fb in femto_bands:
                 if fb.intersects(local):
                     raise ValueError(f"sector {s}: femto band {fb} overlaps the local macro band")
-            for a in range(len(femto_bands)):
-                for b in range(a + 1, len(femto_bands)):
-                    if femto_bands[a].intersects(femto_bands[b]):
-                        raise ValueError(f"sector {s}: femto bands overlap each other")
+            if any(a.intersects(b) for a, b in combinations(femto_bands, 2)):
+                raise ValueError(f"sector {s}: femto bands overlap each other")
 
 
 def build_plan(
@@ -261,60 +235,29 @@ def build_plan(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def bands_for_femto(plan: FrequencyPlan, alloc: FemtoAllocation) -> frozenset[Band]:
-    """All bands the femtocell transmits on under this plan."""
-    if not 0 <= alloc.sector_index < plan.n_sectors:
-        raise ValueError(f"sector index {alloc.sector_index} out of range")
-    if alloc.edge_choice is EdgeChoice.NONE:
-        return frozenset((alloc.center,))
-    edge = plan.edge_band(alloc.sector_index, alloc.edge_choice)
-    return frozenset((alloc.center, edge))
-
-
-def active_band(plan: FrequencyPlan, alloc: FemtoAllocation, ue_region: UeRegion) -> Band:
-    """Band serving a UE in the given region of the femtocell.
-
-    Edge-region UEs are served on the edge band when one is assigned; a
-    femtocell with no edge band serves its whole cell on the center band.
-    """
-    if ue_region is UeRegion.EDGE and alloc.edge_choice is not EdgeChoice.NONE:
-        return plan.edge_band(alloc.sector_index, alloc.edge_choice)
-    return alloc.center
-
-
 def cochannel(
-    plan: FrequencyPlan,
-    alloc_ref: FemtoAllocation,
-    ue_region: UeRegion,
-    other: FemtoAllocation | MacroSector,
-) -> int:
-    """Binary co-channel indicator for one interference source.
+    plan: FrequencyPlan, ue_region: UeRegion, sector: int, edge: int
+) -> tuple[np.ndarray, int]:
+    """Co-channel flags of allocation (``sector``, ``edge``), edge index 0
+    being no edge band and 1-3 the ``EDGE_COLORS``.
 
-    Returns 1 iff the band serving the reference UE intersects any band the
-    ``other`` source transmits on: the macro sector's band when ``other`` is a
-    :class:`MacroSector` (the Y flag), or any band of the other femtocell's
-    allocation (the per-neighbor X flag).
+    A UE in ``ue_region`` is served on the FAP's edge band if it is an edge
+    UE and the FAP has one, else on the center band.  Returns ``(x, y)``:
+    ``x`` is the (S, E) int8 X row, [t, f] being 1 iff the serving band
+    intersects a band of allocation (t, f), with S ``plan.n_sectors`` and E
+    ``plan.n_edges``; ``y`` is the Y flag, 1 iff the serving band intersects
+    ``sector``'s macro band.  Raises ValueError for a pair outside the plan.
     """
-    serving = active_band(plan, alloc_ref, ue_region)
-    if isinstance(other, MacroSector):
-        if not 0 <= other.sector_index < plan.n_sectors:
-            raise ValueError(f"sector index {other.sector_index} out of range")
-        return int(serving.intersects(plan.macro_sector_bands[other.sector_index]))
-    return int(any(serving.intersects(b) for b in bands_for_femto(plan, other)))
-
-
-def cochannel_row(
-    plan: FrequencyPlan, alloc_ref: FemtoAllocation, ue_region: UeRegion
-) -> np.ndarray:
-    """(S, E) int8 femto co-channel indicator of ``alloc_ref`` against each of
-    the plan's allocations (``FrequencyPlan.allocations``): entry [s, e] is
-    ``cochannel(plan, alloc_ref, ue_region, plan.allocations()[s][e])``."""
-    return np.array([[cochannel(plan, alloc_ref, ue_region, other) for other in sector]
-                     for sector in plan.allocations()], dtype=np.int8)
-
-
-def cochannel_table(plan: FrequencyPlan, ue_region: UeRegion) -> np.ndarray:
-    """(S, E, S, E) int8 femto co-channel indicator over the plan's own
-    allocations: entry [s, e] is ``cochannel_row`` of allocation [s][e]."""
-    return np.array([[cochannel_row(plan, ref, ue_region) for ref in sector]
-                     for sector in plan.allocations()], dtype=np.int8)
+    n_edges = plan.n_edges
+    if not (0 <= sector < plan.n_sectors and 0 <= edge < n_edges):
+        raise ValueError(f"({sector}, {edge}) is not an allocation of the {plan.scheme.value} plan")
+    serving = plan.center_band_per_sector[sector]
+    if ue_region is UeRegion.EDGE and edge:
+        serving = plan.edge_bands_per_sector[sector][edge - 1]
+    x = np.empty((plan.n_sectors, n_edges), dtype=np.int8)
+    for t, center in enumerate(plan.center_band_per_sector):
+        on_center = serving.intersects(center)
+        x[t] = on_center
+        for f in range(1, n_edges):
+            x[t, f] = on_center or serving.intersects(plan.edge_bands_per_sector[t][f - 1])
+    return x, int(serving.intersects(plan.macro_sector_bands[sector]))

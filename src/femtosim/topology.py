@@ -164,17 +164,15 @@ class Fap:
         return FemtoAllocation(dep.plan.center_band_per_sector[s], _EDGES[edge], s)
 
     @allocation.setter
-    def allocation(self, value: FemtoAllocation | None) -> None:
-        """None, or one of this FAP's sector's allocations under the plan."""
+    def allocation(self, value: FemtoAllocation) -> None:
+        """One of this FAP's sector's allocations under the plan, written
+        through ``Deployment.assign``."""
         dep, s = self._dep, self.sector_index
-        if value is None:
-            dep._edge[self.id] = -1
-        elif dep.plan is None or value != FemtoAllocation(
+        if dep.plan is None or not isinstance(value, FemtoAllocation) or value != FemtoAllocation(
                 dep.plan.center_band_per_sector[s], value.edge_choice, s):
             raise ValueError(f"FAP {self.id} takes only a sector-{s} allocation of the"
                              " deployment's plan")
-        else:
-            dep.assign(dep.plan, _EDGES.index(value.edge_choice), [self.id])
+        dep.assign(dep.plan, _EDGES.index(value.edge_choice), [self.id])
 
     def __repr__(self) -> str:
         return (f"Fap(id={self.id}, position={self.position.tolist()}, "
@@ -446,7 +444,7 @@ class Deployment:
         edges = np.asarray(edges)
         if np.any(edges < 0) or np.any(edges >= len(_EDGES)):
             raise ValueError(f"edge index outside 0-{len(_EDGES) - 1}")
-        if np.any(edges > 0) and not plan.has_edge_bands:
+        if np.any(edges >= plan.n_edges):
             raise ValueError(f"{plan.scheme.value} plan has no edge bands")
         self._edge[:self._n][rows] = edges
         if ids is None:

@@ -286,16 +286,14 @@ def test_allocation_views_write_through():
     apply_plan(dep, PLAN)
     twin = copy.deepcopy(dep)
     fap = dep.faps[3]
-    # a FAP takes only its own sector's allocations
+    # an edge index names the FAP's own sector's allocation
     same = next(f for f in dep.faps[4:] if f.sector_index == fap.sector_index)
     elsewhere = next(f for f in dep.faps if f.sector_index != fap.sector_index)
-    dep.assign(PLAN, 2, [same.id, elsewhere.id])
-    fap.allocation = same.allocation
-    assert dep.faps[3].allocation == same.allocation
+    dep.assign(PLAN, 2, [same.id, elsewhere.id, fap.id])
+    assert fap.allocation == dep.faps[3].allocation == same.allocation
     assert dep.edges()[3] == 2
-    with pytest.raises(ValueError, match="sector"):
-        fap.allocation = elsewhere.allocation
-    assert dep.faps[3].allocation == same.allocation
+    assert fap.allocation != elsewhere.allocation
+    assert fap.allocation.edge_choice is elsewhere.allocation.edge_choice
     fap.tx_power *= 0.5
     assert dep.faps[3].tx_power == 0.005
     assert twin.faps[3].tx_power == 0.01  # a deep copy holds its own arrays

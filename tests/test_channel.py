@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import band_oracle
 from femtosim.channel import PropagationParams, link_coefficients, mean_desired_power
 from femtosim.spectrum import Band, EdgeChoice, FemtoAllocation, Scheme, UeRegion, build_plan, cochannel
 from femtosim.topology import Deployment, DeploymentParams, Scenario, apply_plan, generate
@@ -125,7 +126,8 @@ class TestInterferencePowers:
         )
         assert macro_coeff == 0.0  # Y = 0 under dynamic re-use
         # X_i = 0 annihilates the term bit-exactly; X_i = 1 leaves it positive
-        flags = [cochannel(plan, ref.allocation, UeRegion.EDGE, dep.faps[i].allocation)
+        alloc = band_oracle.allocation_of
+        flags = [band_oracle.x_flag(plan, UeRegion.EDGE, alloc(dep, ref.id), alloc(dep, i))
                  for i in ids]
         assert not all(flags)
         for flag, c in zip(flags, coeffs):
@@ -192,13 +194,15 @@ class TestInterferencePowers:
 
 
 def _loop_coefficients(dep, ref, ue, plan, region, params):
-    """Femto coefficients neighbor by neighbor through ``cochannel`` and the
-    FAP views: the arithmetic ``link_coefficients`` must keep bit for bit."""
+    """Femto coefficients neighbor by neighbor through the band-overlap oracle
+    and the FAP views: the arithmetic ``link_coefficients`` must keep bit for
+    bit."""
     ids, _, _, _ = link_coefficients(dep, ref, ue, plan, region, params)
     coeffs = np.zeros(len(ids))
+    alloc = band_oracle.allocation_of
     for k, fid in enumerate(ids):
         f = dep.faps[fid]
-        if cochannel(plan, ref.allocation, region, f.allocation):
+        if band_oracle.x_flag(plan, region, alloc(dep, ref.id), alloc(dep, fid)):
             d = float(np.linalg.norm(f.position - ue))
             coeffs[k] = (f.tx_power * params.p0_femto * d ** (-params.eta_femto_interf)
                          * params.wall_attenuation)
@@ -227,12 +231,15 @@ class TestCochannelLookup:
                 assert np.any(coeffs > 0.0)
 
     def test_neighbor_without_allocation_rejected(self):
-        dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
-        dep.faps[1].allocation = None
+        dep, plan = _dense_setup(Scheme.SAME, n_faps=1)
+        dep.extend(dep.faps[0].position + np.array([30.0, 0.0]))  # after the plan: no allocation
         ref = dep.faps[0]
         with pytest.raises(ValueError, match="FAP 1 has no allocation"):
             link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
                               PropagationParams())
+        with pytest.raises(ValueError, match="FAP 1 has no allocation"):
+            link_coefficients(dep, dep.faps[1], dep.faps[1].position + [5.0, 0.0], plan,
+                              UeRegion.EDGE, PropagationParams())
 
     def test_neighbor_appended_after_the_plan_rejected(self):
         dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
@@ -256,15 +263,33 @@ class TestCochannelLookup:
         assert link_coefficients(dep, ref, ue, equal, UeRegion.EDGE, PropagationParams())[0] == [1]
 
     def test_allocation_outside_the_plan_rejected_as_cochannel_does(self):
-        # an edge color under a plan without edge bands: the error cochannel
-        # raises on reading it is raised on writing it
+        # an edge color under a plan without edge bands: cochannel rejects
+        # reading it, and the deployment rejects writing it
         dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
         alloc = dep.faps[1].allocation
-        with pytest.raises(ValueError, match="no edge bands"):
-            cochannel(plan, dep.faps[0].allocation, UeRegion.EDGE,
-                      FemtoAllocation(alloc.center, EdgeChoice.Y, alloc.sector_index))
+        with pytest.raises(ValueError, match="not an allocation"):
+            cochannel(plan, UeRegion.EDGE, dep.faps[1].sector_index, 2)
         with pytest.raises(ValueError, match="no edge bands"):
             dep.faps[1].allocation = FemtoAllocation(alloc.center, EdgeChoice.Y, alloc.sector_index)
         with pytest.raises(ValueError, match="no edge bands"):
             dep.assign(plan, 2, [1])
         assert dep.faps[1].allocation == alloc
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_macro_coefficient_iff_the_oracles_y(self, scheme):
+        from femtosim import son
+        from femtosim.topology import neighbor_graph
+
+        dep, plan = _dense_setup(scheme, n_faps=300)
+        if scheme is Scheme.DYNAMIC_REUSE:
+            son.configure_frequencies(dep, neighbor_graph(dep, 100.0), plan)
+        expected = scheme in (Scheme.SAME, Scheme.PARTIAL)
+        for fid in (0, 1, 2, 3, 4):
+            ref = dep.faps[fid]
+            for region in UeRegion:
+                _, _, macro_coeff, _ = link_coefficients(
+                    dep, ref, ref.position + [3.0, -4.0], plan, region, PropagationParams()
+                )
+                y = band_oracle.y_flag(plan, region, *band_oracle.allocation_of(dep, fid))
+                assert y == expected
+                assert (macro_coeff > 0.0) == bool(y), (scheme, fid, region)

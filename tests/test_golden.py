@@ -4,7 +4,11 @@ to placement, sectors, the neighbor graph, coloring, admission or the outage
 estimator that moves a single bit of a result changes a hash.  The
 random-bearing cases, captured before the macro cell moved into
 ``DeploymentParams``, cover the UE bearing that fig6 and son-ablation each
-draw from their own seed child.
+draw from their own seed child.  The center-region and six-sector cases,
+captured before the co-channel rule became one (sector, edge index) row,
+cover the branches the defaults never take: a UE served on its FAP's
+center band, and a reference close enough to the macro BS to see more
+sectors than 0 and S - 1.
 
 The hashes hold for one numpy build: ``p_out_mc`` counts comparisons of
 matrix products, and a BLAS with another summation order may flip one.
@@ -61,3 +65,35 @@ def test_csv_body_hash(tmp_path, experiment, seed):
 def test_random_bearing_csv_body_hash(tmp_path, experiment, seed):
     sets = [*CASES[experiment], "ue_direction=random", f"seed={seed}"]
     assert _body_hash(tmp_path, experiment, sets) == RANDOM_BEARING[(experiment, seed)]
+
+
+CENTER_REGION = {
+    ("fig5", 1): "16514d69a8d838bc56d743a1d20bb8c48d8279b1237e7f922b3adee10cf6591f",
+    ("fig5", 2): "89ffcda3a8d07c9f5fbc799bf89a1c847802ff1dda877cdb593756d5e25c0218",
+    ("fig6", 1): "7add2ead32392d692e32b014fa708c14810e2e81a9bccdade403e685c4ebfb79",
+    ("fig6", 2): "77aaddea2a3d1524843e7f33de0fe7f63d61dfedf1550ef1b2286796bd96d222",
+    ("son-ablation", 1): "6c85aa78eb9670e6b346621e19516c37c58799886c4a54dffa6888a02ceaa815",
+    ("son-ablation", 2): "59b27c7282d19e16180c3256760356b640129a216cf9ffbb56661ebada9c13f6",
+}
+
+
+SIX_SECTORS_NEAR = {
+    ("fig5", 1): "23559d5e72f9dcf54de0e3a4786e8727247925b540b2237084259e82d871a481",
+    ("fig5", 2): "a663aaa1bd09b6d8e491fcb8861abee43e62f0ecb5213e458ee6f34be56a6051",
+    ("fig6", 1): "027f10cb2a4b3a4ee5bfa835af65cd081f18e3866d4a0bb045ee96c264a3a8aa",
+    ("fig6", 2): "89cc327e0c2ba9a60b35ba91d4c71152f48f147b6054b22d4823133174baa017",
+    ("son-ablation", 1): "6fa055651bd8baad34686e510e548ea83cdcae556537fefaa901b7acf9962d80",
+    ("son-ablation", 2): "3d31f9887a8537ad954dad20b3d9187bff7bd39a06595e7115ffef6feaf20885",
+}
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(CENTER_REGION), ids=lambda v: str(v))
+def test_center_region_csv_body_hash(tmp_path, experiment, seed):
+    sets = [*CASES[experiment], "ue_region=center", f"seed={seed}"]
+    assert _body_hash(tmp_path, experiment, sets) == CENTER_REGION[(experiment, seed)]
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(SIX_SECTORS_NEAR), ids=lambda v: str(v))
+def test_six_sectors_near_csv_body_hash(tmp_path, experiment, seed):
+    sets = [*CASES[experiment], "reference_distance_m=50", "n_sectors=6", f"seed={seed}"]
+    assert _body_hash(tmp_path, experiment, sets) == SIX_SECTORS_NEAR[(experiment, seed)]

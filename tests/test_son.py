@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import band_oracle
 from femtosim import son
 from femtosim.channel import PropagationParams, link_coefficients
 from femtosim.son import (
@@ -31,7 +32,6 @@ from femtosim.spectrum import (
     Scheme,
     UeRegion,
     build_plan,
-    cochannel,
 )
 from femtosim.topology import (
     Deployment,
@@ -55,11 +55,9 @@ def _deployment_from_layout(positions):
     return dep
 
 
-def _set_edge_color(fap, plan, color):
-    """Give one FAP its sector's center band plus the edge band ``color``."""
-    fap.allocation = FemtoAllocation(
-        plan.center_band_per_sector[fap.sector_index], color, fap.sector_index
-    )
+def _set_edge_color(dep, fid, plan, color):
+    """Give FAP ``fid`` its sector's center band plus the edge band ``color``."""
+    dep.assign(plan, list(EdgeChoice).index(color), [fid])
 
 
 def _graph(dep, radius=100.0):
@@ -194,12 +192,30 @@ class TestConfigureFrequencies:
         assert colored > baseline
 
     def test_noncochannel_fraction_rejects_unallocated_pairs(self):
-        dep = _deployment_from_layout([(200, 0), (230, 0)])
-        apply_plan(dep, PLAN)
+        dep = _deployment_from_layout([(200, 0)])
+        dep.extend((230.0, 0.0))  # after the plan: no allocation
         graph = _graph(dep)
-        dep.faps[1].allocation = None
         with pytest.raises(ValueError, match="allocation"):
             noncochannel_fraction(dep, graph, PLAN)
+
+    @pytest.mark.parametrize("graph_faps", [200, 400])
+    def test_graph_of_another_deployment_size_rejected(self, graph_faps):
+        # a 200-FAP graph used to give a 400-FAP deployment a fraction over
+        # the wrong pairs, and a 400-FAP graph a 200-FAP one an IndexError
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=300), seed=3), PLAN)
+        configure_frequencies(dep, _graph(dep), PLAN)
+        edges = dep.edges().copy()
+        other = _graph(generate(Scenario.D, DeploymentParams(n_faps=graph_faps), seed=3))
+        rng = np.random.default_rng(1)
+        for call in (lambda: configure_frequencies(dep, other, PLAN),
+                     lambda: assign_uniform_random_colors(dep, other, PLAN, rng),
+                     lambda: son.assign_shared_edge(dep, other, PLAN),
+                     lambda: noncochannel_fraction(dep, other, PLAN)):
+            with pytest.raises(ValueError, match=f"covers {graph_faps} FAPs, the deployment has"):
+                call()
+        assert dep.edges().tolist() == edges.tolist()
+        assert rng.integers(0, 3, size=8).tolist() == np.random.default_rng(1).integers(
+            0, 3, size=8).tolist()
 
 
 class TestAllocationIsTheEdgeIndexUnderThePlan:
@@ -301,7 +317,7 @@ def _reference_configure_frequencies(deployment, adjacency, plan, log=None):
                 )
         colors[fid] = color
         usage[color] += 1
-        _set_edge_color(deployment.faps[fid], plan, color)
+        _set_edge_color(deployment, fid, plan, color)
         if log is not None:
             log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
     return colors
@@ -346,13 +362,14 @@ class TestCsrColoringMatchesReference:
                 and colors.get(a, EdgeChoice.NONE) is not EdgeChoice.NONE
             }
             assert same_color_conflicts(graph, colors) == expected
+            alloc = band_oracle.allocation_of
             for region in UeRegion:
                 total = zero = 0
                 for a, b in graph.edges():
                     for ref, other in ((a, b), (b, a)):
                         total += 1
-                        zero += not cochannel(
-                            PLAN, dep.faps[ref].allocation, region, dep.faps[other].allocation
+                        zero += not band_oracle.x_flag(
+                            PLAN, region, alloc(dep, ref), alloc(dep, other)
                         )
                 assert noncochannel_fraction(dep, graph, PLAN, region) == zero / total
 
@@ -361,8 +378,8 @@ class TestAdjustPower:
     def _single_interferer_setup(self, interferer_distance=30.0, same_color=True):
         dep = _deployment_from_layout([(200, 0), (200 + interferer_distance, 0)])
         # force both on the same edge band so the neighbor is co-channel
-        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
-        _set_edge_color(dep.faps[1], PLAN, EdgeChoice.X if same_color else EdgeChoice.Y)
+        _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
+        _set_edge_color(dep, 1, PLAN, EdgeChoice.X if same_color else EdgeChoice.Y)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
         return dep, ctx
@@ -441,7 +458,7 @@ class TestAdmitFap:
     def test_no_neighbors_defaults_to_first_color(self):
         dep = _deployment_from_layout([(200, 0)])
         graph = _graph(dep)
-        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
         dep2, events = admit_fap(dep, (600.0, 0.0), PLAN, graph)
         new = dep2.faps[-1]
         assert new.allocation.edge_choice is EdgeChoice.X
@@ -449,8 +466,8 @@ class TestAdmitFap:
 
     def test_two_neighbors_take_remaining_color(self):
         dep = _deployment_from_layout([(200, 0), (220, 0)])
-        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
-        _set_edge_color(dep.faps[1], PLAN, EdgeChoice.Y)
+        _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
+        _set_edge_color(dep, 1, PLAN, EdgeChoice.Y)
         graph = _graph(dep)
         dep2, _ = admit_fap(dep, (210.0, 5.0), PLAN, graph)
         assert dep2.faps[-1].allocation.edge_choice is EdgeChoice.Z
@@ -458,8 +475,8 @@ class TestAdmitFap:
 
     def test_minority_color_when_all_present(self):
         dep = _deployment_from_layout([(200, 0), (210, 0), (220, 0), (230, 0)])
-        for f, c in zip(dep.faps, (EdgeChoice.X, EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z)):
-            _set_edge_color(f, PLAN, c)
+        for fid, c in enumerate((EdgeChoice.X, EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z)):
+            _set_edge_color(dep, fid, PLAN, c)
         graph = _graph(dep)
         dep2, _ = admit_fap(dep, (215.0, 5.0), PLAN, graph)
         assert dep2.faps[-1].allocation.edge_choice in (EdgeChoice.Y, EdgeChoice.Z)
@@ -504,7 +521,7 @@ class TestAdmitFap:
         full = generate(Scenario.D, DeploymentParams(n_faps=120), seed=44)
         positions = [f.position for f in full.faps]
         base = _deployment_from_layout([tuple(positions[0])])
-        _set_edge_color(base.faps[0], PLAN, EdgeChoice.X)
+        _set_edge_color(base, 0, PLAN, EdgeChoice.X)
         radius_graph = _graph(base)  # admit_fap reads only its radius
         for p in positions[1:]:
             admit_fap(base, p, PLAN, radius_graph)
@@ -533,8 +550,8 @@ class TestAdmitFap:
 class TestEventLogAndReplay:
     def test_power_adjustment_replay_bit_exact(self):
         dep = _deployment_from_layout([(200, 0), (212, 0), (209, 6)])
-        for f, c in zip(dep.faps, (EdgeChoice.X, EdgeChoice.X, EdgeChoice.X)):
-            _set_edge_color(f, PLAN, c)
+        for fid, c in enumerate((EdgeChoice.X, EdgeChoice.X, EdgeChoice.X)):
+            _set_edge_color(dep, fid, PLAN, c)
         pre = copy.deepcopy(dep)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
@@ -548,8 +565,8 @@ class TestEventLogAndReplay:
 
     def test_admission_replay_bit_exact(self):
         dep = _deployment_from_layout([(200, 0), (220, 0)])
-        _set_edge_color(dep.faps[0], PLAN, EdgeChoice.X)
-        _set_edge_color(dep.faps[1], PLAN, EdgeChoice.Y)
+        _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
+        _set_edge_color(dep, 1, PLAN, EdgeChoice.Y)
         graph = _graph(dep)
         pre = copy.deepcopy(dep)
         _, events = admit_fap(dep, (210.0, 5.0), PLAN, graph)
@@ -609,8 +626,8 @@ class TestEventLogAndReplay:
 
     def test_log_serialization_round_trip(self):
         dep = _deployment_from_layout([(200, 0), (230, 0)])
-        for f in dep.faps:
-            _set_edge_color(f, PLAN, EdgeChoice.X)
+        for fid in range(len(dep.faps)):
+            _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
         log = SonEventLog()

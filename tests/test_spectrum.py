@@ -5,20 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtosim.spectrum import (
-    Band,
-    EdgeChoice,
-    FemtoAllocation,
-    MacroSector,
-    Scheme,
-    UeRegion,
-    bands_for_femto,
-    build_plan,
-    cochannel,
-    cochannel_row,
-    cochannel_table,
-    split_band,
-)
+import band_oracle
+from femtosim.spectrum import Band, Scheme, UeRegion, build_plan, cochannel, split_band
 
 MHZ = 1_000_000
 TOTAL = Band(0, 60 * MHZ)
@@ -133,42 +121,61 @@ class TestBuildPlan:
         assert max(widths) - min(widths) <= 1
 
 
-class TestBandsForFemto:
-    def test_center_plus_edge(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        alloc = FemtoAllocation(plan.center_band_per_sector[0], EdgeChoice.X, 0)
-        bands = bands_for_femto(plan, alloc)
-        assert bands == frozenset(
-            {Band(20 * MHZ, 40 * MHZ), plan.edge_bands_per_sector[0][0]}
-        )
+def _plan(scheme, total=TOTAL, n_sectors=3, femto_fraction=1 / 3, edge_split=0.5):
+    frac = femto_fraction if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
+    return build_plan(scheme, total, n_sectors, femto_fraction=frac, edge_split=edge_split)
 
-    def test_center_only(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        alloc = FemtoAllocation(plan.center_band_per_sector[0], EdgeChoice.NONE, 0)
-        assert bands_for_femto(plan, alloc) == frozenset({Band(20 * MHZ, 40 * MHZ)})
+
+def _x(plan, region, ref, other):
+    """``cochannel``'s X flag of allocation ``ref`` against ``other``."""
+    return int(cochannel(plan, region, *ref)[0][other])
+
+
+class TestAllocationBands:
+    """An allocation is its sector's center band plus at most one edge band;
+    ``cochannel`` sees the bands only through its flags."""
+
+    def test_edge_ue_served_on_its_edge_band(self):
+        # 60 MHz over 3 sectors: sector 0 sends on [20, 40) MHz plus the low
+        # third of [40, 60) MHz for color X, sector 1 on [40, 60) MHz, and
+        # sector 2's edge bands lie in [20, 40) MHz
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        edge_x = Band(40 * MHZ, 40 * MHZ + 20 * MHZ // 3)
+        assert band_oracle.bands(plan, 0, 1) == (Band(20 * MHZ, 40 * MHZ), edge_x)
+        x, y = cochannel(plan, UeRegion.EDGE, 0, 1)
+        assert x.tolist() == [[0, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]] and y == 0
+        x, y = cochannel(plan, UeRegion.CENTER, 0, 1)
+        assert x.tolist() == [[1, 1, 1, 1], [0, 0, 0, 0], [0, 1, 1, 1]] and y == 0
+
+    def test_center_only_serves_the_edge_region_on_the_center_band(self):
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        for s in range(3):
+            x_edge, y_edge = cochannel(plan, UeRegion.EDGE, s, 0)
+            x_center, y_center = cochannel(plan, UeRegion.CENTER, s, 0)
+            assert x_edge.tolist() == x_center.tolist() and y_edge == y_center
 
     def test_dedicated_single_band(self):
-        plan = build_plan(Scheme.DEDICATED, TOTAL, 3, femto_fraction=1 / 3)
-        alloc = FemtoAllocation(plan.center_band_per_sector[2], EdgeChoice.NONE, 2)
-        assert bands_for_femto(plan, alloc) == frozenset({Band(0, 20 * MHZ)})
+        plan = _plan(Scheme.DEDICATED)
+        assert band_oracle.bands(plan, 2, 0) == (Band(0, 20 * MHZ),)
+        x, y = cochannel(plan, UeRegion.EDGE, 2, 0)
+        assert x.shape == (3, 1) and x.dtype == np.int8
+        assert x.tolist() == [[1], [1], [1]] and y == 0
 
-    def test_sector_out_of_range(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        bad = FemtoAllocation(plan.center_band_per_sector[0], EdgeChoice.NONE, 7)
-        with pytest.raises(ValueError):
-            bands_for_femto(plan, bad)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_non_plan_allocation_rejected(self, scheme):
+        plan = _plan(scheme)
+        n_edges = 4 if scheme is Scheme.DYNAMIC_REUSE else 1
+        for sector, edge in ((7, 0), (3, 0), (-1, 0), (0, -1), (0, n_edges), (0, 4)):
+            with pytest.raises(ValueError, match="not an allocation"):
+                cochannel(plan, UeRegion.EDGE, sector, edge)
 
     def test_disjoint_from_local_macro_band(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        for s in range(3):
-            for choice in (EdgeChoice.NONE, EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z):
-                alloc = FemtoAllocation(plan.center_band_per_sector[s], choice, s)
-                for band in bands_for_femto(plan, alloc):
-                    assert not band.intersects(plan.macro_sector_bands[s])
-
-
-def _alloc(plan, sector, choice):
-    return FemtoAllocation(plan.center_band_per_sector[sector], choice, sector)
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        for s, e in band_oracle.allocations(plan):
+            for region in UeRegion:
+                assert cochannel(plan, region, s, e)[1] == 0
+            for band in band_oracle.bands(plan, s, e):
+                assert not band.intersects(plan.macro_sector_bands[s])
 
 
 class TestCochannel:
@@ -181,93 +188,81 @@ class TestCochannel:
             Scheme.DYNAMIC_REUSE: 0,
         }
         for scheme, y in expected.items():
-            frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
-            plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
+            plan = _plan(scheme)
             for region in UeRegion:
-                ref = _alloc(plan, 0, EdgeChoice.X if scheme is Scheme.DYNAMIC_REUSE else EdgeChoice.NONE)
-                assert cochannel(plan, ref, region, MacroSector(0)) == y, scheme
+                for s, e in band_oracle.allocations(plan):
+                    assert cochannel(plan, region, s, e)[1] == y, scheme
+                    assert band_oracle.y_flag(plan, region, s, e) == y, scheme
 
     def test_distinct_edge_colors_orthogonal(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        a = _alloc(plan, 1, EdgeChoice.X)
-        b = _alloc(plan, 1, EdgeChoice.Y)
-        assert cochannel(plan, a, UeRegion.EDGE, b) == 0
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        for s in range(3):
+            for a in (1, 2, 3):
+                for b in (1, 2, 3):
+                    if a != b:
+                        assert _x(plan, UeRegion.EDGE, (s, a), (s, b)) == 0
+                        assert band_oracle.x_flag(plan, UeRegion.EDGE, (s, a), (s, b)) == 0
 
     def test_same_edge_color_cochannel(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        a = _alloc(plan, 1, EdgeChoice.X)
-        b = _alloc(plan, 1, EdgeChoice.X)
-        assert cochannel(plan, a, UeRegion.EDGE, b) == 1
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        for s in range(3):
+            for a in (1, 2, 3):
+                assert _x(plan, UeRegion.EDGE, (s, a), (s, a)) == 1
+                assert band_oracle.x_flag(plan, UeRegion.EDGE, (s, a), (s, a)) == 1
 
     def test_center_region_same_sector_always_cochannel(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        a = _alloc(plan, 2, EdgeChoice.X)
-        b = _alloc(plan, 2, EdgeChoice.Z)
-        assert cochannel(plan, a, UeRegion.CENTER, b) == 1
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        for s in range(3):
+            for e in range(4):
+                assert cochannel(plan, UeRegion.CENTER, s, e)[0][s].tolist() == [1, 1, 1, 1]
 
     def test_flat_schemes_always_cochannel(self):
-        for scheme, frac in ((Scheme.SAME, None), (Scheme.DEDICATED, 1 / 3), (Scheme.PARTIAL, 1 / 3)):
-            plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
-            a = _alloc(plan, 0, EdgeChoice.NONE)
-            b = _alloc(plan, 1, EdgeChoice.NONE)
-            assert cochannel(plan, a, UeRegion.EDGE, b) == 1
+        for scheme in (Scheme.SAME, Scheme.DEDICATED, Scheme.PARTIAL):
+            plan = _plan(scheme)
+            for region in UeRegion:
+                for s in range(3):
+                    assert cochannel(plan, region, s, 0)[0].tolist() == [[1], [1], [1]]
 
-    @given(
-        sector=st.integers(0, 2),
-        ca=st.sampled_from([EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z]),
-        cb=st.sampled_from([EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z]),
-    )
+    @given(sector=st.integers(0, 2), ca=st.integers(1, 3), cb=st.integers(1, 3))
     def test_same_sector_symmetry(self, sector, ca, cb):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        a = _alloc(plan, sector, ca)
-        b = _alloc(plan, sector, cb)
-        assert cochannel(plan, a, UeRegion.EDGE, b) == cochannel(plan, b, UeRegion.EDGE, a)
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        a, b = (sector, ca), (sector, cb)
+        assert _x(plan, UeRegion.EDGE, a, b) == _x(plan, UeRegion.EDGE, b, a)
 
     def test_random_colors_two_thirds_orthogonal(self):
         # independent uniform colors leave 2/3 of same-sector pairs orthogonal
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        rows = {e: cochannel(plan, UeRegion.EDGE, 0, e)[0] for e in (1, 2, 3)}
         rng = np.random.default_rng(2024)
-        colors = (EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z)
         n = 20_000
-        zeros = 0
-        for _ in range(n):
-            a = _alloc(plan, 0, colors[rng.integers(3)])
-            b = _alloc(plan, 0, colors[rng.integers(3)])
-            zeros += 1 - cochannel(plan, a, UeRegion.EDGE, b)
+        a, b = rng.integers(1, 4, size=n), rng.integers(1, 4, size=n)
+        zeros = sum(1 - int(rows[i][0, j]) for i, j in zip(a.tolist(), b.tolist()))
         p = 2 / 3
         assert abs(zeros / n - p) < 3 * np.sqrt(p * (1 - p) / n)
 
 
-def _plan_allocations(plan):
-    """Every allocation a FAP can hold under ``plan``, [sector][edge index]:
-    the center band alone, plus one per edge color where the plan has edge
-    bands."""
-    edges = list(EdgeChoice) if plan.scheme is Scheme.DYNAMIC_REUSE else [EdgeChoice.NONE]
-    return [[_alloc(plan, s, e) for e in edges] for s in range(plan.n_sectors)]
-
-
-class TestCochannelTable:
-    @pytest.mark.parametrize("total", [TOTAL, Band(10**20, 10**20 + 60 * MHZ)],
-                             ids=["60MHz", "beyond-int64"])
-    def test_every_entry_is_cochannel_on_the_plans_allocations(self, total):
+class TestCochannelMatchesOracle:
+    @pytest.mark.parametrize("total", [
+        TOTAL, Band(7, 60 * MHZ + 11), Band(0, 1000), Band(10**20, 10**20 + 60 * MHZ),
+    ], ids=["60MHz", "ragged", "1kHz", "beyond-int64"])
+    @pytest.mark.parametrize("n_sectors", [3, 4, 5, 6, 8])
+    def test_every_flag_matches_the_oracle(self, total, n_sectors):
         for scheme in Scheme:
-            frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
-            plan = build_plan(scheme, total, 3, femto_fraction=frac)
-            allocations = _plan_allocations(plan)
-            assert [list(a) for a in plan.allocations()] == allocations
-            n_edges = len(allocations[0])
-            for region in UeRegion:
-                table = cochannel_table(plan, region)
-                assert table.shape == (3, n_edges, 3, n_edges) and table.dtype == np.int8
-                for s, e in np.ndindex(3, n_edges):
-                    ref = allocations[s][e]
-                    row = cochannel_row(plan, ref, region)
-                    assert row.tolist() == table[s, e].tolist()
-                    for t, f in np.ndindex(3, n_edges):
-                        expected = cochannel(plan, ref, region, allocations[t][f])
-                        assert table[s, e, t, f] == expected, (scheme, region, ref, t, f)
+            for frac, split in ((1 / 3, 0.5), (0.1, 0.2), (0.9, 0.05)):
+                plan = _plan(scheme, total, n_sectors, femto_fraction=frac, edge_split=split)
+                allocs = band_oracle.allocations(plan)
+                n_edges = len(allocs) // n_sectors
+                for region in UeRegion:
+                    for ref in allocs:
+                        x, y = cochannel(plan, region, *ref)
+                        assert x.shape == (n_sectors, n_edges) and x.dtype == np.int8
+                        expected = [[band_oracle.x_flag(plan, region, ref, (t, f))
+                                     for f in range(n_edges)] for t in range(n_sectors)]
+                        assert x.tolist() == expected, (scheme, region, ref)
+                        assert y == band_oracle.y_flag(plan, region, *ref), (scheme, region, ref)
 
     def test_every_value_occurs(self):
-        plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
-        table = cochannel_table(plan, UeRegion.EDGE)
-        assert set(np.unique(table).tolist()) == {0, 1}
+        plan = _plan(Scheme.DYNAMIC_REUSE)
+        flags = {v for s, e in band_oracle.allocations(plan)
+                 for v in cochannel(plan, UeRegion.EDGE, s, e)[0].ravel().tolist()}
+        assert flags == {0, 1}

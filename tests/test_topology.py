@@ -436,8 +436,9 @@ class TestAllocationStorage:
             with pytest.raises(ValueError, match="sector"):
                 fap.allocation = bad
         assert fap.allocation == z
-        fap.allocation = None
-        assert fap.allocation is None and dep.edges()[0] == -1
+        with pytest.raises(ValueError, match="sector"):
+            fap.allocation = None  # only extend leaves a FAP without an allocation
+        assert fap.allocation == z and dep.edges()[0] == 3
 
 
 class TestNeighborGraph:
