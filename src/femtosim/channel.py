@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagationParams:
-    """Path-loss constants per link class.
+    """Path-loss constants per link class, each field named as its key.
 
     The defaults are model choices, not reported values: free-space-like
     indoor links (eta = 2, P0 from the Friis constant at the carrier) and a
@@ -37,7 +37,7 @@ class PropagationParams:
     """
 
     eta_desired: float = 2.0  # serving FAP -> its UE
-    eta_femto_interf: float = 2.0  # neighbor FAP -> UE
+    eta_femto: float = 2.0  # neighbor FAP -> UE
     eta_macro: float = 3.5  # macro BS -> UE
     p0_femto: float = 0.000702646130511537  # Friis (c / 4 pi f)^2 at 900 MHz
     p0_macro: float = 0.005011872336272714  # 128 dB at 1 km, eta 3.5
@@ -45,12 +45,12 @@ class PropagationParams:
     walls_between_femtos: int = 1
 
     def __post_init__(self):
-        for name in ("eta_desired", "eta_femto_interf", "eta_macro"):
+        for name in ("eta_desired", "eta_femto", "eta_macro"):
             check_domain(name, getattr(self, name), 1.5, 6.0)
         for name in ("p0_femto", "p0_macro"):
             check_domain(name, getattr(self, name), 1e-20, 1.0)
         if not 0 <= self.wall_loss_db < math.inf:
-            raise ValueError("wall loss must be finite and >= 0 dB")
+            raise ValueError(f"wall_loss_db must be finite and >= 0, got {self.wall_loss_db!r}")
         check_domain("walls_between_femtos", self.walls_between_femtos, 0, 100)
 
     @property
@@ -107,7 +107,7 @@ def link_coefficients(
         coeffs[k] = (
             float(tx_powers[ids[k]])
             * params.p0_femto
-            * d ** (-params.eta_femto_interf)
+            * d ** (-params.eta_femto)
             * params.wall_attenuation
         )
     macro_coeff = 0.0

@@ -37,8 +37,8 @@ from .config import (
     effective_text,
     parse_text,
 )
-from .outage import SweepRow, density_sweep, estimate, sweep_csv_lines
-from .spectrum import Scheme, build_plan
+from .outage import SweepRow, _seed_int, density_sweep, estimate, sweep_csv_lines
+from .spectrum import Scheme
 from .topology import Scenario, apply_plan, generate, neighbor_graph
 
 EXPERIMENTS = ("fig5", "fig6", "son-ablation")
@@ -62,18 +62,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _experiment_sweep(cfg: ExperimentConfig, workers: int, densities) -> list[SweepRow]:
-    return density_sweep(
-        densities=list(densities),
-        schemes=cfg.scheme_list(),
-        config=cfg.outage_config(),
-        params=cfg.propagation(),
-        seed=cfg.seed,
-        dep_params=cfg.deployment_params(),
-        total_band=cfg.total_band(),
-        femto_fraction=cfg.femto_fraction,
-        edge_split=cfg.edge_split,
-        n_workers=workers,
-    )
+    plans = [cfg.plan(s) for s in cfg.scheme_list()]
+    return density_sweep(list(densities), plans, cfg.outage_config(), cfg.propagation(),
+                         cfg.seed, cfg.deployment_params(), workers)
 
 
 def _experiment_son_ablation(cfg: ExperimentConfig, workers: int) -> list[SweepRow]:
@@ -81,16 +72,12 @@ def _experiment_son_ablation(cfg: ExperimentConfig, workers: int) -> list[SweepR
 
     The deployment and its neighbor graph are built once; each policy
     overwrites every FAP's edge color before its estimate."""
-    plan = build_plan(
-        Scheme.DYNAMIC_REUSE, cfg.total_band(), cfg.n_sectors, edge_split=cfg.edge_split
-    )
-    root = np.random.SeedSequence(cfg.seed)
-    dep_seq, trial_seq, color_seq = root.spawn(3)
-    dep_seed = int(dep_seq.generate_state(1)[0])
-    trial_seed = int(trial_seq.generate_state(1)[0])
-    dp = cfg.deployment_params()
-    dep = apply_plan(generate(Scenario.D, dp, dep_seed), plan)
-    graph = neighbor_graph(dep, dp.neighbor_radius_m)
+    plan = cfg.plan(Scheme.DYNAMIC_REUSE)
+    dep_seq, trial_seq, color_seq = np.random.SeedSequence(cfg.seed).spawn(3)
+    trial_seed = _seed_int(trial_seq)
+    dep = apply_plan(generate(Scenario.D, cfg.deployment_params(), _seed_int(dep_seq)), plan)
+    graph = neighbor_graph(dep, dep.params.neighbor_radius_m)
+    config, params = cfg.outage_config(), cfg.propagation()
     rows = []
     for variant in ("greedy", "random", "shared"):
         if variant == "greedy":
@@ -101,18 +88,9 @@ def _experiment_son_ablation(cfg: ExperimentConfig, workers: int) -> list[SweepR
             )
         else:
             son.assign_shared_edge(dep, graph, plan)
-        est = estimate(
-            dep, 0, plan, cfg.outage_config(), cfg.propagation(), trial_seed, workers
-        )
-        rows.append(
-            SweepRow(
-                scheme=Scheme.DYNAMIC_REUSE,
-                density=cfg.n_faps,
-                estimate=est,
-                seed=trial_seed,
-                variant=variant,
-            )
-        )
+        est = estimate(dep, 0, plan, config, params, trial_seed, workers)
+        rows.append(SweepRow(scheme=plan.scheme, density=cfg.n_faps, estimate=est,
+                             seed=trial_seed, variant=variant))
     return rows
 
 

@@ -1,11 +1,13 @@
 """Experiment configuration: flat key=value files with typed parsing.
 
-Every key has a documented default mirroring the dense-deployment experiment
-setup (1000 m macrocell, 10 m femtocells, 900 MHz propagation constants,
-1.5 W / 10 mW transmit powers, 9 dB SIR threshold, 100 m neighbor radius,
-reference FAP 200 m from the macro BS, UE at 5 m).  Unknown keys are rejected
-so stale configs fail loudly, and the canonical serialized form is hashable
-for provenance.
+Defaults mirror the dense-deployment experiment setup (1000 m macrocell, 10 m
+femtocells, 900 MHz propagation constants, 1.5 W / 10 mW transmit powers, 9 dB
+SIR threshold, 100 m neighbor radius, reference FAP 200 m from the macro BS,
+UE at 5 m).  A key that names a field of ``DeploymentParams``,
+``PropagationParams`` or ``OutageConfig`` takes that field's default and
+reaches it by name; the band, schemes, splits, densities, seed and output path
+are experiment-only.  Unknown keys are rejected so stale configs fail loudly,
+and the canonical serialized form is hashable for provenance.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from .channel import PropagationParams
 from .outage import OutageConfig
-from .spectrum import Band, Scheme, UeRegion, build_plan
-from .topology import MIN_DISTANCE_M, DeploymentParams
+from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, build_plan
+from .topology import MIN_DISTANCE_M, DeploymentParams, check_domain
 
 __all__ = ["ConfigError", "ExperimentConfig", "config_hash", "effective_text", "parse_text"]
 
@@ -27,7 +27,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (bad key, type, or value)."""
 
 
-_SCHEME_TOKENS = {s.value: s for s in Scheme}
+def _member(enum, key: str, token: str):
+    """The member of ``enum`` whose value is ``token``, the value of ``key``."""
+    try:
+        return enum(token)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise ValueError(f"{key} must be one of {choices}, got {token!r}") from None
 
 
 def _parse_db(raw: str) -> float:
@@ -56,22 +62,22 @@ def _fmt(value) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     # geometry (Table-2 style assumptions)
-    macro_radius_m: float = 1000.0
-    femto_radius_m: float = 10.0
-    reference_distance_m: float = 200.0
-    neighbor_radius_m: float = 100.0
-    n_sectors: int = 3
+    macro_radius_m: float = DeploymentParams.macro_radius_m
+    femto_radius_m: float = DeploymentParams.femto_radius_m
+    reference_distance_m: float = DeploymentParams.reference_distance_m
+    neighbor_radius_m: float = DeploymentParams.neighbor_radius_m
+    n_sectors: int = DeploymentParams.n_sectors
     # radio
-    macro_tx_power_w: float = 1.5
-    fap_tx_power_w: float = 0.01
-    gamma_db: float = 9.0
-    eta_desired: float = 2.0
-    eta_femto: float = 2.0
-    eta_macro: float = 3.5
-    p0_femto: float = 0.000702646130511537  # Friis constant at 900 MHz
-    p0_macro: float = 0.005011872336272714  # 128 dB at 1 km, eta 3.5
-    wall_loss_db: float = 10.0
-    walls_between_femtos: int = 1
+    macro_tx_power_w: float = DeploymentParams.macro_tx_power_w
+    fap_tx_power_w: float = DeploymentParams.fap_tx_power_w
+    gamma_db: float = OutageConfig.gamma_db
+    eta_desired: float = PropagationParams.eta_desired
+    eta_femto: float = PropagationParams.eta_femto
+    eta_macro: float = PropagationParams.eta_macro
+    p0_femto: float = PropagationParams.p0_femto
+    p0_macro: float = PropagationParams.p0_macro
+    wall_loss_db: float = PropagationParams.wall_loss_db
+    walls_between_femtos: int = PropagationParams.walls_between_femtos
     # spectrum
     band_low_hz: int = 0
     band_high_hz: int = 60_000_000
@@ -80,13 +86,13 @@ class ExperimentConfig:
     # experiment grid
     schemes: tuple[str, ...] = ("dedicated", "same", "partial", "dynamic")
     densities: tuple[int, ...] = (100, 300, 1000, 3000)
-    n_faps: int = 1000
+    n_faps: int = DeploymentParams.n_faps
     # UE / Monte Carlo
-    ue_distance_m: float = 5.0
-    ue_region: str = "edge"
-    ue_direction: str = "nearest"
-    n_trials: int = 100_000
-    n_shards: int = 16
+    ue_distance_m: float = OutageConfig.ue_distance_m
+    ue_region: str = OutageConfig.ue_region.value
+    ue_direction: str = OutageConfig.ue_direction
+    n_trials: int = OutageConfig.n_trials
+    n_shards: int = OutageConfig.n_shards
     seed: int = 2
     # output
     out: str = ""
@@ -96,86 +102,72 @@ class ExperimentConfig:
 
         Builds the objects the experiments build (their constructors check
         each key's domain, see ``topology.check_domain``) and checks here only
-        the rules across keys and lists."""
+        the rules across keys and lists.  Every message names its key."""
         problems = []
         if not self.densities:
             problems.append("densities must be non-empty")
         elif any(b <= a for a, b in zip(self.densities, self.densities[1:])):
             problems.append("densities must be strictly increasing")
+        elif self.densities[0] < 1:
+            problems.append(f"densities must be at least 1, got {self.densities[0]}")
         if not self.schemes:
             problems.append("schemes must be non-empty")
-        for tok in self.schemes:
-            if tok not in _SCHEME_TOKENS:
-                problems.append(f"unknown scheme {tok!r}")
         if not self.ue_distance_m <= self.femto_radius_m:
             problems.append("ue_distance_m must not exceed femto_radius_m")
         # keeps the UE at least 1 mm from the macro BS on every bearing
         if not abs(self.reference_distance_m - self.ue_distance_m) >= MIN_DISTANCE_M:
             problems.append("reference_distance_m and ue_distance_m must differ by 1 mm or more")
 
-        def attempt(build, *args, **kwargs):
+        def attempt(build, *args):
             try:
-                return build(*args, **kwargs)
+                build(*args)
             except ValueError as exc:
                 problems.append(str(exc))
 
+        attempt(self.scheme_list)
         attempt(self.propagation)
         attempt(self.outage_config)
-        for n in (self.n_faps, *self.densities):
-            attempt(self.deployment_params, n)
-        attempt(np.random.SeedSequence, self.seed)
-        band = attempt(self.total_band)
-        if band is not None:
+        attempt(self.deployment_params)
+        attempt(check_domain, "seed", self.seed, 0)
+        if not self.band_low_hz < self.band_high_hz:
+            problems.append(f"band_low_hz must be below band_high_hz, got "
+                            f"[{self.band_low_hz}, {self.band_high_hz})")
+        else:
             # every scheme, not only the selected ones: son-ablation always
             # builds the dynamic re-use plan
             for scheme in Scheme:
-                attempt(build_plan, scheme, band, self.n_sectors,
-                        femto_fraction=self.femto_fraction, edge_split=self.edge_split)
+                attempt(self.plan, scheme)
         if problems:
-            # one message per distinct problem: a geometry value is checked
-            # once for n_faps and once per density
+            # one message per distinct problem: two schemes may fail alike
             raise ConfigError("; ".join(dict.fromkeys(problems)))
 
     # --- adapters to the module-level parameter objects ---------------------
+
+    def _build(self, cls, **overrides):
+        """``cls`` from the keys that name its fields, and ``overrides``."""
+        by_name = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _FIELD_TYPES}
+        return cls(**{**by_name, **overrides})
+
+    def deployment_params(self) -> DeploymentParams:
+        return self._build(DeploymentParams)
+
+    def propagation(self) -> PropagationParams:
+        return self._build(PropagationParams)
+
+    def outage_config(self) -> OutageConfig:
+        return self._build(OutageConfig, ue_region=_member(UeRegion, "ue_region", self.ue_region))
 
     def total_band(self) -> Band:
         return Band(self.band_low_hz, self.band_high_hz)
 
     def scheme_list(self) -> list[Scheme]:
-        return [_SCHEME_TOKENS[tok] for tok in self.schemes]
+        return [_member(Scheme, "schemes", tok) for tok in self.schemes]
 
-    def deployment_params(self, n_faps: int | None = None) -> DeploymentParams:
-        return DeploymentParams(
-            n_faps=self.n_faps if n_faps is None else n_faps,
-            macro_radius_m=self.macro_radius_m,
-            femto_radius_m=self.femto_radius_m,
-            neighbor_radius_m=self.neighbor_radius_m,
-            reference_distance_m=self.reference_distance_m,
-            macro_tx_power_w=self.macro_tx_power_w,
-            fap_tx_power_w=self.fap_tx_power_w,
-            n_sectors=self.n_sectors,
-        )
-
-    def propagation(self) -> PropagationParams:
-        return PropagationParams(
-            eta_desired=self.eta_desired,
-            eta_femto_interf=self.eta_femto,
-            eta_macro=self.eta_macro,
-            p0_femto=self.p0_femto,
-            p0_macro=self.p0_macro,
-            wall_loss_db=self.wall_loss_db,
-            walls_between_femtos=self.walls_between_femtos,
-        )
-
-    def outage_config(self) -> OutageConfig:
-        return OutageConfig(
-            gamma_db=self.gamma_db,
-            n_trials=self.n_trials,
-            ue_distance=self.ue_distance_m,
-            ue_region=UeRegion(self.ue_region),
-            n_shards=self.n_shards,
-            ue_direction=self.ue_direction,
-        )
+    def plan(self, scheme: Scheme) -> FrequencyPlan:
+        """The ``scheme`` plan of this config's band, sectors and splits; every
+        experiment builds its plans here."""
+        return build_plan(scheme, self.total_band(), self.n_sectors,
+                          femto_fraction=self.femto_fraction, edge_split=self.edge_split)
 
 
 def _parser_for(name: str, typ: str):

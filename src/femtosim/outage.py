@@ -25,9 +25,9 @@ BLAS may round a product over row blocks differently from the whole one.
 When no interferer is co-channel, no trial can be in outage and no fading is
 drawn.
 
-Within one density of ``density_sweep`` every scheme shares the trial seed,
-the configuration and the geometry, hence the number K of neighbors, so every
-scheme's trials are the same fading draws.  The sweep grows every scheme's
+Within one density of ``density_sweep`` every plan shares the trial seed, the
+configuration and the geometry, hence the number K of neighbors, so every
+plan's trials are the same fading draws.  The sweep grows every plan's
 network to the density first and then makes one fading pass: each shard is
 drawn once, and each distinct link set with an interferer is counted over it
 by its own matrix-vector product (the partial and same schemes always have
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import son
 from .channel import PropagationParams, link_coefficients
-from .spectrum import Band, FrequencyPlan, Scheme, UeRegion, build_plan
+from .spectrum import FrequencyPlan, Scheme, UeRegion
 from .topology import (
     MAX_DISTANCE_M,
     MIN_DISTANCE_M,
@@ -79,9 +79,11 @@ _BLOCK_VALUES = 1 << 15
 
 @dataclass(frozen=True)
 class OutageConfig:
+    """SIR threshold, trials and UE placement, each field named as its key."""
+
     gamma_db: float = 9.0
     n_trials: int = 100_000
-    ue_distance: float = 5.0  # m, UE to serving FAP
+    ue_distance_m: float = 5.0  # UE to serving FAP
     ue_region: UeRegion = UeRegion.EDGE
     n_shards: int = 16
     ue_direction: str = "nearest"  # "nearest" (worst case) or "random"
@@ -90,7 +92,7 @@ class OutageConfig:
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         check_domain("gamma_db", self.gamma_db, -100.0, 100.0)
-        check_domain("ue_distance", self.ue_distance, MIN_DISTANCE_M, MAX_DISTANCE_M)
+        check_domain("ue_distance_m", self.ue_distance_m, MIN_DISTANCE_M, MAX_DISTANCE_M)
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if self.ue_direction not in ("nearest", "random"):
@@ -243,14 +245,14 @@ def _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle):
     """(femto coefficients, macro coefficient, s_bar) of a UE of the reference
     FAP, placed as ``estimate`` places it."""
     ref = deployment.fap_by_id(reference_fap)
-    if config.ue_distance > ref.radius:
+    if config.ue_distance_m > ref.radius:
         raise ValueError(
-            f"ue_distance {config.ue_distance} m exceeds the femto radius {ref.radius} m"
+            f"ue_distance_m {config.ue_distance_m} exceeds the femto radius {ref.radius} m"
         )
     # child 0 of the seed draws a random UE bearing; children 1.. are the shards
     dir_seq = np.random.SeedSequence(seed).spawn(1)[0]
     ue = _ue_position(
-        deployment, ref, config.ue_distance, config.ue_direction,
+        deployment, ref, config.ue_distance_m, config.ue_direction,
         np.random.default_rng(dir_seq), angle=ue_angle,
     )
     _, coeffs, macro_coeff, s_bar = link_coefficients(
@@ -335,46 +337,34 @@ def _seed_int(seed_seq: np.random.SeedSequence) -> int:
 
 def density_sweep(
     densities: list[int],
-    schemes: list[Scheme],
+    plans: list[FrequencyPlan],
     config: OutageConfig,
     params: PropagationParams,
     seed: int,
     dep_params: DeploymentParams = DeploymentParams(),
-    total_band: Band = Band(0, 60_000_000),
-    femto_fraction: float = 1.0 / 3.0,
-    edge_split: float = 0.5,
     n_workers: int = 1,
 ) -> list[SweepRow]:
-    """Outage estimates over a grid of FAP densities and allocation schemes.
+    """Outage estimates over a grid of FAP densities and frequency plans.
 
-    Each scheme's column is one network densifying in place: positions come
+    Each plan's column is one network densifying in place: positions come
     from a single placement stream (lower densities are prefixes of higher
     ones), the dynamic scheme bootstraps its edge coloring at the lowest
     density and admits later FAPs through the SON admission path (existing
     colors never change), and the UE bearing is fixed once against the full
     final deployment.  Interferers therefore only accumulate as density
-    grows, and schemes at one density share geometry and trial seeds (paired
-    comparison).  Row order: densities outer (as given), schemes inner.
-    Densities below 1 raise ValueError.
+    grows, and plans at one density share geometry and trial seeds (paired
+    comparison).  Row order: densities outer (as given), plans inner; equal
+    plans share one network and give equal rows.  Densities below 1, and a
+    plan whose sector count is not ``dep_params.n_sectors``, raise ValueError.
     """
     if not densities:
         raise ValueError("densities must be non-empty")
     if any(b <= a for a, b in zip(densities, densities[1:])):
         raise ValueError("densities must be strictly increasing")
-    plans = {
-        s: build_plan(
-            s,
-            total_band,
-            dep_params.n_sectors,
-            femto_fraction=femto_fraction,
-            edge_split=edge_split,
-        )
-        for s in schemes
-    }
     dep_seq, dir_seq, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
     dep_seed = _seed_int(dep_seq)
-    # Placement is sequential, so each scheme's chain starts from the prefix
-    # of the full deployment at the lowest density.
+    # Placement is sequential, so each plan's chain starts from the prefix of
+    # the full deployment at the lowest density.
     full_params = replace(dep_params, n_faps=densities[-1])
     dp0 = replace(dep_params, n_faps=densities[0])  # rejects densities below 1
     full = generate(Scenario.D, full_params, dep_seed)
@@ -384,40 +374,39 @@ def density_sweep(
         ue_angle = nearest_fap_angle(full, full.faps[0])
 
     chains = {}
-    for scheme in schemes:
+    for plan in dict.fromkeys(plans):
         dep = Deployment(dp0)
         dep.extend(full.positions()[:dp0.n_faps])
-        apply_plan(dep, plans[scheme])
-        if scheme is Scheme.DYNAMIC_REUSE:
+        apply_plan(dep, plan)
+        if plan.scheme is Scheme.DYNAMIC_REUSE:
             # admit_fap reads only its radius, so it serves later admissions
             bootstrap = neighbor_graph(dep, dp0.neighbor_radius_m)
-            son.configure_frequencies(dep, bootstrap, plans[scheme])
-        chains[scheme] = dep
+            son.configure_frequencies(dep, bootstrap, plan)
+        chains[plan] = dep
 
     rows = []
     for idx, density in enumerate(densities):
         trial_seed = _seed_int(trial_seqs[idx])
-        for scheme in schemes:
-            dep = chains[scheme]
+        for plan, dep in chains.items():
             grown = slice(len(dep.faps), density)
-            if scheme is Scheme.DYNAMIC_REUSE:
+            if plan.scheme is Scheme.DYNAMIC_REUSE:
                 for p in full.positions()[grown]:
-                    son.admit_fap(dep, p, plans[scheme], bootstrap)
+                    son.admit_fap(dep, p, plan, bootstrap)
             else:
                 dep.extend(full.positions()[grown], 0)
         # one Monte Carlo pass for this density's distinct link sets; each
         # row's estimate then finds its own among them
         links = [
-            _link_set(chains[s], 0, plans[s], config, params, trial_seed, ue_angle)
-            for s in schemes
+            _link_set(dep, 0, plan, config, params, trial_seed, ue_angle)
+            for plan, dep in chains.items()
         ]
         shared = _estimates(trial_seed, config, links, n_workers)
-        for scheme in schemes:
+        for plan in plans:
             est = estimate(
-                chains[scheme], 0, plans[scheme], config, params, trial_seed, n_workers,
+                chains[plan], 0, plan, config, params, trial_seed, n_workers,
                 ue_angle=ue_angle, shared=shared,
             )
-            rows.append(SweepRow(scheme=scheme, density=density, estimate=est, seed=trial_seed))
+            rows.append(SweepRow(plan.scheme, density, est, trial_seed))
     return rows
 
 

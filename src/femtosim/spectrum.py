@@ -207,9 +207,11 @@ def build_plan(
 
     if scheme is Scheme.DYNAMIC_REUSE:
         if n_sectors < 3:
-            raise ValueError("dynamic re-use needs at least 3 sectors")
+            raise ValueError(f"dynamic re-use needs n_sectors >= 3, got {n_sectors}")
         if not (0.0 < edge_split <= 0.5):
             raise ValueError("edge_split must be in (0, 0.5]")
+        if total_band.width < n_sectors:
+            raise ValueError(f"n_sectors={n_sectors} exceeds the band's {total_band.width} Hz")
         sector_bands = split_band(total_band, n_sectors)
         centers = []
         edge_triples = []
@@ -219,6 +221,9 @@ def build_plan(
             # edge region = edge_split of the sector's femto spectrum, capped at
             # the host band and placed at its low end
             edge_total = min(round(edge_split * (center.width + host.width)), host.width)
+            if edge_total < len(EDGE_COLORS):
+                raise ValueError(f"edge_split {edge_split} leaves sector {s} {edge_total} Hz"
+                                 " for its three edge bands")
             region = Band(host.lower, host.lower + edge_total)
             centers.append(center)
             edge_triples.append(split_band(region, 3))

@@ -247,7 +247,8 @@ class NeighborGraph:
 
 @dataclass(frozen=True)
 class DeploymentParams:
-    """Geometry and radio defaults for one deployment (Table-2 style values)."""
+    """Geometry and radio defaults for one deployment (Table-2 style values),
+    each field but the three placement budgets named as its key."""
 
     n_faps: int = 1000
     macro_radius_m: float = 1000.0
@@ -262,8 +263,7 @@ class DeploymentParams:
     max_layout_attempts: int = 200  # whole-layout budget (scenario C)
 
     def __post_init__(self):
-        if self.n_faps < 1:
-            raise ValueError(f"a deployment needs at least 1 FAP, got {self.n_faps}")
+        check_domain("n_faps", self.n_faps, 1)
         # an infinite neighbor radius is allowed: every FAP is then a neighbor
         check_domain("neighbor_radius_m", self.neighbor_radius_m, MIN_DISTANCE_M)
         for name in ("macro_radius_m", "femto_radius_m", "reference_distance_m"):
@@ -434,13 +434,14 @@ class Deployment:
         """Give FAPs ``ids`` their sector's allocation under ``plan`` with edge
         index ``edges`` (scalar or per FAP; 0 no edge band, 1-3 the
         ``EDGE_COLORS``).  Writing every FAP (``ids`` None) binds ``plan``;
-        writing some needs it bound already."""
+        writing some needs it bound already.  A plan binds only to a deployment
+        of its sector count."""
+        if plan.n_sectors != self.params.n_sectors:
+            raise ValueError(f"a {plan.n_sectors}-sector plan does not fit a deployment of"
+                             f" n_sectors={self.params.n_sectors}")
         if ids is not None:
             self.check_plan(plan)
         rows = slice(None) if ids is None else ids
-        sectors = self._sector[:self._n][rows]
-        if np.any(sectors >= plan.n_sectors):
-            raise ValueError(f"sector index {sectors.max()} out of range for the plan")
         edges = np.asarray(edges)
         if np.any(edges < 0) or np.any(edges >= len(_EDGES)):
             raise ValueError(f"edge index outside 0-{len(_EDGES) - 1}")

@@ -31,13 +31,12 @@ def _default_sweep(densities, schemes, n_trials=None):
     oc = cfg.outage_config()
     if n_trials is not None:
         oc = OutageConfig(
-            gamma_db=oc.gamma_db, n_trials=n_trials, ue_distance=oc.ue_distance,
+            gamma_db=oc.gamma_db, n_trials=n_trials, ue_distance_m=oc.ue_distance_m,
             ue_region=oc.ue_region, n_shards=oc.n_shards, ue_direction=oc.ue_direction,
         )
     return density_sweep(
-        densities, schemes, oc, cfg.propagation(), cfg.seed,
-        dep_params=cfg.deployment_params(), total_band=cfg.total_band(),
-        femto_fraction=cfg.femto_fraction, edge_split=cfg.edge_split,
+        densities, [cfg.plan(s) for s in schemes], oc, cfg.propagation(), cfg.seed,
+        dep_params=cfg.deployment_params(),
     )
 
 

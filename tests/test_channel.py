@@ -204,7 +204,7 @@ def _loop_coefficients(dep, ref, ue, plan, region, params):
         f = dep.faps[fid]
         if band_oracle.x_flag(plan, region, alloc(dep, ref.id), alloc(dep, fid)):
             d = float(np.linalg.norm(f.position - ue))
-            coeffs[k] = (f.tx_power * params.p0_femto * d ** (-params.eta_femto_interf)
+            coeffs[k] = (f.tx_power * params.p0_femto * d ** (-params.eta_femto)
                          * params.wall_attenuation)
     return coeffs
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -164,6 +165,30 @@ class TestRun:
         assert _run(["run", "--experiment", "fig5", "--out", str(out), *FAST,
                      "--set", override]) == 2
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("overrides, key", [
+        (("seed=-1",), "seed"),
+        (("ue_region=middle",), "ue_region"),
+        (("ue_direction=sideways",), "ue_direction"),
+        (("schemes=same,bogus",), "schemes"),
+        (("wall_loss_db=-3",), "wall_loss_db"),
+        (("n_faps=0",), "n_faps"),
+        (("densities=0,5",), "densities"),
+        (("n_sectors=2",), "n_sectors"),
+        (("band_low_hz=5", "band_high_hz=5"), "band_low_hz"),
+        (("band_high_hz=2",), "n_sectors"),  # fewer Hz than sectors
+        (("band_high_hz=5",), "edge_split"),  # too narrow for three edge bands
+        (("edge_split=1e-9",), "edge_split"),
+        (("femto_fraction=1e-9",), "femto_fraction"),
+        (("eta_femto=9",), "eta_femto"),
+        (("ue_distance_m=1e-9",), "ue_distance_m"),
+        (("n_trials=0",), "n_trials"),
+        (("n_shards=0",), "n_shards"),
+    ], ids=lambda v: ",".join(v) if isinstance(v, tuple) else v)
+    def test_validation_error_names_its_key(self, capsys, overrides, key):
+        assert _run(["validate", *[arg for pair in overrides for arg in ("--set", pair)]]) == 2
+        # a whole word: eta_femto_interf does not name eta_femto
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
     @pytest.mark.parametrize("overrides", [
         ("ue_distance_m=1e-3",),
@@ -328,9 +353,18 @@ def _edges(low, high):
 
 
 # a key with a common value, or with a bound of its domain or the float just
-# outside it
-OVERRIDES = st.sampled_from(sorted(DOMAINS)).flatmap(lambda key: st.tuples(
-    st.just(key), st.sampled_from(OVERRIDE_VALUES + _edges(*DOMAINS[key]))))
+# outside it; a key with no numeric domain with a few valid and invalid values
+VALUES = {
+    **{key: OVERRIDE_VALUES + _edges(*domain) for key, domain in DOMAINS.items()},
+    "n_sectors": [0, 1, 2, 3, 4, 6],
+    "femto_fraction": [-0.5, 0, 0.1, 1 / 3, 0.9, 1],
+    "edge_split": [-1, 0, 0.1, 0.5, 0.6],
+    "ue_region": ["edge", "center", "middle"],
+    "ue_direction": ["nearest", "random", "sideways"],
+    "n_shards": [-2, 0, 1, 3],
+}
+OVERRIDES = st.sampled_from(sorted(VALUES)).flatmap(lambda key: st.tuples(
+    st.just(key), st.sampled_from(VALUES[key])))
 
 
 class TestValidateMatchesRun:
@@ -345,12 +379,13 @@ class TestValidateMatchesRun:
              experiment="fig5")
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_validate_accepts_iff_run_succeeds(self, overrides, n_faps, densities, experiment):
-        pairs = [f"{k}={v}" for k, v in overrides.items()] + [
+        # the overrides come last, so a drawn n_shards wins
+        pairs = [
             f"n_faps={n_faps}",
             "densities=" + ",".join(map(str, densities)),
             "n_trials=200",
             "n_shards=2",
-        ]
+        ] + [f"{k}={v}" for k, v in overrides.items()]
         sets = [arg for pair in pairs for arg in ("--set", pair)]
         validated = _run(["validate", *sets])
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,9 +1,12 @@
 """Config parsing, validation, and canonical round-trip tests."""
 
 import math
+from dataclasses import fields
+from enum import Enum
 
 import pytest
 
+from femtosim.channel import PropagationParams
 from femtosim.config import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +15,8 @@ from femtosim.config import (
     effective_text,
     parse_text,
 )
+from femtosim.outage import OutageConfig
+from femtosim.topology import DeploymentParams
 
 
 class TestParsing:
@@ -159,3 +164,49 @@ class TestRoundTrip:
         assert oc.gamma_db == 9.0 and oc.n_trials == 100_000
         assert cfg.total_band().width == 60_000_000
         assert [s.value for s in cfg.scheme_list()] == list(cfg.schemes)
+
+
+# experiment inputs that no parameter class takes: the plans, the grid, the
+# seed and the output path read them
+EXPERIMENT_ONLY = {"band_low_hz", "band_high_hz", "femto_fraction", "edge_split", "schemes",
+                   "densities", "seed", "out"}
+# a valid value other than the default for every key a parameter class takes
+NON_DEFAULT = {
+    "macro_radius_m": "900", "femto_radius_m": "12", "reference_distance_m": "150",
+    "neighbor_radius_m": "80", "n_sectors": "6", "macro_tx_power_w": "2",
+    "fap_tx_power_w": "0.02", "n_faps": "500", "gamma_db": "6", "eta_desired": "2.5",
+    "eta_femto": "3", "eta_macro": "4", "p0_femto": "0.001", "p0_macro": "0.004",
+    "wall_loss_db": "7", "walls_between_femtos": "2", "ue_distance_m": "7",
+    "ue_region": "center", "ue_direction": "random", "n_trials": "5000", "n_shards": "4",
+}
+PARAMETER_CLASSES = (DeploymentParams, PropagationParams, OutageConfig)
+
+
+def _objects(cfg):
+    return cfg.deployment_params(), cfg.propagation(), cfg.outage_config()
+
+
+def _names(obj_or_cls):
+    return {f.name for f in fields(obj_or_cls)}
+
+
+class TestKeysReachTheirObjects:
+    def test_adapters_take_every_key_but_the_experiment_only_ones(self):
+        keys = _names(ExperimentConfig)
+        taken = set().union(*map(_names, PARAMETER_CLASSES))
+        assert taken & keys == keys - EXPERIMENT_ONLY == set(NON_DEFAULT)
+        # the fields that no key sets: scenario B/C's placement budgets
+        assert taken - keys == {"c_max_mean_degree", "max_place_attempts", "max_layout_attempts"}
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_a_key_reaches_its_object(self, key):
+        cfg = apply_overrides(ExperimentConfig(), [f"{key}={NON_DEFAULT[key]}"])
+        cfg.validate()
+        value = getattr(cfg, key)
+        assert value != getattr(ExperimentConfig(), key)
+        [holder] = [obj for obj in _objects(cfg) if key in _names(obj)]
+        got = getattr(holder, key)
+        assert (got.value if isinstance(got, Enum) else got) == value
+
+    def test_defaults_are_the_parameter_classes_defaults(self):
+        assert _objects(ExperimentConfig()) == tuple(cls() for cls in PARAMETER_CLASSES)

@@ -8,7 +8,10 @@ draw from their own seed child.  The center-region and six-sector cases,
 captured before the co-channel rule became one (sector, edge index) row,
 cover the branches the defaults never take: a UE served on its FAP's
 center band, and a reference close enough to the macro BS to see more
-sectors than 0 and S - 1.
+sectors than 0 and S - 1.  The non-default-keys cases, captured before the
+parameter objects were built from the config by key name, hash whole files,
+provenance header included, with every kind of key away from its default: a
+key that stops reaching its object, or its header line, moves a hash.
 
 The hashes hold for one numpy build: ``p_out_mc`` counts comparisons of
 matrix products, and a BLAS with another summation order may flip one.
@@ -19,7 +22,7 @@ import hashlib
 import pytest
 
 from femtosim import cli
-from femtosim.config import ExperimentConfig, apply_overrides
+from femtosim.config import ExperimentConfig, apply_overrides, config_hash
 
 CASES = {
     "fig5": ("n_trials=2000",),
@@ -97,3 +100,29 @@ def test_center_region_csv_body_hash(tmp_path, experiment, seed):
 def test_six_sectors_near_csv_body_hash(tmp_path, experiment, seed):
     sets = [*CASES[experiment], "reference_distance_m=50", "n_sectors=6", f"seed={seed}"]
     assert _body_hash(tmp_path, experiment, sets) == SIX_SECTORS_NEAR[(experiment, seed)]
+
+
+NON_DEFAULT_KEYS = (
+    "n_trials=3000", "ue_direction=random", "ue_region=center", "n_sectors=6",
+    "reference_distance_m=50", "walls_between_femtos=3", "eta_femto=3", "ue_distance_m=7",
+    "densities=200,700", "schemes=dynamic,same,dedicated", "n_shards=5", "gamma_db=6dB",
+)
+
+NON_DEFAULT_FILES = {
+    "fig5": "5d4b97fdbb48ae975ec0ddbe63bd37ced59ee5c96c4e4e8abe864f8f45ad7a5f",
+    "fig6": "5133e1674b61e1eaf3e3b8799f2d13d763d28365dda827474fe003339006f736",
+    "son-ablation": "45bef02ff4938ab26ca81c0adafe2697f40958d0e748f0bf0bdcc969f484de59",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(NON_DEFAULT_FILES))
+def test_non_default_keys_whole_file_hash(tmp_path, experiment):
+    out = tmp_path / f"{experiment}.csv"
+    cfg = apply_overrides(ExperimentConfig(), [*NON_DEFAULT_KEYS, f"out={out}"])
+    cfg.validate()
+    cli.run_experiment(cfg, experiment, 1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NON_DEFAULT_FILES[experiment]
+
+
+def test_default_config_hash():
+    assert config_hash(ExperimentConfig()) == "29e272b2457bae6d"

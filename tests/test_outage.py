@@ -37,6 +37,12 @@ TOTAL = Band(0, 60_000_000)
 GAMMA_9DB = 10**0.9  # 7.943282347242816
 
 
+def _plans(schemes, n_sectors=3):
+    """The default config's plans of ``schemes`` at ``n_sectors`` sectors."""
+    cfg = ExperimentConfig(n_sectors=n_sectors)
+    return [cfg.plan(s) for s in schemes]
+
+
 class TestConditionalOutage:
     def test_zero_interference_is_exactly_zero(self):
         assert conditional_outage(1e-6, 0.0, GAMMA_9DB) == 0.0
@@ -176,7 +182,7 @@ class TestEstimate:
         dep, plan = _pair(Scheme.DEDICATED, np.array([250.0, 0.0]))
         ref = dep.faps[0]  # pinned at (200, 0): the other FAP is 50 m away
         params = PropagationParams()
-        cfg = OutageConfig(n_trials=100, ue_distance=5.0)
+        cfg = OutageConfig(n_trials=100, ue_distance_m=5.0)
         ue = ref.position + np.array([5.0, 0.0])  # toward the only neighbor
         ids, coeffs, macro_coeff, s_bar = link_coefficients(
             dep, ref, ue, plan, cfg.ue_region, params
@@ -248,9 +254,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("kwargs", [
         # with a NaN UE distance, estimate would report both outages as 0
-        {"ue_distance": math.nan},
-        {"ue_distance": math.nextafter(1e-3, 0.0)},
-        {"ue_distance": math.nextafter(1e5, math.inf)},
+        {"ue_distance_m": math.nan},
+        {"ue_distance_m": math.nextafter(1e-3, 0.0)},
+        {"ue_distance_m": math.nextafter(1e5, math.inf)},
         {"gamma_db": math.nan},
         {"gamma_db": math.nextafter(-100.0, -math.inf)},
         {"gamma_db": math.nextafter(100.0, math.inf)},
@@ -260,13 +266,13 @@ class TestEstimate:
             OutageConfig(**kwargs)
 
     def test_domain_bounds_accepted(self):
-        for ue_distance, gamma_db in ((1e-3, -100.0), (1e5, 100.0)):
-            cfg = OutageConfig(ue_distance=ue_distance, gamma_db=gamma_db)
+        for ue_distance_m, gamma_db in ((1e-3, -100.0), (1e5, 100.0)):
+            cfg = OutageConfig(ue_distance_m=ue_distance_m, gamma_db=gamma_db)
             assert 0.0 < cfg.gamma_linear < math.inf
 
     def test_ue_distance_beyond_cell_rejected(self):
         dep, plan = _dense(Scheme.SAME, n_faps=10)
-        cfg = OutageConfig(n_trials=10, ue_distance=25.0)
+        cfg = OutageConfig(n_trials=10, ue_distance_m=25.0)
         with pytest.raises(ValueError):
             estimate(dep, 0, plan, cfg, PropagationParams(), seed=1)
 
@@ -281,7 +287,7 @@ def _scipy_outage(dep, plan, cfg, ue_angle):
     """1 - prod phi(gamma c / s_bar) with scipy's phi, for the UE of FAP 0 on
     the bearing ``ue_angle``."""
     ref = dep.faps[0]
-    ue = ref.position + cfg.ue_distance * np.array([math.cos(ue_angle), math.sin(ue_angle)])
+    ue = ref.position + cfg.ue_distance_m * np.array([math.cos(ue_angle), math.sin(ue_angle)])
     _, coeffs, macro_coeff, s_bar = link_coefficients(
         dep, ref, ue, plan, cfg.ue_region, PropagationParams()
     )
@@ -355,8 +361,8 @@ class TestDensitySweep:
         cfg = OutageConfig(n_trials=2000)
         params = PropagationParams()
         schemes = [Scheme.DEDICATED, Scheme.SAME]
-        rows1 = density_sweep([50, 100], schemes, cfg, params, seed=1)
-        rows2 = density_sweep([50, 100], schemes, cfg, params, seed=1)
+        rows1 = density_sweep([50, 100], _plans(schemes), cfg, params, seed=1)
+        rows2 = density_sweep([50, 100], _plans(schemes), cfg, params, seed=1)
         assert [(r.label, r.density) for r in rows1] == [
             ("dedicated", 50), ("same", 50), ("dedicated", 100), ("same", 100)
         ]
@@ -366,7 +372,7 @@ class TestDensitySweep:
     def test_monotone_in_density(self):
         cfg = OutageConfig(n_trials=30_000)
         params = PropagationParams()
-        rows = density_sweep([100, 300, 1000], [Scheme.DEDICATED], cfg, params, seed=3)
+        rows = density_sweep([100, 300, 1000], _plans([Scheme.DEDICATED]), cfg, params, seed=3)
         values = [r.estimate.p_out_closed for r in rows]
         ses = [r.estimate.closed_form_se for r in rows]
         for (a, sa), (b, sb) in zip(zip(values, ses), zip(values[1:], ses[1:])):
@@ -377,9 +383,8 @@ class TestDensitySweep:
         # interferers only accumulate as the network grows, and the exact
         # value has no noise: no tolerance at all
         densities = [100, 300, 1000, 3000]
-        rows = density_sweep(
-            densities, list(Scheme), OutageConfig(n_trials=10), PropagationParams(), seed=seed
-        )
+        rows = density_sweep(densities, _plans(list(Scheme)), OutageConfig(n_trials=10),
+                             PropagationParams(), seed=seed)
         for scheme in Scheme:
             values = [r.estimate.p_out_closed for r in rows if r.scheme is scheme]
             assert len(values) == len(densities)
@@ -387,22 +392,25 @@ class TestDensitySweep:
 
     def test_tiny_density_orthogonal_near_zero(self):
         cfg = OutageConfig(n_trials=2000)
-        rows = density_sweep([2], [Scheme.DEDICATED], cfg, PropagationParams(), seed=8)
+        rows = density_sweep([2], _plans([Scheme.DEDICATED]), cfg, PropagationParams(), seed=8)
         assert rows[0].estimate.p_out_closed < 0.05
 
     def test_input_validation(self):
         cfg = OutageConfig(n_trials=10)
         with pytest.raises(ValueError):
-            density_sweep([], [Scheme.SAME], cfg, PropagationParams(), seed=1)
+            density_sweep([], _plans([Scheme.SAME]), cfg, PropagationParams(), seed=1)
         with pytest.raises(ValueError):
-            density_sweep([100, 100], [Scheme.SAME], cfg, PropagationParams(), seed=1)
+            density_sweep([100, 100], _plans([Scheme.SAME]), cfg, PropagationParams(), seed=1)
         for densities in ([0, 10], [-5, 10]):
             with pytest.raises(ValueError):
-                density_sweep(densities, [Scheme.SAME], cfg, PropagationParams(), seed=1)
+                density_sweep(densities, _plans([Scheme.SAME]), cfg, PropagationParams(), seed=1)
+        # plans are built by the caller: one of another sector count is rejected
+        with pytest.raises(ValueError, match="n_sectors=3"):
+            density_sweep([10], _plans([Scheme.SAME], 6), cfg, PropagationParams(), seed=1)
 
     def test_csv_lines_shape(self):
         cfg = OutageConfig(n_trials=500)
-        rows = density_sweep([10], [Scheme.SAME], cfg, PropagationParams(), seed=2)
+        rows = density_sweep([10], _plans([Scheme.SAME]), cfg, PropagationParams(), seed=2)
         lines = sweep_csv_lines(rows)
         assert lines[0] == "scheme,density,p_out_closed,p_out_mc,ci95,n_trials,seed"
         assert lines[1].startswith("same,10,")
@@ -433,7 +441,8 @@ class TestSweepGrowth:
         seen = _spy_on_estimate(monkeypatch)
         densities = [20, 60, 150]
         schemes = list(Scheme)
-        density_sweep(densities, schemes, OutageConfig(n_trials=50), PropagationParams(), seed=4)
+        density_sweep(densities, _plans(schemes), OutageConfig(n_trials=50), PropagationParams(),
+                      seed=4)
         assert [len(p) for p, _, _ in seen] == [d for d in densities for _ in schemes]
         for positions, from_faps, _ in seen:
             assert positions.tobytes() == from_faps.tobytes()
@@ -450,8 +459,8 @@ class TestSweepGrowth:
         monkeypatch.setattr(outage, "estimate", spy)
         densities, seed = [20, 60, 150], 4
         dep_params = DeploymentParams(n_sectors=n_sectors)
-        density_sweep(densities, list(Scheme), OutageConfig(n_trials=50), PropagationParams(),
-                      seed=seed, dep_params=dep_params)
+        density_sweep(densities, _plans(list(Scheme), n_sectors), OutageConfig(n_trials=50),
+                      PropagationParams(), seed=seed, dep_params=dep_params)
         dep_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
         full = generate(Scenario.D, DeploymentParams(n_faps=150, n_sectors=n_sectors), dep_seed)
         assert set(full.sectors().tolist()) == set(range(n_sectors))
@@ -465,7 +474,7 @@ class TestSweepGrowth:
         densities, seed, radius = [200, 2000], 5, 100.0
         cfg, params = OutageConfig(n_trials=50), PropagationParams()
         seen = _spy_on_estimate(monkeypatch)
-        rows = density_sweep(densities, [Scheme.DYNAMIC_REUSE], cfg, params, seed=seed)
+        rows = density_sweep(densities, _plans([Scheme.DYNAMIC_REUSE]), cfg, params, seed=seed)
         monkeypatch.undo()
 
         plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
@@ -694,18 +703,19 @@ class TestSharedEstimates:
 
     def test_partial_and_same_share_one_monte_carlo_run(self, monkeypatch):
         sizes = _count_shards(monkeypatch)
-        rows = density_sweep([1000], list(Scheme), self.CFG, PropagationParams(), seed=1)
+        rows = density_sweep([1000], _plans(list(Scheme)), self.CFG, PropagationParams(), seed=1)
         assert all(r.estimate.p_out_closed > 0.0 for r in rows)  # none skips its shards
         assert len(sizes) == self.CFG.n_shards  # one fading pass for the density
         by_scheme = {r.scheme: r.estimate for r in rows}
         assert by_scheme[Scheme.PARTIAL] == by_scheme[Scheme.SAME]
         # equal to the estimate of a sweep that has the scheme alone
         for scheme in (Scheme.PARTIAL, Scheme.SAME):
-            alone = density_sweep([1000], [scheme], self.CFG, PropagationParams(), seed=1)
+            alone = density_sweep([1000], _plans([scheme]), self.CFG, PropagationParams(), seed=1)
             assert alone[0].estimate == by_scheme[scheme]
 
         sizes.clear()
-        assert density_sweep([1000], list(Scheme), self.CFG, PropagationParams(), seed=1) == rows
+        again = density_sweep([1000], _plans(list(Scheme)), self.CFG, PropagationParams(), seed=1)
+        assert again == rows
         assert len(sizes) == self.CFG.n_shards  # nothing kept from the first call
 
     def test_only_an_identical_link_set_is_shared(self, monkeypatch):
@@ -727,7 +737,8 @@ class TestSharedEstimates:
 
     def test_nothing_shared_across_densities(self, monkeypatch):
         sizes = _count_shards(monkeypatch)
-        rows = density_sweep([500, 1000], list(Scheme), self.CFG, PropagationParams(), seed=3)
+        rows = density_sweep([500, 1000], _plans(list(Scheme)), self.CFG, PropagationParams(),
+                             seed=3)
         assert all(r.estimate.p_out_closed > 0.0 for r in rows)  # none skips its shards
         assert len(sizes) == 2 * self.CFG.n_shards  # one fading pass per density
 
@@ -758,7 +769,7 @@ class TestSharedEstimates:
 
     def test_sweep_without_interferers_draws_nothing(self, monkeypatch):
         sizes = _count_shards(monkeypatch)
-        rows = density_sweep([1, 2], [Scheme.DEDICATED, Scheme.DYNAMIC_REUSE], self.CFG,
+        rows = density_sweep([1, 2], _plans([Scheme.DEDICATED, Scheme.DYNAMIC_REUSE]), self.CFG,
                              PropagationParams(), seed=0)
         assert sizes == []
         assert [(r.estimate.p_out_closed, r.estimate.p_out_mc) for r in rows] == [(0.0, 0.0)] * 4
@@ -777,7 +788,7 @@ class TestSharedEstimates:
 
         monkeypatch.setattr(outage, "estimate", spy)
         cfg = OutageConfig(n_trials=3001, ue_direction=ue_direction)
-        rows = density_sweep([300, 1000, 3000], list(Scheme), cfg, PropagationParams(),
+        rows = density_sweep([300, 1000, 3000], _plans(list(Scheme)), cfg, PropagationParams(),
                              seed=6, n_workers=n_workers)
         assert len(alone) == len(rows) == 12
         assert sum(r.estimate.p_out_mc > 0.0 for r in rows) >= 6

@@ -421,6 +421,21 @@ class TestAllocationStorage:
                 dep.assign(PLAN, bad)
         assert dep.edges().tolist() == [0] * 40 and dep.plan is PLAN
 
+    @pytest.mark.parametrize("plan_sectors", [2, 4, 6])
+    def test_plan_binds_only_at_the_deployment_sector_count(self, plan_sectors):
+        # a 6-sector plan used to bind to a 3-sector deployment, whose sector
+        # indices all lie below 6
+        dep = generate(Scenario.D, DeploymentParams(n_faps=300, n_sectors=3), 1)
+        scheme = Scheme.SAME if plan_sectors < 3 else Scheme.DYNAMIC_REUSE
+        plan = build_plan(scheme, Band(0, 60_000_000), n_sectors=plan_sectors)
+        with pytest.raises(ValueError, match="n_sectors=3"):
+            apply_plan(dep, plan)
+        assert dep.plan is None and dep.edges().tolist() == [-1] * 300
+        apply_plan(dep, PLAN)
+        with pytest.raises(ValueError, match="n_sectors=3"):
+            dep.assign(plan, 0, [0])
+        assert dep.plan is PLAN
+
     def test_setter_takes_only_the_fap_sector_allocations(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=40), seed=2)
         fap = dep.faps[0]
