@@ -101,20 +101,23 @@ def link_coefficients(
     # a neighbor's X flag depends only on its sector and edge index
     x = x_row[sectors[1:], edges[1:]]
     positions, tx_powers = deployment.positions(), deployment.tx_powers()
+    # distances are sqrt(dx * dx + dy * dy) in float64, the neighbor test's rule;
+    # a BLAS norm's last bit hangs on the kernel that numpy picks per CPU
     coeffs = np.zeros(len(ids))
     for k in np.flatnonzero(x).tolist():
-        d = float(np.linalg.norm(positions[ids[k]] - ue))
+        dx, dy = (positions[ids[k]] - ue).tolist()
         coeffs[k] = (
             float(tx_powers[ids[k]])
             * params.p0_femto
-            * d ** (-params.eta_femto)
+            * math.sqrt(dx * dx + dy * dy) ** (-params.eta_femto)
             * params.wall_attenuation
         )
     macro_coeff = 0.0
     if deployment.macro and y:
-        d_m = float(np.linalg.norm(ue))  # the macro BS sits at the origin
-        macro_tx_power = deployment.params.macro_tx_power_w
-        macro_coeff = macro_tx_power * params.p0_macro * d_m ** (-params.eta_macro)
-    d0 = float(np.linalg.norm(reference_fap.position - ue))
-    s_bar = mean_desired_power(reference_fap, d0, params)
+        dx, dy = ue.tolist()  # the macro BS sits at the origin
+        d_m = math.sqrt(dx * dx + dy * dy)
+        macro_coeff = deployment.params.macro_tx_power_w * params.p0_macro * d_m ** (
+            -params.eta_macro)
+    dx, dy = (reference_fap.position - ue).tolist()
+    s_bar = mean_desired_power(reference_fap, math.sqrt(dx * dx + dy * dy), params)
     return ids, coeffs, macro_coeff, s_bar

@@ -2,8 +2,10 @@
 and cell-size adjustment, and admission of newly installed FAPs.
 
 The distributed FAP negotiation is modeled as a centralized deterministic pass
-over the deployment; every state change is recorded in an append-only event
-log so a pass can be audited and replayed.  The coordinator has exclusive
+over the deployment.  Coloring, admission and power control each take an
+optional append-only event log, their only report: given one, they record
+every state change in it, so a pass can be audited and replayed; without
+one, they build no event.  The coordinator has exclusive
 access to the deployment while it runs; outage evaluation and SON passes
 alternate.
 """
@@ -26,14 +28,13 @@ from .spectrum import (
     UeRegion,
     cochannel,
 )
-from .topology import Deployment, NeighborGraph, sector_of
+from .topology import MAX_POWER_W, MIN_POWER_W, Deployment, NeighborGraph, check_domain, sector_of
 
 __all__ = [
     "ColoringState",
     "SonEvent",
     "SonEventKind",
     "SonEventLog",
-    "UeContext",
     "admit_fap",
     "adjust_power",
     "assign_shared_edge",
@@ -78,10 +79,8 @@ class SonEventLog:
     def __init__(self):
         self.events: list[SonEvent] = []
 
-    def append(self, kind: SonEventKind, subject: int, **details) -> SonEvent:
-        ev = SonEvent(seq=len(self.events), kind=kind, subject=subject, details=details)
-        self.events.append(ev)
-        return ev
+    def append(self, kind: SonEventKind, subject: int, **details) -> None:
+        self.events.append(SonEvent(len(self.events), kind, subject, details))
 
     def to_lines(self) -> list[str]:
         return [ev.to_line() for ev in self.events]
@@ -220,76 +219,56 @@ def noncochannel_fraction(
     return int(np.count_nonzero(x == 0)) / len(graph.indices)
 
 
-@dataclass(frozen=True)
-class UeContext:
-    """Radio situation of one victim UE for power adjustment."""
-
-    position: np.ndarray  # (2,) meters
-    serving_fap: int
-    region: UeRegion
-    plan: FrequencyPlan
-
-
 def adjust_power(
     deployment: Deployment,
-    victim_ue: UeContext,
     master: int,
+    ue_position,
+    plan: FrequencyPlan,
+    ue_region: UeRegion,
     params: PropagationParams,
     gamma_db: float,
     margin_db: float = 3.0,
     step_db: float = 1.0,
     floor_w: float = 1e-4,
     log: SonEventLog | None = None,
-) -> list[SonEvent]:
-    """Lower co-channel interferer powers until the victim's fading-averaged
-    SIR reaches gamma + margin or every interferer sits at the power floor.
+) -> None:
+    """Lower the co-channel interferer powers of a UE at ``ue_position``,
+    served by FAP ``master`` on ``ue_region``, until its fading-averaged SIR
+    reaches gamma + margin or every interferer sits at the power floor.
 
-    Each step reduces the strongest remaining interferer by ``step_db`` and
-    shrinks its cell radius by 10^(-step / (10 * eta1)), the distance at which
-    its edge receive power is unchanged.  Powers never increase.
+    Each step reduces the strongest remaining interferer (the lowest id on
+    ties) by ``step_db``, shrinks its cell radius by 10^(-step / (10 *
+    eta1)), the distance at which its edge receive power is unchanged, and
+    appends a POWER_REQUEST to ``log``, if given.  Powers never increase; a
+    step that would take a radius out of its domain raises before it writes.
     """
-    if victim_ue.serving_fap != master:
-        raise ValueError("victim UE is not attached to the master FAP")
-    ref = deployment.fap_by_id(master)
+    check_domain("floor_w", floor_w, MIN_POWER_W, MAX_POWER_W)
     ids, coeffs, macro_coeff, s_bar = link_coefficients(
-        deployment, ref, victim_ue.position, victim_ue.plan, victim_ue.region, params
+        deployment, deployment.fap_by_id(master), ue_position, plan, ue_region, params
     )
-    events: list[SonEvent] = []
-    local_log = log if log is not None else SonEventLog()
-    coeffs = dict(zip(ids, coeffs))
-    cochannel_ids = [i for i in ids if coeffs[i] > 0.0]
-    if not cochannel_ids:
-        return events
-
+    hit = coeffs > 0.0  # the co-channel interferers, in id order
+    ids, coeffs = np.asarray(ids, dtype=np.int64)[hit], coeffs[hit]
+    powers = deployment.tx_powers()[ids]
     target = 10 ** ((gamma_db + margin_db) / 10.0)
     factor = 10 ** (-step_db / 10.0)
-    while True:
-        total = sum(coeffs[i] for i in cochannel_ids) + macro_coeff
-        if total <= 0.0 or s_bar / total >= target:
+    while len(ids):
+        total = sum(coeffs.tolist()) + macro_coeff
+        adjustable = powers > floor_w
+        if total <= 0.0 or s_bar / total >= target or not adjustable.any():
             break
-        adjustable = [
-            i for i in cochannel_ids if deployment.fap_by_id(i).tx_power > floor_w
-        ]
-        if not adjustable:
-            break
-        worst = max(adjustable, key=lambda i: (coeffs[i], -i))
-        fap = deployment.fap_by_id(worst)
-        old_power = fap.tx_power
+        k = int(np.argmax(np.where(adjustable, coeffs, -np.inf)))  # first of the largest
+        old_power = float(powers[k])
         new_power = max(old_power * factor, floor_w)
         delta_db = 10.0 * math.log10(old_power / new_power)
-        fap.tx_power = new_power
-        fap.radius *= 10 ** (-delta_db / (10.0 * params.eta_desired))
-        coeffs[worst] *= new_power / old_power
-        ev = local_log.append(
-            SonEventKind.POWER_REQUEST,
-            worst,
-            master=master,
-            delta_db=delta_db,
-            tx_power_w=fap.tx_power,
-            radius_m=fap.radius,
-        )
-        events.append(ev)
-    return events
+        fap = deployment.fap_by_id(int(ids[k]))
+        fap.radius *= 10 ** (-delta_db / (10.0 * params.eta_desired))  # the checked write
+        fap.tx_power = powers[k] = new_power  # in the domain: floor_w <= new_power <= old
+        coeffs[k] *= new_power / old_power
+        if log is not None:
+            log.append(
+                SonEventKind.POWER_REQUEST, fap.id, master=master, delta_db=delta_db,
+                tx_power_w=fap.tx_power, radius_m=fap.radius,
+            )
 
 
 def admit_fap(
@@ -298,14 +277,14 @@ def admit_fap(
     plan: FrequencyPlan,
     graph: NeighborGraph,
     log: SonEventLog | None = None,
-) -> tuple[Deployment, list[SonEvent]]:
+) -> None:
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
     pick an edge color absent among them (else their minority color; ties go
     to the first of ``EDGE_COLORS``), and append the FAP without touching
-    existing colors; ``extend`` gives it its position's sector, which the
-    NEW_FAP event records.  The sniff reads only the cells around the
-    position.  Raises ValueError when ``plan`` has no edge bands or is not the
-    deployment's."""
+    existing colors; ``extend`` gives it its position's sector.  With a
+    ``log``, appends NEW_FAP (position and sector) and RECONFIGURE (color).
+    The sniff reads only the cells around the position.  Raises ValueError
+    when ``plan`` has no edge bands or is not the deployment's."""
     if plan.n_edges == 1:
         raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
     deployment.check_plan(plan)
@@ -317,17 +296,11 @@ def admit_fap(
     k = int(np.argmin(counts))  # the first absent color, if one is
     new_id = len(deployment.faps)
     deployment.extend(pos, k + 1)
-
-    local_log = log if log is not None else SonEventLog()
-    events = [
-        local_log.append(
-            SonEventKind.NEW_FAP, new_id,
-            x=float(pos[0]), y=float(pos[1]),
-            sector=deployment.faps[new_id].sector_index,
-        ),
-        local_log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[k].value),
-    ]
-    return deployment, events
+    if log is not None:
+        x, y = pos.tolist()
+        log.append(SonEventKind.NEW_FAP, new_id, x=x, y=y,
+                   sector=int(deployment.sectors()[new_id]))
+        log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[k].value)
 
 
 def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:

@@ -62,8 +62,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # an edge index is a position in this tuple: 0 no edge band, 1-3 EDGE_COLORS
 _EDGES = tuple(EdgeChoice)
-# the distance domain (see check_domain)
+# the distance and tx power domains (see check_domain)
 MIN_DISTANCE_M, MAX_DISTANCE_M = 1e-3, 1e5
+MIN_POWER_W, MAX_POWER_W = 1e-9, 1e3
 
 
 def check_domain(name: str, value, low, high=math.inf) -> None:
@@ -116,8 +117,9 @@ class PlacementError(RuntimeError):
 class Fap:
     """One FAP: a view of row ``id`` of deployment ``dep``'s FAP arrays, as
     ``Deployment.faps`` hands it out.  Setting ``tx_power``, ``radius`` or
-    ``allocation`` writes that row, so every later read sees it; ``position``
-    and ``sector_index`` are fixed once the FAP has joined."""
+    ``allocation`` writes that row, so every later read sees it, and raises
+    ValueError for a value outside its domain (see ``check_domain``);
+    ``position`` and ``sector_index`` are fixed once the FAP has joined."""
 
     __slots__ = ("id", "_dep")
 
@@ -142,6 +144,7 @@ class Fap:
 
     @tx_power.setter
     def tx_power(self, value: float) -> None:
+        check_domain(f"FAP {self.id} tx_power", value, MIN_POWER_W, MAX_POWER_W)
         self._dep._tx_power[self.id] = value
 
     @property
@@ -151,6 +154,7 @@ class Fap:
 
     @radius.setter
     def radius(self, value: float) -> None:
+        check_domain(f"FAP {self.id} radius", value, MIN_DISTANCE_M, MAX_DISTANCE_M)
         self._dep._radius[self.id] = value
 
     @property
@@ -269,7 +273,7 @@ class DeploymentParams:
         for name in ("macro_radius_m", "femto_radius_m", "reference_distance_m"):
             check_domain(name, getattr(self, name), MIN_DISTANCE_M, MAX_DISTANCE_M)
         for name in ("macro_tx_power_w", "fap_tx_power_w"):
-            check_domain(name, getattr(self, name), 1e-9, 1e3)
+            check_domain(name, getattr(self, name), MIN_POWER_W, MAX_POWER_W)
         check_domain("n_sectors", self.n_sectors, 1)
         if self.reference_distance_m > self.macro_radius_m:
             raise ValueError("reference_distance_m exceeds macro_radius_m")

@@ -226,8 +226,9 @@ class TestAdmissionOracle:
             expected_ids = _reference_sniff(dep.positions(), p, radius)
             assert dep.near(p, radius).tolist() == expected_ids
             expected = _reference_color(dep, p, radius)
-            _, events = admit_fap(dep, p, PLAN, graph)
-            assert events[1].details["color"] == expected.value
+            log = son.SonEventLog()
+            admit_fap(dep, p, PLAN, graph, log)
+            assert log.events[1].details["color"] == expected.value
             assert dep.faps[-1].allocation.edge_choice is expected
 
     @settings(max_examples=60, deadline=None)

@@ -203,7 +203,8 @@ def _loop_coefficients(dep, ref, ue, plan, region, params):
     for k, fid in enumerate(ids):
         f = dep.faps[fid]
         if band_oracle.x_flag(plan, region, alloc(dep, ref.id), alloc(dep, fid)):
-            d = float(np.linalg.norm(f.position - ue))
+            dx, dy = (f.position - ue).tolist()
+            d = math.sqrt(dx * dx + dy * dy)  # the neighbor test's rule, no BLAS
             coeffs[k] = (f.tx_power * params.p0_femto * d ** (-params.eta_femto)
                          * params.wall_attenuation)
     return coeffs

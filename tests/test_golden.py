@@ -13,8 +13,15 @@ parameter objects were built from the config by key name, hash whole files,
 provenance header included, with every kind of key away from its default: a
 key that stops reaching its object, or its header line, moves a hash.
 
-The hashes hold for one numpy build: ``p_out_mc`` counts comparisons of
-matrix products, and a BLAS with another summation order may flip one.
+``p_out_closed`` uses no BLAS: ``link_coefficients`` takes every distance
+as ``sqrt(dx * dx + dy * dy)`` in plain float64, so its value does not hang
+on the BLAS kernel that numpy picks per CPU.  Five bodies (fig6 seed 1,
+random-bearing son-ablation seed 2, center-region fig6 seed 1, six-sector
+fig5 and son-ablation seed 1) were re-pinned when that rule replaced
+``np.linalg.norm``; each is the body the earlier code gave under
+``OPENBLAS_CORETYPE=Haswell``.  Only ``p_out_mc`` still counts comparisons
+of a matrix-vector product, and a BLAS with another summation order may
+flip one.
 """
 
 import hashlib
@@ -33,7 +40,7 @@ CASES = {
 GOLDEN = {
     ("fig5", 1): "ea661e35e9ca8efc46be63a7dca17b90cd4a23fac274b6a5fd5bbe5438929890",
     ("fig5", 2): "fc0b9079eafb8e3a3c62a39ac73f4ec0f78a6b41df3821129288934d6d80dc58",
-    ("fig6", 1): "eaac77644d1a35dfdb901416a08a1aa6c43c83dde9b3100daefa1c32c5fcaad3",
+    ("fig6", 1): "71cdee97833b7cbe4065ce06e8cfa905248813fff52ed448c45feb37f5df5cd2",
     ("fig6", 2): "ae538274aee836dfd8da04c31885e109de4da513f422ead068eb5fc9bd727ffc",
     ("son-ablation", 1): "32e0c0febb6bb06392c501d3c63f88820738ec878c1ee64e235bb9f5f7ddd0ff",
     ("son-ablation", 2): "ff9e115e80019f851f063f855d6a32894feb3fa823b4c48b97fe09263322f149",
@@ -44,7 +51,7 @@ RANDOM_BEARING = {
     ("fig6", 1): "2597ce278b1d350baac1f7d1b4be398c38e4409955c707a1877753e8c3282dd6",
     ("fig6", 2): "e526cd5bbf9e331db80ebb0bb9ae0b6f745188f90ff249f7580e41fc9cfe98c3",
     ("son-ablation", 1): "72c75dd212dfbfcc99b1ee7126bb74c4faa5639543cb5c04732686eddb13aaf2",
-    ("son-ablation", 2): "5ff8cd7b48e1e8482c440d7288a6d64f9458abf7196ad49bcedd32434d4a4273",
+    ("son-ablation", 2): "b2b7271fa6fc7ceff40721f982a98953b7e03ddbf57fe580eb5da6465952ebcf",
 }
 
 
@@ -73,7 +80,7 @@ def test_random_bearing_csv_body_hash(tmp_path, experiment, seed):
 CENTER_REGION = {
     ("fig5", 1): "16514d69a8d838bc56d743a1d20bb8c48d8279b1237e7f922b3adee10cf6591f",
     ("fig5", 2): "89ffcda3a8d07c9f5fbc799bf89a1c847802ff1dda877cdb593756d5e25c0218",
-    ("fig6", 1): "7add2ead32392d692e32b014fa708c14810e2e81a9bccdade403e685c4ebfb79",
+    ("fig6", 1): "4b5c0dcdd6a74ee44070f4ffa9756a1e1fe29a2da6902366b3caffffd1d5f30a",
     ("fig6", 2): "77aaddea2a3d1524843e7f33de0fe7f63d61dfedf1550ef1b2286796bd96d222",
     ("son-ablation", 1): "6c85aa78eb9670e6b346621e19516c37c58799886c4a54dffa6888a02ceaa815",
     ("son-ablation", 2): "59b27c7282d19e16180c3256760356b640129a216cf9ffbb56661ebada9c13f6",
@@ -81,11 +88,11 @@ CENTER_REGION = {
 
 
 SIX_SECTORS_NEAR = {
-    ("fig5", 1): "23559d5e72f9dcf54de0e3a4786e8727247925b540b2237084259e82d871a481",
+    ("fig5", 1): "db9e2c29cf6e1667f08f08ff72deb6f579f5ad505e99480a11ccbcc5ddff376a",
     ("fig5", 2): "a663aaa1bd09b6d8e491fcb8861abee43e62f0ecb5213e458ee6f34be56a6051",
     ("fig6", 1): "027f10cb2a4b3a4ee5bfa835af65cd081f18e3866d4a0bb045ee96c264a3a8aa",
     ("fig6", 2): "89cc327e0c2ba9a60b35ba91d4c71152f48f147b6054b22d4823133174baa017",
-    ("son-ablation", 1): "6fa055651bd8baad34686e510e548ea83cdcae556537fefaa901b7acf9962d80",
+    ("son-ablation", 1): "05274b3edbaa9d204161e1d9a5a6887a10b77532986bb4c26aefa3da6d165d47",
     ("son-ablation", 2): "3d31f9887a8537ad954dad20b3d9187bff7bd39a06595e7115ffef6feaf20885",
 }
 

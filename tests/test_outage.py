@@ -510,6 +510,27 @@ class TestSweepGrowth:
             assert colors[i] is order[counts.index(min(counts))]
 
 
+    def test_admission_builds_no_event(self, monkeypatch):
+        # the sweep passes no SON log, so its admissions append no event
+        real_append, real_admit = son.SonEventLog.append, son.admit_fap
+        appended, admitted = [], []
+
+        def append(log, *args, **kwargs):
+            appended.append(args)
+            real_append(log, *args, **kwargs)
+
+        def admit(*args, **kwargs):
+            admitted.append(args)
+            real_admit(*args, **kwargs)
+
+        monkeypatch.setattr(son.SonEventLog, "append", append)
+        monkeypatch.setattr(son, "admit_fap", admit)
+        density_sweep([100, 400], _plans([Scheme.DYNAMIC_REUSE]), OutageConfig(n_trials=50),
+                      PropagationParams(), seed=3)
+        assert len(admitted) == 300
+        assert appended == []
+
+
 def _reference_threshold(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
     """One shard's desired fading z0 and the gamma I / s_bar it is compared
     with, from fresh arrays."""

@@ -15,7 +15,6 @@ from femtosim.channel import PropagationParams, link_coefficients
 from femtosim.son import (
     SonEventKind,
     SonEventLog,
-    UeContext,
     admit_fap,
     adjust_power,
     assign_uniform_random_colors,
@@ -81,6 +80,21 @@ def _assert_positions_match_faps(dep):
     expected = np.array([f.position for f in dep.faps]).reshape(-1, 2)
     assert [f.id for f in dep.faps] == list(range(len(dep.faps)))
     assert dep.positions().tobytes() == expected.tobytes()
+
+
+def _adjust(dep, ue, master=0, params=PropagationParams(), **kwargs):
+    """``adjust_power`` for a UE at ``ue`` served by ``master`` on the edge
+    region; returns the events it logged, its only report."""
+    log = SonEventLog()
+    assert adjust_power(dep, master, ue, PLAN, UeRegion.EDGE, params, log=log, **kwargs) is None
+    return log.events
+
+
+def _admit(dep, position, graph):
+    """``admit_fap`` into a log; returns the events it logged."""
+    log = SonEventLog()
+    assert admit_fap(dep, position, PLAN, graph, log) is None
+    return log.events
 
 
 def _min_conflicts_brute_force(adjacency):
@@ -380,78 +394,112 @@ class TestAdjustPower:
         # force both on the same edge band so the neighbor is co-channel
         _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
         _set_edge_color(dep, 1, PLAN, EdgeChoice.X if same_color else EdgeChoice.Y)
-        ue = dep.faps[0].position + np.array([5.0, 0.0])
-        ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
-        return dep, ctx
+        return dep, dep.faps[0].position + np.array([5.0, 0.0])
 
     def test_predicted_step_count(self):
         # fading-averaged SIR gap in dB fixes the number of 1 dB steps:
         # steps = ceil(required dB reduction)
-        dep, ctx = self._single_interferer_setup(interferer_distance=10.0)
+        dep, ue = self._single_interferer_setup(interferer_distance=10.0)
         params = PropagationParams()
         ref = dep.faps[0]
-        _, coeffs, _, s_bar = link_coefficients(dep, ref, ctx.position, PLAN,
-                                                UeRegion.EDGE, params)
+        _, coeffs, _, s_bar = link_coefficients(dep, ref, ue, PLAN, UeRegion.EDGE, params)
         sir_db = 10 * math.log10(s_bar / coeffs.sum())
         target_db = 9.0 + 3.0
         expected_steps = math.ceil(target_db - sir_db)
-        events = adjust_power(dep, ctx, 0, params, gamma_db=9.0, margin_db=3.0)
+        events = _adjust(dep, ue, params=params, gamma_db=9.0, margin_db=3.0)
         assert 0 < len(events) == expected_steps
         # power went down monotonically
         powers = [e.details["tx_power_w"] for e in events]
         assert all(b < a for a, b in zip(powers, powers[1:]))
         # SIR now meets the target
-        _, coeffs2, _, s_bar2 = link_coefficients(dep, ref, ctx.position, PLAN,
-                                                  UeRegion.EDGE, params)
+        _, coeffs2, _, s_bar2 = link_coefficients(dep, ref, ue, PLAN, UeRegion.EDGE, params)
         assert s_bar2 / coeffs2.sum() >= 10 ** (target_db / 10)
 
     def test_noop_when_sir_already_met(self):
-        dep, ctx = self._single_interferer_setup(interferer_distance=95.0)
-        events = adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0)
+        dep, ue = self._single_interferer_setup(interferer_distance=95.0)
+        events = _adjust(dep, ue, gamma_db=9.0)
         assert events == []
 
     def test_noop_without_cochannel_interferers(self):
-        dep, ctx = self._single_interferer_setup(same_color=False)
+        dep, ue = self._single_interferer_setup(same_color=False)
         before = [f.tx_power for f in dep.faps]
-        events = adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0)
+        events = _adjust(dep, ue, gamma_db=9.0)
         assert events == []
         assert [f.tx_power for f in dep.faps] == before
 
     def test_floor_stops_reduction(self):
-        dep, ctx = self._single_interferer_setup(interferer_distance=5.5)
+        dep, ue = self._single_interferer_setup(interferer_distance=5.5)
         dep.faps[1].tx_power = 1e-4  # already at the floor
-        events = adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0,
-                              floor_w=1e-4)
+        events = _adjust(dep, ue, gamma_db=9.0, floor_w=1e-4)
         assert events == []
         assert dep.faps[1].tx_power == 1e-4
 
     def test_reaches_floor_and_terminates(self):
-        dep, ctx = self._single_interferer_setup(interferer_distance=5.5)
-        events = adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0,
-                              floor_w=1e-4)
+        dep, ue = self._single_interferer_setup(interferer_distance=5.5)
+        events = _adjust(dep, ue, gamma_db=9.0, floor_w=1e-4)
         assert events, "a 5.5 m co-channel interferer needs reductions"
         assert dep.faps[1].tx_power == pytest.approx(1e-4)
         assert events[-1].details["tx_power_w"] == dep.faps[1].tx_power
 
     def test_never_increases_power(self):
-        dep, ctx = self._single_interferer_setup(interferer_distance=10.0)
+        dep, ue = self._single_interferer_setup(interferer_distance=10.0)
         before = {f.id: f.tx_power for f in dep.faps}
-        adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0)
+        _adjust(dep, ue, gamma_db=9.0)
         for f in dep.faps:
             assert f.tx_power <= before[f.id]
 
     def test_radius_shrinks_with_power(self):
-        dep, ctx = self._single_interferer_setup(interferer_distance=10.0)
+        dep, ue = self._single_interferer_setup(interferer_distance=10.0)
         r_before = dep.faps[1].radius
-        events = adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0)
+        events = _adjust(dep, ue, gamma_db=9.0)
         # each 1 dB step scales the radius by 10^(-1/20) for eta1 = 2
         expected = r_before * (10 ** (-1.0 / 20.0)) ** len(events)
         assert dep.faps[1].radius == pytest.approx(expected, rel=1e-9)
 
-    def test_wrong_master_rejected(self):
-        dep, ctx = self._single_interferer_setup()
-        with pytest.raises(ValueError):
-            adjust_power(dep, ctx, 1, PropagationParams(), gamma_db=9.0)
+    def test_radius_leaving_its_domain_raises_before_the_step_writes(self):
+        # from a 1.3 mm femto radius the third 1 dB step would shrink FAP 1's
+        # radius below 1 mm: that step writes nothing, so the log still
+        # replays to the deployment
+        dep = Deployment(DeploymentParams(n_faps=2, femto_radius_m=0.0013))
+        dep.extend([(300.0, 100.0), (300.0, 103.0)])
+        apply_plan(dep, PLAN)
+        for fid in range(2):
+            _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
+        pre, log = copy.deepcopy(dep), SonEventLog()
+        with pytest.raises(ValueError, match="FAP 1 radius must be within"):
+            adjust_power(dep, 0, np.array([300.0, 101.0]), PLAN, UeRegion.EDGE,
+                         PropagationParams(), gamma_db=20.0, log=log)
+        assert len(log.events) == 2
+        replayed = replay(pre, log.events, PLAN)
+        assert replayed.tx_powers().tobytes() == dep.tx_powers().tobytes()
+        assert [f.radius for f in replayed.faps] == [f.radius for f in dep.faps]
+
+    @pytest.mark.parametrize("floor_w", [0.0, -1e-4, 1e-10, math.nan, 2e3])
+    def test_floor_outside_the_power_domain_rejected(self, floor_w):
+        dep, ue = self._single_interferer_setup(interferer_distance=5.5)
+        before = dep.tx_powers().tolist()
+        with pytest.raises(ValueError, match="floor_w must be within"):
+            _adjust(dep, ue, gamma_db=9.0, floor_w=floor_w)
+        assert dep.tx_powers().tolist() == before
+
+    def test_unknown_master_rejected(self):
+        dep, ue = self._single_interferer_setup()
+        with pytest.raises(ValueError, match="no FAP with id 2"):
+            _adjust(dep, ue, master=2, gamma_db=9.0)
+
+    def test_equal_interferers_step_lowest_id_first(self):
+        # FAPs 1 and 2 sit mirror-imaged about the UE's axis, so their
+        # coefficients are bitwise equal and every tie goes to the lower id
+        dep = _deployment_from_layout([(200, 100), (200, 106), (200, 94), (260, 100)])
+        for fid in range(4):
+            _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
+        ue = np.array([203.0, 100.0])
+        _, coeffs, _, _ = link_coefficients(dep, dep.faps[0], ue, PLAN, UeRegion.EDGE,
+                                            PropagationParams())
+        assert coeffs[0] == coeffs[1] > coeffs[2] > 0.0
+        events = _adjust(dep, ue, gamma_db=15.0)
+        assert [e.subject for e in events[:4]] == [1, 2, 1, 2]
+        assert {e.subject for e in events} == {1, 2}
 
 
 class TestAdmitFap:
@@ -459,8 +507,8 @@ class TestAdmitFap:
         dep = _deployment_from_layout([(200, 0)])
         graph = _graph(dep)
         _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
-        dep2, events = admit_fap(dep, (600.0, 0.0), PLAN, graph)
-        new = dep2.faps[-1]
+        events = _admit(dep, (600.0, 0.0), graph)
+        new = dep.faps[-1]
         assert new.allocation.edge_choice is EdgeChoice.X
         assert [e.kind for e in events] == [SonEventKind.NEW_FAP, SonEventKind.RECONFIGURE]
 
@@ -469,17 +517,17 @@ class TestAdmitFap:
         _set_edge_color(dep, 0, PLAN, EdgeChoice.X)
         _set_edge_color(dep, 1, PLAN, EdgeChoice.Y)
         graph = _graph(dep)
-        dep2, _ = admit_fap(dep, (210.0, 5.0), PLAN, graph)
-        assert dep2.faps[-1].allocation.edge_choice is EdgeChoice.Z
-        _assert_positions_match_faps(dep2)
+        admit_fap(dep, (210.0, 5.0), PLAN, graph)
+        assert dep.faps[-1].allocation.edge_choice is EdgeChoice.Z
+        _assert_positions_match_faps(dep)
 
     def test_minority_color_when_all_present(self):
         dep = _deployment_from_layout([(200, 0), (210, 0), (220, 0), (230, 0)])
         for fid, c in enumerate((EdgeChoice.X, EdgeChoice.X, EdgeChoice.Y, EdgeChoice.Z)):
             _set_edge_color(dep, fid, PLAN, c)
         graph = _graph(dep)
-        dep2, _ = admit_fap(dep, (215.0, 5.0), PLAN, graph)
-        assert dep2.faps[-1].allocation.edge_choice in (EdgeChoice.Y, EdgeChoice.Z)
+        admit_fap(dep, (215.0, 5.0), PLAN, graph)
+        assert dep.faps[-1].allocation.edge_choice in (EdgeChoice.Y, EdgeChoice.Z)
 
     def test_new_fap_events_log_the_stored_sector(self):
         full = generate(Scenario.D, DeploymentParams(n_faps=300), seed=44)
@@ -553,9 +601,7 @@ class TestEventLogAndReplay:
         for fid, c in enumerate((EdgeChoice.X, EdgeChoice.X, EdgeChoice.X)):
             _set_edge_color(dep, fid, PLAN, c)
         pre = copy.deepcopy(dep)
-        ue = dep.faps[0].position + np.array([5.0, 0.0])
-        ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
-        events = adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0)
+        events = _adjust(dep, dep.faps[0].position + np.array([5.0, 0.0]), gamma_db=9.0)
         assert events
         replayed = replay(pre, events, PLAN)
         for f, g in zip(dep.faps, replayed.faps):
@@ -569,7 +615,7 @@ class TestEventLogAndReplay:
         _set_edge_color(dep, 1, PLAN, EdgeChoice.Y)
         graph = _graph(dep)
         pre = copy.deepcopy(dep)
-        _, events = admit_fap(dep, (210.0, 5.0), PLAN, graph)
+        events = _admit(dep, (210.0, 5.0), graph)
         replayed = replay(pre, events, PLAN)
         assert len(replayed.faps) == len(dep.faps)
         new, new_r = dep.faps[-1], replayed.faps[-1]
@@ -603,7 +649,7 @@ class TestEventLogAndReplay:
 
     def test_replay_rejects_new_fap_in_the_wrong_sector(self):
         dep = _deployment_from_layout([(200, 0), (220, 0), (240, 0)])
-        _, events = admit_fap(copy.deepcopy(dep), (300.0, 10.0), PLAN, _graph(dep))
+        events = _admit(copy.deepcopy(dep), (300.0, 10.0), _graph(dep))
         assert events[0].details["sector"] == 0
         edited = son.SonEvent.from_line(events[0].to_line().replace('"sector": 0', '"sector": 2'))
         assert edited.details["sector"] == 2
@@ -612,6 +658,50 @@ class TestEventLogAndReplay:
         assert len(dep.faps) == 3
         replay(dep, events, PLAN)
         assert dep.faps[3].sector_index == 0
+
+    def test_actions_log_exactly_what_replay_needs(self):
+        # admission and power control return None and report only through
+        # the log, and its exported lines alone rebuild every FAP column
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=2000), seed=8), PLAN)
+        graph = _graph(dep)
+        configure_frequencies(dep, graph, PLAN)
+        pre, log = copy.deepcopy(dep), SonEventLog()
+        for p in generate(Scenario.D, DeploymentParams(n_faps=2050), seed=8).positions()[2000:]:
+            assert admit_fap(dep, p, PLAN, graph, log) is None
+        assert [e.kind for e in log.events] == [SonEventKind.NEW_FAP,
+                                                SonEventKind.RECONFIGURE] * 50
+        admissions = len(log.events)
+        for master in range(0, 2050, 41):
+            ue = dep.faps[master].position + np.array([4.0, -3.0])
+            assert adjust_power(dep, master, ue, PLAN, UeRegion.EDGE, PropagationParams(),
+                                gamma_db=30.0, log=log) is None
+        requests = log.events[admissions:]
+        assert requests
+        assert all(e.kind is SonEventKind.POWER_REQUEST for e in requests)
+        replayed = replay(pre, SonEventLog.from_lines(log.to_lines()).events, PLAN)
+        for column in ("positions", "sectors", "edges", "tx_powers"):
+            assert getattr(replayed, column)().tobytes() == getattr(dep, column)().tobytes()
+        assert [f.radius for f in replayed.faps] == [f.radius for f in dep.faps]
+
+    @pytest.mark.parametrize("field, value", [
+        ("tx_power_w", -0.01), ("tx_power_w", 0.0), ("tx_power_w", math.nan),
+        ("tx_power_w", 1e9), ("radius_m", -3.0), ("radius_m", 0.0), ("radius_m", math.nan),
+        ("radius_m", math.inf),
+    ])
+    def test_power_and_radius_stay_in_their_domains(self, field, value):
+        # a logged power or radius is outside input: replay writes it through
+        # the FAP view, whose setters check the power and distance domains
+        dep = _deployment_from_layout([(200, 0), (230, 0)])
+        attribute = {"tx_power_w": "tx_power", "radius_m": "radius"}[field]
+        with pytest.raises(ValueError, match=f"FAP 1 {attribute} must be within"):
+            setattr(dep.faps[1], attribute, value)
+        details = {"master": 0, "delta_db": 1.0, "tx_power_w": 0.005, "radius_m": 8.0}
+        log = SonEventLog()
+        log.append(SonEventKind.POWER_REQUEST, 1, **{**details, field: value})
+        with pytest.raises(ValueError, match="must be within"):
+            replay(dep, SonEventLog.from_lines(log.to_lines()).events, PLAN)
+        assert 1e-9 <= dep.faps[1].tx_power <= 1e3
+        assert 1e-3 <= dep.faps[1].radius <= 1e5
 
     def test_configure_replay_bit_exact(self):
         dep = generate(Scenario.D, DeploymentParams(n_faps=100), seed=10)
@@ -629,9 +719,8 @@ class TestEventLogAndReplay:
         for fid in range(len(dep.faps)):
             _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
-        ctx = UeContext(position=ue, serving_fap=0, region=UeRegion.EDGE, plan=PLAN)
         log = SonEventLog()
-        adjust_power(dep, ctx, 0, PropagationParams(), gamma_db=9.0, log=log)
+        adjust_power(dep, 0, ue, PLAN, UeRegion.EDGE, PropagationParams(), gamma_db=9.0, log=log)
         lines = log.to_lines()
         back = SonEventLog.from_lines(lines)
         assert back.events == log.events
