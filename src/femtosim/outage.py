@@ -32,9 +32,10 @@ network to the density first and then makes one fading pass: each shard is
 drawn once, and each distinct link set with an interferer is counted over it
 by its own matrix-vector product (the partial and same schemes always have
 one link set).  Each row's ``estimate`` then finds its result in that pass.
-Nothing is shared across densities.  The SON ablation is not a sweep and gets
-no shared pass: its three colorings overwrite one deployment in turn, so
-sharing its draws would mean recoloring or copying the deployment.
+Nothing is shared across densities.  The SON ablation's three colorings of
+one deployment share the same way: it saves each coloring's edge column and
+link set, makes one pass over the link sets, and restores each coloring's
+edges for its ``estimate``.
 """
 
 from __future__ import annotations
@@ -249,11 +250,12 @@ def _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle):
         raise ValueError(
             f"ue_distance_m {config.ue_distance_m} exceeds the femto radius {ref.radius} m"
         )
-    # child 0 of the seed draws a random UE bearing; children 1.. are the shards
-    dir_seq = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = None  # drawn from only for a random bearing that is not pinned
+    if ue_angle is None and config.ue_direction == "random":
+        # child 0 of the seed draws a random UE bearing; children 1.. are the shards
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ue = _ue_position(
-        deployment, ref, config.ue_distance_m, config.ue_direction,
-        np.random.default_rng(dir_seq), angle=ue_angle,
+        deployment, ref, config.ue_distance_m, config.ue_direction, rng, angle=ue_angle,
     )
     _, coeffs, macro_coeff, s_bar = link_coefficients(
         deployment, ref, ue, plan, config.ue_region, params

@@ -144,14 +144,15 @@ def configure_frequencies(
     indptr, indices = graph.indptr.tolist(), graph.indices
     order = np.lexsort((np.arange(graph.n_faps), -np.diff(graph.indptr))).tolist()
     colors: dict[int, EdgeChoice] = {}
-    codes = np.full(graph.n_faps, -1, dtype=np.int8)  # index in EDGE_COLORS; -1 uncolored
+    # index in EDGE_COLORS, 3 uncolored; intp, the dtype bincount counts without a cast
+    codes = np.full(graph.n_faps, 3, dtype=np.intp)
     usage = [0, 0, 0]
     for fid in order:
         neigh = indices[indptr[fid]:indptr[fid + 1]]
-        neigh_codes = codes[neigh]
-        counts = np.bincount(neigh_codes + 1, minlength=4).tolist()[1:]
+        neigh_codes = codes.take(neigh)
+        counts = np.bincount(neigh_codes, minlength=4).tolist()  # zip drops the uncolored
         # a free color has count 0, the least, so it wins whenever there is one
-        k = min(range(3), key=lambda c: (counts[c], usage[c], c))
+        k = min(zip(counts, usage, (0, 1, 2)))[2]
         color = EDGE_COLORS[k]
         if counts[k] and log is not None:
             log.append(
@@ -290,10 +291,10 @@ def admit_fap(
     deployment.check_plan(plan)
     pos = np.asarray(position, dtype=float)
     deployment.check_in_macro_disc(pos)
-    sniffed = deployment.near(pos, graph.neighbor_radius)
-    # counts of edge indices -1..3 over the sniffed FAPs, kept for 1-3
-    counts = np.bincount(deployment.edges()[sniffed] + 1, minlength=5)[2:]
-    k = int(np.argmin(counts))  # the first absent color, if one is
+    # one int8 edge index per sniffed FAP, as bytes: EDGE_COLORS[k] is byte k + 1
+    sniffed = deployment.edges().take(deployment.near(pos, graph.neighbor_radius)).tobytes()
+    counts = [sniffed.count(k + 1) for k in range(3)]
+    k = counts.index(min(counts))  # the first absent color, if one is
     new_id = len(deployment.faps)
     deployment.extend(pos, k + 1)
     if log is not None:

@@ -22,14 +22,15 @@ none, 0 the center band alone, 1-3 the center band plus that edge color of
 plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
 and write those rows.  FAPs join only at the end, through ``extend``, and a
 position lies within 100 km of the macro BS on each axis and never changes,
-so the deployment also keeps an incremental cell index over its positions;
-``near`` answers a radius query from the 3x3 cells around a point, in
-O(degree).  ``near`` and ``neighbor_graph`` share one neighbor test, ``dx * dx
-+ dy * dy <= r * r`` in float64, so they agree on every pair, and one binning
-rule: cells a hair wider than the radius, with column-major keys.  The
-graph's candidates are three runs of the key-sorted FAPs, one per
-column of the 3x3 cells, so it costs O(N * mean degree), not O(N^2); it is
-stored as CSR (int64 row pointers, int32 neighbor ids ascending in each row).
+so the deployment also keeps an incremental cell index over its positions,
+one ``array('q')`` of ids per cell; ``near`` answers a radius query from the
+3x3 cells around a point, joined into one buffer, in O(degree).  ``near``
+and ``neighbor_graph`` share one neighbor test, ``dx * dx + dy * dy <= r *
+r`` in float64, so they agree on every pair, and one binning rule: cells a
+hair wider than the radius, with column-major keys.  The graph's candidates
+are three runs of the key-sorted FAPs, one per column of the 3x3 cells, so
+it costs O(N * mean degree), not O(N^2); it is stored as CSR (int64 row
+pointers, int32 neighbor ids ascending in each row).
 Placement, admission and replay share one disc test, which NaN fails, and
 scenario B redraws a FAP while ``near`` finds a neighbor, so the graph links
 none of its pairs.
@@ -38,6 +39,7 @@ none of its pairs.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -322,7 +324,7 @@ class Deployment:
         self._edge = np.empty(0, dtype=np.int8)
         self.plan: FrequencyPlan | None = None
         self._cell_side = _cell_side(params.neighbor_radius_m)
-        self._cells: dict[int, list[int]] = {}
+        self._cells: dict[int, array] = {}  # cell key -> array('q') of FAP ids
 
     @property
     def faps(self) -> Sequence[Fap]:
@@ -365,7 +367,7 @@ class Deployment:
         for i, key in enumerate(keys, n):
             cell = cells.get(key)
             if cell is None:
-                cells[key] = [i]
+                cells[key] = array("q", (i,))
             else:
                 cell.append(i)
 
@@ -399,20 +401,22 @@ class Deployment:
     def near(self, point, radius: float) -> np.ndarray:
         """Ids, ascending, of the FAPs that pass ``neighbor_graph``'s test at
         ``radius`` from ``point``, among the FAPs in the 3x3 cells around
-        ``point``, or all FAPs when the radius is wider than the cells.
-        Raises ValueError at a coordinate that is NaN or beyond 100 km."""
+        ``point``, or all FAPs when the radius is wider than the cells.  The
+        result owns its data: the cells are joined into a copy, never viewed,
+        so a later ``extend`` into a cell neither raises BufferError nor
+        changes a held result.  Raises ValueError at a coordinate that is NaN
+        or beyond 100 km."""
         point = np.asarray(point, dtype=float)
         x, y = point.tolist()
         _check_position(x, y)
         if _cell_side(radius) <= self._cell_side:
-            key = _cell_key(x, y, self._cell_side)
-            found = []
-            for offset in _NEIGHBOR_OFFSETS:
-                found += self._cells.get(key + offset, ())
-            ids = np.array(found, dtype=np.intp)
+            key, cells = _cell_key(x, y, self._cell_side), self._cells
+            found = b"".join([cells.get(key + offset, b"") for offset in _NEIGHBOR_OFFSETS])
+            ids = np.frombuffer(found, dtype=np.int64)
         else:
             ids = np.arange(self._n)
-        d = self._pos.take(ids, axis=0) - point
+        d = self._pos.take(ids, axis=0)
+        d -= point
         d *= d
         # neighbor_graph's ((p_i - p_j) ** 2).sum(), term for term
         ids = ids[d[:, 0] + d[:, 1] <= radius * radius]
@@ -581,10 +585,13 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     sorted_keys = keys[order]
 
     # each FAP's neighborhood as 3 runs of `order`, one per column: the keys
-    # from its column's dy = -1 cell to its dy = 1 cell
-    column = keys[:, None] + np.array([-_CELL_STRIDE, 0, _CELL_STRIDE])
-    starts = np.searchsorted(sorted_keys, column - 1, side="left")
-    lengths = np.searchsorted(sorted_keys, column + 1, side="right") - starts
+    # from its column's dy = -1 cell to its dy = 1 cell; each column's needles
+    # go in key order, where a binary search narrows from the previous result
+    column = np.array([[-_CELL_STRIDE], [0], [_CELL_STRIDE]]) + sorted_keys
+    starts, lengths = np.empty((2, n, 3), dtype=np.intp)
+    starts[order] = np.searchsorted(sorted_keys, column - 1, side="left").T
+    lengths[order] = np.searchsorted(sorted_keys, column + 1, side="right").T
+    lengths -= starts
     per_fap = lengths.sum(axis=1)  # >= 1: a FAP's own cell holds it
     ends = np.cumsum(per_fap)
     cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CANDIDATE_BLOCK), side="right")

@@ -125,6 +125,21 @@ class TestNearAdversarial:
         dep = Deployment(DeploymentParams(n_faps=1), macro=False)
         assert dep.near((0.0, 0.0), 100.0).tolist() == []
 
+    def test_held_results_survive_extends_into_their_cells(self):
+        # a result that viewed a cell's buffer would make the cell's next
+        # append raise BufferError, or would change under its holder
+        dep = _layout([(1.0, 1.0)], 100.0)
+        held = []
+        for i in range(1, 40):
+            held.append(dep.near((1.0, 1.0), 100.0))
+            held.append(dep.near((150.0, 1.0), 100.0))  # the next cell over
+            dep.extend((1.0 + i, 1.0 - i))
+        for k, ids in enumerate(held):
+            assert ids.flags.owndata
+            assert ids.tolist() == (list(range(k // 2 + 1)) if k % 2 == 0 else [])
+        assert dep.near((1.0, 1.0), 100.0).tolist() == list(range(40))
+        assert dep.near((1.0, 1.0), math.inf).flags.owndata
+
 
 def _assert_near_matches_graph(dep, radius):
     """For every FAP i, ``near(p_i, radius)`` less i is row i of the graph."""

@@ -1,5 +1,6 @@
 """CLI behavior: experiments, provenance, determinism, exit codes."""
 
+import copy
 import math
 import os
 import re
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from femtosim import cli, son
 from femtosim.cli import main
-from femtosim.spectrum import EDGE_COLORS
+from femtosim.config import ExperimentConfig, apply_overrides
+from femtosim.outage import estimate
+from femtosim.spectrum import EDGE_COLORS, EdgeChoice, Scheme
 
 FAST = [
     "--set", "n_trials=2000",
@@ -73,6 +76,35 @@ class TestRun:
         out = tmp_path / "ablation.csv"
         assert _run(["run", "--experiment", "son-ablation", "--out", str(out), *FAST]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("direction", ["nearest", "random"])
+    @pytest.mark.parametrize("n_faps", [300, 1000])
+    def test_son_ablation_rows_equal_fresh_estimates(self, monkeypatch, n_faps, direction):
+        # the rows come from one Monte Carlo pass over the three link sets;
+        # each must equal an estimate of its own made right after its coloring
+        cfg = apply_overrides(ExperimentConfig(), [
+            f"n_faps={n_faps}", "n_trials=3000", f"ue_direction={direction}"])
+        snapshots = []
+        for name in ("configure_frequencies", "assign_uniform_random_colors",
+                     "assign_shared_edge"):
+            def coloring(dep, *args, _color=getattr(son, name), **kwargs):
+                state = _color(dep, *args, **kwargs)
+                snapshots.append((dep, copy.deepcopy(dep)))
+                return state
+            monkeypatch.setattr(son, name, coloring)
+        rows = cli._experiment_son_ablation(cfg, 1)
+        plan = cfg.plan(Scheme.DYNAMIC_REUSE)
+        assert len(rows) == len(snapshots) == 3
+        for row, (_, colored) in zip(rows, snapshots):
+            fresh = estimate(colored, 0, plan, cfg.outage_config(), cfg.propagation(), row.seed)
+            assert row.estimate == fresh  # field for field
+        if n_faps == 1000:  # FAP 0 has co-channel neighbors under each coloring
+            assert len({row.estimate for row in rows}) == 3
+        # the deployment ends in the shared coloring
+        dep, shared = snapshots[-1]
+        assert dep is snapshots[0][0]
+        assert dep.edges().tolist() == shared.edges().tolist()
+        assert set(dep.edges().tolist()) == {list(EdgeChoice).index(EdgeChoice.X)}
 
     def test_son_ablation_at_20000_faps(self, tmp_path, monkeypatch):
         # keeps the large-N graph and coloring path in the suite (no timing):

@@ -388,6 +388,80 @@ class TestCsrColoringMatchesReference:
                 assert noncochannel_fraction(dep, graph, PLAN, region) == zero / total
 
 
+def _loop_configure_frequencies(deployment, graph, plan, log=None):
+    """The CSR greedy loop with a +1-shifted bincount and a keyed ``min`` per
+    FAP, kept as a reference: same edges and events expected."""
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    order = np.lexsort((np.arange(graph.n_faps), -np.diff(graph.indptr))).tolist()
+    codes = np.full(graph.n_faps, -1, dtype=np.int8)  # index in EDGE_COLORS; -1 uncolored
+    usage = [0, 0, 0]
+    for fid in order:
+        neigh = indices[indptr[fid]:indptr[fid + 1]]
+        neigh_codes = codes[neigh]
+        counts = np.bincount(neigh_codes + 1, minlength=4).tolist()[1:]
+        k = min(range(3), key=lambda c: (counts[c], usage[c], c))
+        color = EDGE_COLORS[k]
+        if counts[k] and log is not None:
+            log.append(
+                SonEventKind.COLOR_CONFLICT, fid,
+                color=color.value, partners=neigh[neigh_codes == k].tolist(),
+            )
+        codes[fid] = k
+        usage[k] += 1
+        if log is not None:
+            log.append(SonEventKind.RECONFIGURE, fid, color=color.value)
+    deployment.assign(plan, codes + 1)
+
+
+class TestGreedyStepMatchesTheLoop:
+    """``configure_frequencies`` gives ``_loop_configure_frequencies``'s
+    edges and event lines, ties and conflicts included."""
+
+    @staticmethod
+    def _assert_same(dep):
+        ref = copy.deepcopy(dep)
+        graph = _graph(dep)
+        log, ref_log = SonEventLog(), SonEventLog()
+        configure_frequencies(dep, graph, PLAN, log=log)
+        _loop_configure_frequencies(ref, graph, PLAN, ref_log)
+        assert dep.edges().tolist() == ref.edges().tolist()
+        assert log.to_lines() == ref_log.to_lines()
+        return log
+
+    # at a 100 m or 70 m spacing a lattice FAP's 4 or 8 lattice neighbors are
+    # in range, at 50 m its 12 within two steps, at 25 m up to 48, and at 150
+    # m none: degrees, counts and usage tie all over, conflicts included
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 7), st.integers(-7, 7)),
+                       min_size=1, max_size=64, unique=True),
+        spacing=st.sampled_from([25.0, 50.0, 70.0, 100.0, 150.0]),
+    )
+    def test_lattices(self, cells, spacing):
+        self._assert_same(
+            _deployment_from_layout([(200.0 + spacing * i, spacing * j) for i, j in cells])
+        )
+
+    # clusters of FAPs a few meters apart among FAPs hundreds of meters from
+    # any other
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(10.0, 900.0), st.floats(-600.0, 600.0)),
+                    min_size=1, max_size=40))
+    def test_scattered_and_isolated_faps(self, points):
+        twins = [(x + 3.0, y) for x, y in points[: len(points) // 2]]
+        self._assert_same(_deployment_from_layout(points + twins))
+
+    def test_one_fap(self):
+        log = self._assert_same(_deployment_from_layout([(200.0, 0.0)]))
+        assert [e.kind for e in log.events] == [SonEventKind.RECONFIGURE]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_4000_faps(self, seed):
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=4000), seed=seed), PLAN)
+        log = self._assert_same(dep)
+        assert any(e.kind is SonEventKind.COLOR_CONFLICT for e in log.events)
+
+
 class TestAdjustPower:
     def _single_interferer_setup(self, interferer_distance=30.0, same_color=True):
         dep = _deployment_from_layout([(200, 0), (200 + interferer_distance, 0)])
