@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FrequencyPlan, UeRegion, cochannel
+from .spectrum import UeRegion, cochannel
 from .topology import Deployment, Fap, check_domain
 
 __all__ = [
@@ -77,7 +77,6 @@ def link_coefficients(
     deployment: Deployment,
     reference_fap: Fap,
     ue_position: np.ndarray,
-    plan: FrequencyPlan,
     ue_region: UeRegion,
     params: PropagationParams,
 ) -> tuple[list[int], np.ndarray, float, float]:
@@ -87,10 +86,10 @@ def link_coefficients(
     coefficient is P_T * P0f * d_i^(-eta2) * wall_attenuation * X_i (exactly
     0.0 for non-co-channel neighbors), the macro coefficient carries the Y
     flag the same way, and distances are measured from the UE position.
-    Raises ValueError when a FAP has no allocation or ``plan`` is not the
-    deployment's.
+    The flags come from the deployment's plan.  Raises ValueError when no
+    plan is bound or a FAP has no allocation.
     """
-    deployment.check_plan(plan)
+    plan = deployment.bound_plan()
     ue = np.asarray(ue_position, dtype=float)
     ids = neighbor_ids(deployment, reference_fap)
     linked = [reference_fap.id, *ids]

@@ -37,10 +37,9 @@ from .config import (
     effective_text,
     parse_text,
 )
-from .outage import (SweepRow, _estimates, _link_set, _seed_int, density_sweep, estimate,
-                     sweep_csv_lines)
+from .outage import SweepRow, _seed_int, density_sweep, estimate_variants, sweep_csv_lines
 from .spectrum import Scheme
-from .topology import Scenario, apply_plan, generate, neighbor_graph
+from .topology import Scenario, generate, neighbor_graph
 
 EXPERIMENTS = ("fig5", "fig6", "son-ablation")
 
@@ -72,35 +71,24 @@ def _experiment_son_ablation(cfg: ExperimentConfig, workers: int) -> list[SweepR
     """Dynamic re-use at n_faps FAPs under three edge-coloring policies.
 
     The deployment and its neighbor graph are built once; each policy
-    overwrites every FAP's edge color.  The link sets share the seed, config
-    and K, so one Monte Carlo pass counts them all; each policy's colors are
-    restored for its estimate, leaving the last policy's in place."""
+    overwrites every FAP's edge color, and its colors are one variant of the
+    deployment for ``estimate_variants``, which leaves the last policy's in
+    place."""
     plan = cfg.plan(Scheme.DYNAMIC_REUSE)
     dep_seq, trial_seq, color_seq = np.random.SeedSequence(cfg.seed).spawn(3)
     trial_seed = _seed_int(trial_seq)
-    dep = apply_plan(generate(Scenario.D, cfg.deployment_params(), _seed_int(dep_seq)), plan)
+    dep = generate(Scenario.D, cfg.deployment_params(), _seed_int(dep_seq))
     graph = neighbor_graph(dep, dep.params.neighbor_radius_m)
-    config, params = cfg.outage_config(), cfg.propagation()
-    variants, edges, links = ("greedy", "random", "shared"), [], []
-    for variant in variants:
-        if variant == "greedy":
-            son.configure_frequencies(dep, graph, plan)
-        elif variant == "random":
-            son.assign_uniform_random_colors(
-                dep, graph, plan, np.random.default_rng(color_seq)
-            )
-        else:
-            son.assign_shared_edge(dep, graph, plan)
-        edges.append(dep.edges().copy())
-        links.append(_link_set(dep, 0, plan, config, params, trial_seed, None))
-    shared = _estimates(trial_seed, config, links, workers)
-    rows = []
-    for variant, edge in zip(variants, edges):
-        dep.assign(plan, edge)
-        est = estimate(dep, 0, plan, config, params, trial_seed, workers, shared=shared)
-        rows.append(SweepRow(scheme=plan.scheme, density=cfg.n_faps, estimate=est,
-                             seed=trial_seed, variant=variant))
-    return rows
+    son.configure_frequencies(dep, graph, plan)
+    greedy = dep.edges().copy()
+    son.assign_uniform_random_colors(dep, graph, plan, np.random.default_rng(color_seq))
+    random = dep.edges().copy()
+    son.assign_shared_edge(dep, graph, plan)
+    variants = [(plan, greedy), (plan, random), (plan, dep.edges().copy())]
+    ests = estimate_variants(dep, variants, cfg.outage_config(), cfg.propagation(), trial_seed,
+                             workers)
+    return [SweepRow(scheme=plan.scheme, density=cfg.n_faps, estimate=est, seed=trial_seed,
+                     variant=name) for name, est in zip(("greedy", "random", "shared"), ests)]
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, experiment: str, body: list[str]) -> None:

@@ -25,17 +25,16 @@ BLAS may round a product over row blocks differently from the whole one.
 When no interferer is co-channel, no trial can be in outage and no fading is
 drawn.
 
-Within one density of ``density_sweep`` every plan shares the trial seed, the
-configuration and the geometry, hence the number K of neighbors, so every
-plan's trials are the same fading draws.  The sweep grows every plan's
-network to the density first and then makes one fading pass: each shard is
-drawn once, and each distinct link set with an interferer is counted over it
-by its own matrix-vector product (the partial and same schemes always have
-one link set).  Each row's ``estimate`` then finds its result in that pass.
-Nothing is shared across densities.  The SON ablation's three colorings of
-one deployment share the same way: it saves each coloring's edge column and
-link set, makes one pass over the link sets, and restores each coloring's
-edges for its ``estimate``.
+A variant of a deployment is a (plan, edges) pair, which ``estimate_variants``
+writes with ``Deployment.assign``.  Variants share the trial seed, the
+configuration and the geometry, hence the number K of neighbors, so their
+trials are the same fading draws: it takes each variant's link set and makes
+one pass, in which each shard is drawn once and each distinct link set with
+an interferer is counted over it by its own matrix-vector product, then
+writes each variant again for its ``estimate``, which finds its result in
+that pass.  ``density_sweep`` runs its plans as variants of one growing
+network at each density, and the SON ablation its three colorings of one
+deployment.  Nothing is shared across densities.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .topology import (
     Deployment,
     DeploymentParams,
     Scenario,
-    apply_plan,
     check_domain,
     generate,
     neighbor_graph,
@@ -68,6 +66,7 @@ __all__ = [
     "conditional_outage",
     "density_sweep",
     "estimate",
+    "estimate_variants",
     "log_phi",
     "sweep_csv_lines",
 ]
@@ -242,7 +241,7 @@ def _count_outages(seed, config, links, n_workers):
         return [sum(c) for c in zip(*pool.map(run_group, groups))]
 
 
-def _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle):
+def _link_set(deployment, reference_fap, config, params, seed, ue_angle):
     """(femto coefficients, macro coefficient, s_bar) of a UE of the reference
     FAP, placed as ``estimate`` places it."""
     ref = deployment.fap_by_id(reference_fap)
@@ -258,7 +257,7 @@ def _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle):
         deployment, ref, config.ue_distance_m, config.ue_direction, rng, angle=ue_angle,
     )
     _, coeffs, macro_coeff, s_bar = link_coefficients(
-        deployment, ref, ue, plan, config.ue_region, params
+        deployment, ref, ue, config.ue_region, params
     )
     return coeffs, macro_coeff, s_bar
 
@@ -295,7 +294,6 @@ def _estimates(seed, config, links, n_workers) -> dict:
 def estimate(
     deployment: Deployment,
     reference_fap: int,
-    plan: FrequencyPlan,
     config: OutageConfig,
     params: PropagationParams,
     seed: int,
@@ -303,7 +301,7 @@ def estimate(
     ue_angle: float | None = None,
     shared: dict | None = None,
 ) -> OutageEstimate:
-    """Estimate the outage probability of a UE of the reference FAP.
+    """Outage probability of a UE of the reference FAP under the deployment's plan.
 
     ``p_out_closed`` is the exact outage over the positive femto and macro
     coefficients, whatever the trials; ``p_out_mc`` draws every fading term
@@ -312,12 +310,32 @@ def estimate(
     ``shared`` maps (seed, config, link set) to an estimate already made:
     a hit is returned as is, and a miss is stored there.
     """
-    link = _link_set(deployment, reference_fap, plan, config, params, seed, ue_angle)
+    link = _link_set(deployment, reference_fap, config, params, seed, ue_angle)
     shared = {} if shared is None else shared
     key = _key(seed, config, link)
     if key not in shared:
         shared.update(_estimates(seed, config, [link], n_workers))
     return shared[key]
+
+
+def estimate_variants(deployment: Deployment, variants, config: OutageConfig,
+                      params: PropagationParams, seed: int, n_workers: int = 1,
+                      ue_angle: float | None = None) -> list[OutageEstimate]:
+    """FAP 0's estimate under each (plan, edges) variant of the deployment,
+    in order, from one Monte Carlo pass.  Each variant is written with
+    ``deployment.assign(plan, edges)`` before its link set is taken and again
+    before its ``estimate``, so the deployment ends in the last variant."""
+    links = []
+    for plan, edges in variants:
+        deployment.assign(plan, edges)
+        links.append(_link_set(deployment, 0, config, params, seed, ue_angle))
+    shared = _estimates(seed, config, links, n_workers)
+    out = []
+    for plan, edges in variants:
+        deployment.assign(plan, edges)
+        out.append(estimate(deployment, 0, config, params, seed, n_workers, ue_angle=ue_angle,
+                            shared=shared))
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,16 +366,17 @@ def density_sweep(
 ) -> list[SweepRow]:
     """Outage estimates over a grid of FAP densities and frequency plans.
 
-    Each plan's column is one network densifying in place: positions come
-    from a single placement stream (lower densities are prefixes of higher
-    ones), the dynamic scheme bootstraps its edge coloring at the lowest
-    density and admits later FAPs through the SON admission path (existing
-    colors never change), and the UE bearing is fixed once against the full
-    final deployment.  Interferers therefore only accumulate as density
-    grows, and plans at one density share geometry and trial seeds (paired
-    comparison).  Row order: densities outer (as given), plans inner; equal
-    plans share one network and give equal rows.  Densities below 1, and a
-    plan whose sector count is not ``dep_params.n_sectors``, raise ValueError.
+    One network densifies in place: positions come from a single placement
+    stream (lower densities are prefixes of higher ones), and the UE bearing
+    is fixed once against the full final deployment.  At each density every
+    plan is a variant of it (see ``estimate_variants``): a static plan with
+    edge index 0, every dynamic plan with one column of colors, bootstrapped
+    at the lowest density and grown by SON admission (existing colors never
+    change), in which the network ends.  Interferers therefore only
+    accumulate as density grows, and plans at one density share geometry and
+    trial seeds (paired comparison).  Row order: densities outer (as given),
+    plans inner.  Densities below 1, and a plan whose sector count is not
+    ``dep_params.n_sectors``, raise ValueError.
     """
     if not densities:
         raise ValueError("densities must be non-empty")
@@ -365,50 +384,38 @@ def density_sweep(
         raise ValueError("densities must be strictly increasing")
     dep_seq, dir_seq, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
     dep_seed = _seed_int(dep_seq)
-    # Placement is sequential, so each plan's chain starts from the prefix of
-    # the full deployment at the lowest density.
-    full_params = replace(dep_params, n_faps=densities[-1])
+    # placement is sequential: the network starts as the full one's prefix
     dp0 = replace(dep_params, n_faps=densities[0])  # rejects densities below 1
-    full = generate(Scenario.D, full_params, dep_seed)
+    full = generate(Scenario.D, replace(dep_params, n_faps=densities[-1]), dep_seed)
     if config.ue_direction == "random":
         ue_angle = float(np.random.default_rng(dir_seq).uniform(0.0, 2.0 * math.pi))
     else:
         ue_angle = nearest_fap_angle(full, full.faps[0])
 
-    chains = {}
-    for plan in dict.fromkeys(plans):
-        dep = Deployment(dp0)
-        dep.extend(full.positions()[:dp0.n_faps])
-        apply_plan(dep, plan)
-        if plan.scheme is Scheme.DYNAMIC_REUSE:
-            # admit_fap reads only its radius, so it serves later admissions
-            bootstrap = neighbor_graph(dep, dp0.neighbor_radius_m)
-            son.configure_frequencies(dep, bootstrap, plan)
-        chains[plan] = dep
-
+    dep = Deployment(dp0)
+    dep.extend(full.positions()[:dp0.n_faps])
+    dynamic = next((p for p in plans if p.scheme is Scheme.DYNAMIC_REUSE), None)
+    if dynamic is not None:
+        # admit_fap reads only its radius, so it serves later admissions
+        bootstrap = neighbor_graph(dep, dp0.neighbor_radius_m)
+        son.configure_frequencies(dep, bootstrap, dynamic)
+        colors = dep.edges().copy()
     rows = []
     for idx, density in enumerate(densities):
+        grown = full.positions()[len(dep.faps):density]
+        if dynamic is None:
+            dep.extend(grown)
+        else:
+            dep.assign(dynamic, colors)
+            for p in grown:
+                son.admit_fap(dep, p, dynamic, bootstrap)
+            colors = dep.edges().copy()
+        variants = [(p, colors if p.scheme is Scheme.DYNAMIC_REUSE else 0) for p in plans]
         trial_seed = _seed_int(trial_seqs[idx])
-        for plan, dep in chains.items():
-            grown = slice(len(dep.faps), density)
-            if plan.scheme is Scheme.DYNAMIC_REUSE:
-                for p in full.positions()[grown]:
-                    son.admit_fap(dep, p, plan, bootstrap)
-            else:
-                dep.extend(full.positions()[grown], 0)
-        # one Monte Carlo pass for this density's distinct link sets; each
-        # row's estimate then finds its own among them
-        links = [
-            _link_set(dep, 0, plan, config, params, trial_seed, ue_angle)
-            for plan, dep in chains.items()
-        ]
-        shared = _estimates(trial_seed, config, links, n_workers)
-        for plan in plans:
-            est = estimate(
-                chains[plan], 0, plan, config, params, trial_seed, n_workers,
-                ue_angle=ue_angle, shared=shared,
-            )
-            rows.append(SweepRow(plan.scheme, density, est, trial_seed))
+        ests = estimate_variants(dep, variants, config, params, trial_seed, n_workers, ue_angle)
+        rows += [SweepRow(p.scheme, density, e, trial_seed) for p, e in zip(plans, ests)]
+    if dynamic is not None:
+        dep.assign(dynamic, colors)
     return rows
 
 

@@ -197,14 +197,13 @@ def assign_shared_edge(
 def noncochannel_fraction(
     deployment: Deployment,
     graph: NeighborGraph,
-    plan: FrequencyPlan,
     ue_region: UeRegion = UeRegion.EDGE,
 ) -> float:
-    """Fraction of ordered neighbor pairs whose interference indicator is 0,
-    i.e. how often a neighbor does not reach the reference UE's band.  Raises
-    ValueError when ``plan`` is not the deployment's, ``graph`` is another
-    deployment's or a FAP of a pair has no allocation."""
-    deployment.check_plan(plan)
+    """Fraction of ordered neighbor pairs whose interference indicator is 0
+    under the deployment's plan, i.e. how often a neighbor does not reach the
+    reference UE's band.  Raises ValueError when no plan is bound, ``graph``
+    is another deployment's or a FAP of a pair has no allocation."""
+    plan = deployment.bound_plan()
     _check_graph(deployment, graph)
     if not len(graph.indices):
         return 1.0
@@ -224,7 +223,6 @@ def adjust_power(
     deployment: Deployment,
     master: int,
     ue_position,
-    plan: FrequencyPlan,
     ue_region: UeRegion,
     params: PropagationParams,
     gamma_db: float,
@@ -236,6 +234,7 @@ def adjust_power(
     """Lower the co-channel interferer powers of a UE at ``ue_position``,
     served by FAP ``master`` on ``ue_region``, until its fading-averaged SIR
     reaches gamma + margin or every interferer sits at the power floor.
+    The co-channel flags come from the deployment's plan, which must be bound.
 
     Each step reduces the strongest remaining interferer (the lowest id on
     ties) by ``step_db``, shrinks its cell radius by 10^(-step / (10 *
@@ -245,7 +244,7 @@ def adjust_power(
     """
     check_domain("floor_w", floor_w, MIN_POWER_W, MAX_POWER_W)
     ids, coeffs, macro_coeff, s_bar = link_coefficients(
-        deployment, deployment.fap_by_id(master), ue_position, plan, ue_region, params
+        deployment, deployment.fap_by_id(master), ue_position, ue_region, params
     )
     hit = coeffs > 0.0  # the co-channel interferers, in id order
     ids, coeffs = np.asarray(ids, dtype=np.int64)[hit], coeffs[hit]

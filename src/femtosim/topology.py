@@ -67,6 +67,9 @@ _EDGES = tuple(EdgeChoice)
 # the distance and tx power domains (see check_domain)
 MIN_DISTANCE_M, MAX_DISTANCE_M = 1e-3, 1e5
 MIN_POWER_W, MAX_POWER_W = 1e-9, 1e3
+C_MAX_MEAN_DEGREE = 2.0  # scenario C sparsity bound
+MAX_PLACE_ATTEMPTS = 1000  # per-FAP rejection budget (scenario B)
+MAX_LAYOUT_ATTEMPTS = 200  # whole-layout budget (scenario C)
 
 
 def check_domain(name: str, value, low, high=math.inf) -> None:
@@ -254,7 +257,7 @@ class NeighborGraph:
 @dataclass(frozen=True)
 class DeploymentParams:
     """Geometry and radio defaults for one deployment (Table-2 style values),
-    each field but the three placement budgets named as its key."""
+    each field named as its key."""
 
     n_faps: int = 1000
     macro_radius_m: float = 1000.0
@@ -264,9 +267,6 @@ class DeploymentParams:
     macro_tx_power_w: float = 1.5
     fap_tx_power_w: float = 0.01
     n_sectors: int = 3
-    c_max_mean_degree: float = 2.0  # scenario C sparsity bound
-    max_place_attempts: int = 1000  # per-FAP rejection budget (scenario B)
-    max_layout_attempts: int = 200  # whole-layout budget (scenario C)
 
     def __post_init__(self):
         check_domain("n_faps", self.n_faps, 1)
@@ -432,6 +432,12 @@ class Deployment:
         if not _in_disc(x, y, self.params.macro_radius_m):
             raise ValueError("new FAP position lies outside the macro disc")
 
+    def bound_plan(self) -> FrequencyPlan:
+        """The plan ``assign`` bound, which readers use; ValueError if none is."""
+        if self.plan is None:
+            raise ValueError("the deployment has no plan; apply one to every FAP first")
+        return self.plan
+
     def check_plan(self, plan: FrequencyPlan) -> None:
         """Raise ValueError unless ``plan`` equals the deployment's plan."""
         if plan is not self.plan and plan != self.plan:
@@ -497,7 +503,7 @@ def _disc_points(rng: np.random.Generator, radius: float, m: int) -> np.ndarray:
 
 def _layout(rng, params: DeploymentParams, separation=None) -> Deployment:
     """Reference FAP pinned at reference_distance on the +x axis, rest uniform;
-    with ``separation``, each FAP is redrawn (up to max_place_attempts times)
+    with ``separation``, each FAP is redrawn (up to MAX_PLACE_ATTEMPTS times)
     while some FAP placed before it is its neighbor at that radius."""
     dep = Deployment(params)
     dep.extend((params.reference_distance_m, 0.0))
@@ -505,14 +511,14 @@ def _layout(rng, params: DeploymentParams, separation=None) -> Deployment:
         dep.extend(_disc_points(rng, params.macro_radius_m, params.n_faps - 1))
         return dep
     for i in range(1, params.n_faps):
-        for _ in range(params.max_place_attempts):
+        for _ in range(MAX_PLACE_ATTEMPTS):
             p = _disc_points(rng, params.macro_radius_m, 1)
             if not len(dep.near(p[0], separation)):
                 dep.extend(p)
                 break
         else:
             raise PlacementError(
-                f"could not place FAP {i} after {params.max_place_attempts} attempts"
+                f"could not place FAP {i} after {MAX_PLACE_ATTEMPTS} attempts"
             )
     return dep
 
@@ -533,13 +539,13 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
         return _layout(rng, params, separation=params.neighbor_radius_m)
 
     if scenario is Scenario.C:
-        for _ in range(params.max_layout_attempts):
+        for _ in range(MAX_LAYOUT_ATTEMPTS):
             dep = _layout(rng, params)
             g = neighbor_graph(dep, params.neighbor_radius_m)
-            if g.n_edges >= 1 and g.mean_degree < params.c_max_mean_degree:
+            if g.n_edges >= 1 and g.mean_degree < C_MAX_MEAN_DEGREE:
                 return dep
         raise PlacementError(
-            f"no scenario-C layout found in {params.max_layout_attempts} attempts"
+            f"no scenario-C layout found in {MAX_LAYOUT_ATTEMPTS} attempts"
         )
 
     if scenario is Scenario.D:

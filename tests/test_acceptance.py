@@ -74,13 +74,13 @@ def test_criterion_3_zero_interference_limit():
     plan = build_plan(Scheme.SAME, CFG.total_band(), 3)
     dep_a = generate(Scenario.A, DeploymentParams(n_faps=1), seed=CFG.seed)
     apply_plan(dep_a, plan)
-    est_a = estimate(dep_a, 0, plan, oc, params, seed=CFG.seed)
+    est_a = estimate(dep_a, 0, oc, params, seed=CFG.seed)
     # fully orthogonal allocation: dedicated scheme (Y=0) with no FAP in
     # neighbor range (scenario B)
     ded = build_plan(Scheme.DEDICATED, CFG.total_band(), 3, femto_fraction=CFG.femto_fraction)
     dep_b = generate(Scenario.B, DeploymentParams(n_faps=20), seed=CFG.seed)
     apply_plan(dep_b, ded)
-    est_b = estimate(dep_b, 0, ded, oc, params, seed=CFG.seed)
+    est_b = estimate(dep_b, 0, oc, params, seed=CFG.seed)
     ok = (est_a.p_out_closed == 0.0 and est_a.p_out_mc == 0.0
           and est_b.p_out_closed == 0.0 and est_b.p_out_mc == 0.0)
     _report(3, "zero-interference limit", ok,
@@ -100,9 +100,9 @@ def test_criterion_4_coloring_floor():
         apply_plan(dep, plan)
         graph = neighbor_graph(dep, params.neighbor_radius_m)
         configure_frequencies(dep, graph, plan)
-        frac_son = noncochannel_fraction(dep, graph, plan, UeRegion.EDGE)
+        frac_son = noncochannel_fraction(dep, graph, UeRegion.EDGE)
         assign_uniform_random_colors(dep, graph, plan, rng)
-        frac_rand = noncochannel_fraction(dep, graph, plan, UeRegion.EDGE)
+        frac_rand = noncochannel_fraction(dep, graph, UeRegion.EDGE)
         colored.append(frac_son)
         diffs.append(frac_son - frac_rand)
     mean_son = float(np.mean(colored))

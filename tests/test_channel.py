@@ -107,7 +107,7 @@ class TestInterferencePowers:
         ref = dep.faps[0]
         params = PropagationParams(p0_femto=1.0)
         ue = ref.position + np.array([0.0, 1e-9])
-        ids, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+        ids, coeffs, _, _ = link_coefficients(dep, ref, ue, UeRegion.CENTER, params)
         assert ids == [1]
         assert coeffs[0] == pytest.approx(4e-7, rel=1e-9)
 
@@ -122,7 +122,7 @@ class TestInterferencePowers:
         ref = dep.faps[0]
         ue = ref.position + np.array([0.0, 5.0])
         ids, coeffs, macro_coeff, _ = link_coefficients(
-            dep, ref, ue, plan, UeRegion.EDGE, PropagationParams()
+            dep, ref, ue, UeRegion.EDGE, PropagationParams()
         )
         assert macro_coeff == 0.0  # Y = 0 under dynamic re-use
         # X_i = 0 annihilates the term bit-exactly; X_i = 1 leaves it positive
@@ -139,7 +139,7 @@ class TestInterferencePowers:
         ref = dep.faps[0]
         ue = ref.position + np.array([3.0, 4.0])  # 5 m away
         ids, coeffs, macro_coeff, s_bar = link_coefficients(
-            dep, ref, ue, plan, UeRegion.CENTER, params
+            dep, ref, ue, UeRegion.CENTER, params
         )
         assert macro_coeff == 0.0  # dedicated: Y = 0
         # brute force from raw positions: every neighbor is co-channel
@@ -160,7 +160,7 @@ class TestInterferencePowers:
         params = PropagationParams()
         ref = dep.faps[0]
         ue = ref.position + np.array([5.0, 0.0])
-        ids, _, macro_coeff, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+        ids, _, macro_coeff, _ = link_coefficients(dep, ref, ue, UeRegion.CENTER, params)
         d_m = math.dist((0.0, 0.0), ue)
         assert macro_coeff == pytest.approx(1.5 * params.p0_macro * d_m**-3.5, rel=1e-12)
 
@@ -171,7 +171,7 @@ class TestInterferencePowers:
             dep, plan = _pair_setup(Scheme.SAME, [distance, 0.0])
             ref = dep.faps[0]
             ue = ref.position + np.array([0.0, 5.0])
-            _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+            _, coeffs, _, _ = link_coefficients(dep, ref, ue, UeRegion.CENTER, params)
             return coeffs[0]
 
         assert femto_term(30.0, params1) > femto_term(60.0, params1)
@@ -185,7 +185,7 @@ class TestInterferencePowers:
         ue = ref.position + np.array([0.0, 5.0])
 
         def femto_term():
-            _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, UeRegion.CENTER, params)
+            _, coeffs, _, _ = link_coefficients(dep, ref, ue, UeRegion.CENTER, params)
             return coeffs[0]
 
         base = femto_term()
@@ -197,7 +197,7 @@ def _loop_coefficients(dep, ref, ue, plan, region, params):
     """Femto coefficients neighbor by neighbor through the band-overlap oracle
     and the FAP views: the arithmetic ``link_coefficients`` must keep bit for
     bit."""
-    ids, _, _, _ = link_coefficients(dep, ref, ue, plan, region, params)
+    ids, _, _, _ = link_coefficients(dep, ref, ue, region, params)
     coeffs = np.zeros(len(ids))
     alloc = band_oracle.allocation_of
     for k, fid in enumerate(ids):
@@ -226,7 +226,7 @@ class TestCochannelLookup:
             ref = dep.faps[fid]
             for region in UeRegion:
                 ue = ref.position + np.array([3.0, -4.0])
-                _, coeffs, _, _ = link_coefficients(dep, ref, ue, plan, region, params)
+                _, coeffs, _, _ = link_coefficients(dep, ref, ue, region, params)
                 expected = _loop_coefficients(dep, ref, ue, plan, region, params)
                 assert coeffs.tobytes() == expected.tobytes()
                 assert np.any(coeffs > 0.0)
@@ -236,10 +236,10 @@ class TestCochannelLookup:
         dep.extend(dep.faps[0].position + np.array([30.0, 0.0]))  # after the plan: no allocation
         ref = dep.faps[0]
         with pytest.raises(ValueError, match="FAP 1 has no allocation"):
-            link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
+            link_coefficients(dep, ref, ref.position + [5.0, 0.0], UeRegion.EDGE,
                               PropagationParams())
         with pytest.raises(ValueError, match="FAP 1 has no allocation"):
-            link_coefficients(dep, dep.faps[1], dep.faps[1].position + [5.0, 0.0], plan,
+            link_coefficients(dep, dep.faps[1], dep.faps[1].position + [5.0, 0.0],
                               UeRegion.EDGE, PropagationParams())
 
     def test_neighbor_appended_after_the_plan_rejected(self):
@@ -249,19 +249,8 @@ class TestCochannelLookup:
         assert dep.faps[2].allocation is None
         ref = dep.faps[0]
         with pytest.raises(ValueError, match="FAP 2 has no allocation"):
-            link_coefficients(dep, ref, ref.position + [5.0, 0.0], plan, UeRegion.EDGE,
+            link_coefficients(dep, ref, ref.position + [5.0, 0.0], UeRegion.EDGE,
                               PropagationParams())
-
-    def test_plan_other_than_the_deployments_rejected(self):
-        dep, plan = _pair_setup(Scheme.SAME, [30.0, 0.0])
-        ref, ue = dep.faps[0], dep.faps[0].position + [5.0, 0.0]
-        for other in (build_plan(Scheme.DEDICATED, TOTAL, 3, femto_fraction=1 / 3),
-                      build_plan(Scheme.SAME, Band(0, 30_000_000), 3)):
-            with pytest.raises(ValueError, match="not the deployment's"):
-                link_coefficients(dep, ref, ue, other, UeRegion.EDGE, PropagationParams())
-        equal = build_plan(Scheme.SAME, TOTAL, 3)
-        assert equal is not plan
-        assert link_coefficients(dep, ref, ue, equal, UeRegion.EDGE, PropagationParams())[0] == [1]
 
     def test_allocation_outside_the_plan_rejected_as_cochannel_does(self):
         # an edge color under a plan without edge bands: cochannel rejects
@@ -289,8 +278,45 @@ class TestCochannelLookup:
             ref = dep.faps[fid]
             for region in UeRegion:
                 _, _, macro_coeff, _ = link_coefficients(
-                    dep, ref, ref.position + [3.0, -4.0], plan, region, PropagationParams()
+                    dep, ref, ref.position + [3.0, -4.0], region, PropagationParams()
                 )
                 y = band_oracle.y_flag(plan, region, *band_oracle.allocation_of(dep, fid))
                 assert y == expected
                 assert (macro_coeff > 0.0) == bool(y), (scheme, fid, region)
+
+
+def _readers():
+    """Every reader of the deployment's plan, called on a deployment."""
+    from femtosim import outage, son
+    from femtosim.topology import neighbor_graph
+
+    params, cfg = PropagationParams(), outage.OutageConfig(n_trials=10)
+
+    def ue(dep):
+        return dep.faps[0].position + [5.0, 0.0]
+
+    return {
+        "link_coefficients": lambda dep: link_coefficients(
+            dep, dep.faps[0], ue(dep), UeRegion.EDGE, params),
+        "estimate": lambda dep: outage.estimate(dep, 0, cfg, params, seed=1),
+        "_link_set": lambda dep: outage._link_set(dep, 0, cfg, params, 1, None),
+        "noncochannel_fraction": lambda dep: son.noncochannel_fraction(
+            dep, neighbor_graph(dep, 100.0)),
+        "adjust_power": lambda dep: son.adjust_power(
+            dep, 0, ue(dep), UeRegion.EDGE, params, gamma_db=9.0),
+    }
+
+
+@pytest.mark.parametrize("reader", list(_readers()))
+def test_reader_without_a_plan_rejected(reader):
+    # readers take the plan that a writer bound; a generated deployment has none
+    dep = generate(Scenario.D, DeploymentParams(n_faps=300), seed=3)
+    assert dep.plan is None
+    powers = dep.tx_powers().copy()
+    with pytest.raises(ValueError, match="has no plan"):
+        _readers()[reader](dep)
+    assert dep.plan is None and dep.edges().tolist() == [-1] * 300
+    assert dep.tx_powers().tolist() == powers.tolist()
+    # bound, every reader reads
+    apply_plan(dep, build_plan(Scheme.SAME, TOTAL, 3))
+    _readers()[reader](dep)

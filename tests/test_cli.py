@@ -96,7 +96,7 @@ class TestRun:
         plan = cfg.plan(Scheme.DYNAMIC_REUSE)
         assert len(rows) == len(snapshots) == 3
         for row, (_, colored) in zip(rows, snapshots):
-            fresh = estimate(colored, 0, plan, cfg.outage_config(), cfg.propagation(), row.seed)
+            fresh = estimate(colored, 0, cfg.outage_config(), cfg.propagation(), row.seed)
             assert row.estimate == fresh  # field for field
         if n_faps == 1000:  # FAP 0 has co-channel neighbors under each coloring
             assert len({row.estimate for row in rows}) == 3

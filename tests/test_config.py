@@ -195,8 +195,8 @@ class TestKeysReachTheirObjects:
         keys = _names(ExperimentConfig)
         taken = set().union(*map(_names, PARAMETER_CLASSES))
         assert taken & keys == keys - EXPERIMENT_ONLY == set(NON_DEFAULT)
-        # the fields that no key sets: scenario B/C's placement budgets
-        assert taken - keys == {"c_max_mean_degree", "max_place_attempts", "max_layout_attempts"}
+        # every field is set by its key
+        assert taken - keys == set()
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
     def test_a_key_reaches_its_object(self, key):

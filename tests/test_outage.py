@@ -26,6 +26,7 @@ from femtosim.outage import (
 )
 from femtosim.spectrum import Band, EdgeChoice, Scheme, build_plan
 from femtosim.topology import (
+    Deployment,
     DeploymentParams,
     Scenario,
     apply_plan,
@@ -165,14 +166,14 @@ class TestEstimate:
         plan = build_plan(Scheme.SAME, TOTAL, 3)
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
         apply_plan(dep, plan)
-        est = estimate(dep, 0, plan, OutageConfig(n_trials=5000), PropagationParams(), seed=3)
+        est = estimate(dep, 0, OutageConfig(n_trials=5000), PropagationParams(), seed=3)
         assert est.p_out_closed == 0.0
         assert est.p_out_mc == 0.0
 
     def test_isolated_fap_dedicated_zero_outage(self):
         # fully orthogonal allocation: no neighbors in range, Y = 0
         dep, plan = _pair(Scheme.DEDICATED, np.array([-900.0, 0.0]))  # far from the reference
-        est = estimate(dep, 0, plan, OutageConfig(n_trials=5000), PropagationParams(), seed=3)
+        est = estimate(dep, 0, OutageConfig(n_trials=5000), PropagationParams(), seed=3)
         assert est.p_out_closed == 0.0
         assert est.p_out_mc == 0.0
 
@@ -185,7 +186,7 @@ class TestEstimate:
         cfg = OutageConfig(n_trials=100, ue_distance_m=5.0)
         ue = ref.position + np.array([5.0, 0.0])  # toward the only neighbor
         ids, coeffs, macro_coeff, s_bar = link_coefficients(
-            dep, ref, ue, plan, cfg.ue_region, params
+            dep, ref, ue, cfg.ue_region, params
         )
         assert macro_coeff == 0.0
         i_total = float(coeffs.sum())  # xi = Z = 1
@@ -204,7 +205,7 @@ class TestEstimate:
         # standard errors (closed_form_se is 0 for the exact value)
         dep, plan = _dense(Scheme.SAME)
         est = estimate(
-            dep, 0, plan, OutageConfig(n_trials=100_000), PropagationParams(), seed=5
+            dep, 0, OutageConfig(n_trials=100_000), PropagationParams(), seed=5
         )
         se = math.hypot(est.closed_form_se, est.ci95_halfwidth / 1.96)
         assert abs(est.p_out_closed - est.p_out_mc) < 3 * se
@@ -216,7 +217,7 @@ class TestEstimate:
         params = PropagationParams()
         cfg = OutageConfig(n_trials=100_000)
         tries = [
-            estimate(dep, 0, plan, cfg, params, seed=s) for s in (5, 6)
+            estimate(dep, 0, cfg, params, seed=s) for s in (5, 6)
         ]
         for est in tries:
             se = math.hypot(est.closed_form_se, est.ci95_halfwidth / 1.96)
@@ -226,15 +227,15 @@ class TestEstimate:
         dep, plan = _dense(Scheme.SAME, n_faps=300)
         cfg = OutageConfig(n_trials=20_000, n_shards=16)
         params = PropagationParams()
-        a = estimate(dep, 0, plan, cfg, params, seed=9, n_workers=1)
-        b = estimate(dep, 0, plan, cfg, params, seed=9, n_workers=8)
+        a = estimate(dep, 0, cfg, params, seed=9, n_workers=1)
+        b = estimate(dep, 0, cfg, params, seed=9, n_workers=8)
         assert a == b  # bit-identical, not approximately equal
 
     def test_shard_count_changes_stream_but_not_statistics(self):
         dep, plan = _dense(Scheme.SAME, n_faps=300)
         params = PropagationParams()
-        a = estimate(dep, 0, plan, OutageConfig(n_trials=50_000, n_shards=4), params, seed=9)
-        b = estimate(dep, 0, plan, OutageConfig(n_trials=50_000, n_shards=32), params, seed=9)
+        a = estimate(dep, 0, OutageConfig(n_trials=50_000, n_shards=4), params, seed=9)
+        b = estimate(dep, 0, OutageConfig(n_trials=50_000, n_shards=32), params, seed=9)
         # the exact value does not depend on the trial streams at all
         assert a.p_out_closed == b.p_out_closed
         # the Monte Carlo counts do, within 4 combined standard errors
@@ -245,7 +246,7 @@ class TestEstimate:
         dep, plan = _dense(Scheme.SAME, n_faps=10)
         for missing in (999, -1):
             with pytest.raises(ValueError):
-                estimate(dep, missing, plan, OutageConfig(n_trials=10), PropagationParams(),
+                estimate(dep, missing, OutageConfig(n_trials=10), PropagationParams(),
                          seed=1)
 
     def test_zero_trials_rejected(self):
@@ -274,12 +275,12 @@ class TestEstimate:
         dep, plan = _dense(Scheme.SAME, n_faps=10)
         cfg = OutageConfig(n_trials=10, ue_distance_m=25.0)
         with pytest.raises(ValueError):
-            estimate(dep, 0, plan, cfg, PropagationParams(), seed=1)
+            estimate(dep, 0, cfg, PropagationParams(), seed=1)
 
     def test_random_direction_mode(self):
         dep, plan = _dense(Scheme.SAME, n_faps=50)
         cfg = OutageConfig(n_trials=2000, ue_direction="random")
-        est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=2)
+        est = estimate(dep, 0, cfg, PropagationParams(), seed=2)
         assert 0.0 <= est.p_out_closed <= 1.0
 
 
@@ -289,7 +290,7 @@ def _scipy_outage(dep, plan, cfg, ue_angle):
     ref = dep.faps[0]
     ue = ref.position + cfg.ue_distance_m * np.array([math.cos(ue_angle), math.sin(ue_angle)])
     _, coeffs, macro_coeff, s_bar = link_coefficients(
-        dep, ref, ue, plan, cfg.ue_region, PropagationParams()
+        dep, ref, ue, cfg.ue_region, PropagationParams()
     )
     a = cfg.gamma_linear * np.append(coeffs, macro_coeff) / s_bar
     return 1.0 - float(np.prod(_scipy_phi(a[a > 0])))
@@ -302,7 +303,7 @@ class TestExactOutage:
         dep, plan = _dense(scheme, seed=seed)
         cfg = OutageConfig(n_trials=10)
         for angle in (0.0, 2.0, None):  # None: the nearest-FAP bearing
-            est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=1, ue_angle=angle)
+            est = estimate(dep, 0, cfg, PropagationParams(), seed=1, ue_angle=angle)
             expected = _scipy_outage(
                 dep, plan, cfg, nearest_fap_angle(dep, dep.faps[0]) if angle is None else angle
             )
@@ -313,27 +314,27 @@ class TestExactOutage:
         plan = build_plan(Scheme.DYNAMIC_REUSE, TOTAL, 3)
         dep = _prepared(Scheme.DYNAMIC_REUSE, plan, DeploymentParams(n_faps=3000), 7)
         cfg = OutageConfig(n_trials=10)
-        est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=1, ue_angle=1.0)
+        est = estimate(dep, 0, cfg, PropagationParams(), seed=1, ue_angle=1.0)
         expected = _scipy_outage(dep, plan, cfg, 1.0)
         assert est.p_out_closed == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_independent_of_trials_workers_shards_and_seed(self):
         dep, plan = _dense(Scheme.SAME, n_faps=300)
         params = PropagationParams()
-        base = estimate(dep, 0, plan, OutageConfig(n_trials=1000), params, seed=9)
+        base = estimate(dep, 0, OutageConfig(n_trials=1000), params, seed=9)
         assert base.p_out_closed > 0.0 and base.closed_form_se == 0.0
         for n_trials, n_shards, n_workers, seed in [
             (1, 1, 1, 9), (1, 16, 1, 9), (7, 3, 4, 9), (20_000, 32, 8, 9),
             (1000, 16, 1, 0), (1000, 16, 1, 123456789),
         ]:
             cfg = OutageConfig(n_trials=n_trials, n_shards=n_shards)
-            est = estimate(dep, 0, plan, cfg, params, seed=seed, n_workers=n_workers)
+            est = estimate(dep, 0, cfg, params, seed=seed, n_workers=n_workers)
             assert est.p_out_closed == base.p_out_closed
             assert est.closed_form_se == 0.0
 
     def test_no_interferer_is_positive_zero(self):
         dep, plan = _pair(Scheme.DEDICATED, np.array([-900.0, 0.0]))
-        est = estimate(dep, 0, plan, OutageConfig(n_trials=100), PropagationParams(), seed=3)
+        est = estimate(dep, 0, OutageConfig(n_trials=100), PropagationParams(), seed=3)
         assert est.p_out_closed == 0.0
         assert math.copysign(1.0, est.p_out_closed) == 1.0
         row = SweepRow(Scheme.DEDICATED, 2, est, seed=3)
@@ -349,7 +350,7 @@ class TestSchemeOrdering:
             frac = 1 / 3 if scheme in (Scheme.DEDICATED, Scheme.PARTIAL) else None
             plan = build_plan(scheme, TOTAL, 3, femto_fraction=frac)
             dep = _prepared(scheme, plan, DeploymentParams(n_faps=1000), seed=42)
-            results[scheme] = estimate(dep, 0, plan, cfg, params, seed=7)
+            results[scheme] = estimate(dep, 0, cfg, params, seed=7)
         assert results[Scheme.DYNAMIC_REUSE].p_out_closed < results[Scheme.DEDICATED].p_out_closed
         assert results[Scheme.DEDICATED].p_out_closed < results[Scheme.SAME].p_out_closed
         # same trials, identical co-channel structure: exactly equal
@@ -492,7 +493,7 @@ class TestSweepGrowth:
             for f in full.faps[len(ref.faps):density]:
                 son.admit_fap(ref, f.position, plan, radius_graph)
             trial_seed = int(trial_seqs[idx].generate_state(1)[0])
-            est = estimate(ref, 0, plan, cfg, params, trial_seed, ue_angle=ue_angle)
+            est = estimate(ref, 0, cfg, params, trial_seed, ue_angle=ue_angle)
             expected.append(SweepRow(Scheme.DYNAMIC_REUSE, density, est, trial_seed))
             positions, _, colors = seen[idx]
             assert positions.tobytes() == ref.positions().tobytes()
@@ -529,6 +530,112 @@ class TestSweepGrowth:
                       PropagationParams(), seed=3)
         assert len(admitted) == 300
         assert appended == []
+
+
+def _sweep_per_plan(densities, plans, config, params, seed, n_workers):
+    """The sweep as one deployment per distinct plan, each grown on its own
+    (``extend`` for a static plan, ``admit_fap`` for a dynamic one) and each
+    row estimated alone: the oracle of the one-network sweep.  Returns the
+    rows and the deployment of each distinct plan."""
+    dep_params = DeploymentParams()
+    dep_seq, dir_seq, *trial_seqs = np.random.SeedSequence(seed).spawn(2 + len(densities))
+    dep_seed = int(dep_seq.generate_state(1)[0])
+    full = generate(Scenario.D, DeploymentParams(n_faps=densities[-1]), dep_seed)
+    if config.ue_direction == "random":
+        ue_angle = float(np.random.default_rng(dir_seq).uniform(0.0, 2.0 * math.pi))
+    else:
+        ue_angle = nearest_fap_angle(full, full.faps[0])
+    chains, graphs = {}, {}
+    for plan in dict.fromkeys(plans):
+        dep = Deployment(DeploymentParams(n_faps=densities[0]))
+        dep.extend(full.positions()[:densities[0]])
+        apply_plan(dep, plan)
+        if plan.scheme is Scheme.DYNAMIC_REUSE:
+            graphs[plan] = neighbor_graph(dep, dep_params.neighbor_radius_m)
+            son.configure_frequencies(dep, graphs[plan], plan)
+        chains[plan] = dep
+    rows = []
+    for idx, density in enumerate(densities):
+        trial_seed = int(trial_seqs[idx].generate_state(1)[0])
+        for plan, dep in chains.items():
+            grown = full.positions()[len(dep.faps):density]
+            if plan in graphs:
+                for p in grown:
+                    son.admit_fap(dep, p, plan, graphs[plan])
+            else:
+                dep.extend(grown, 0)
+        for plan in plans:
+            est = estimate(chains[plan], 0, config, params, trial_seed, n_workers,
+                           ue_angle=ue_angle)
+            rows.append(SweepRow(plan.scheme, density, est, trial_seed))
+    return rows, chains
+
+
+def _dynamic(edge_split):
+    return ExperimentConfig(edge_split=edge_split).plan(Scheme.DYNAMIC_REUSE)
+
+
+class TestOneNetworkSweep:
+    """Every plan is a variant of one network: the rows are those of one
+    network per plan, whatever the order, repeats and dynamic plans."""
+
+    SCHEMES = {
+        "dynamic-first": ["dynamic", "same", "dedicated", "partial", "same"],
+        "dynamic-middle": ["partial", "dynamic", "dedicated"],
+        "two-dynamic": ["dynamic-0.25", "same", "dynamic", "dedicated"],
+    }
+
+    @staticmethod
+    def _plans(names):
+        return [_dynamic(0.25) if n == "dynamic-0.25" else ExperimentConfig().plan(Scheme(n))
+                for n in names]
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    @pytest.mark.parametrize("ue_direction", ["nearest", "random"])
+    @pytest.mark.parametrize("schemes", list(SCHEMES))
+    def test_rows_equal_one_network_per_plan(self, monkeypatch, schemes, ue_direction,
+                                             n_workers):
+        plans = self._plans(self.SCHEMES[schemes])
+        cfg, params = OutageConfig(n_trials=3001, ue_direction=ue_direction), PropagationParams()
+        densities, seed = [300, 1000, 3000], 6
+        admitted = []  # (deployment, id, edge index) of every admission
+        real_admit = son.admit_fap
+
+        def admit(dep, *args, **kwargs):
+            real_admit(dep, *args, **kwargs)
+            admitted.append((dep, len(dep.faps) - 1, int(dep.edges()[-1])))
+
+        monkeypatch.setattr(son, "admit_fap", admit)
+        rows = density_sweep(densities, plans, cfg, params, seed, n_workers=n_workers)
+        monkeypatch.undo()
+        expected, chains = _sweep_per_plan(densities, plans, cfg, params, seed, n_workers)
+        assert len(rows) == len(expected) == len(densities) * len(plans)
+        for row, want in zip(rows, expected):
+            assert (row.scheme, row.density, row.seed) == (want.scheme, want.density, want.seed)
+            assert repr(row.estimate) == repr(want.estimate), (row.label, row.density)
+        assert sum(r.estimate.p_out_mc > 0.0 for r in rows) >= len(rows) // 2
+        if schemes == "two-dynamic":  # two unequal plans share one column of colors
+            assert plans[0] != plans[2] and len(chains) == 4
+
+        # the network that admit_fap grew ends bound to a dynamic plan and
+        # holds the admitted colors: those of every dynamic plan's own network
+        [dep] = {id(d): d for d, _, _ in admitted}.values()
+        assert [i for _, i, _ in admitted] == list(range(densities[0], densities[-1]))
+        assert dep.plan.scheme is Scheme.DYNAMIC_REUSE
+        assert all(dep.edges()[i] == edge for _, i, edge in admitted)
+        for plan, own in chains.items():
+            if plan.scheme is Scheme.DYNAMIC_REUSE:
+                assert dep.edges().tolist() == own.edges().tolist()
+                assert dep.positions().tobytes() == own.positions().tobytes()
+
+    def test_static_plans_alone_grow_one_network_without_admission(self, monkeypatch):
+        monkeypatch.setattr(son, "admit_fap", None)  # never called
+        plans = self._plans(["same", "dedicated", "partial"])
+        cfg = OutageConfig(n_trials=3001)
+        rows = density_sweep([300, 1000], plans, cfg, PropagationParams(), seed=6)
+        monkeypatch.undo()
+        expected, _ = _sweep_per_plan([300, 1000], plans, cfg, PropagationParams(), 6, 1)
+        assert [repr(r) for r in rows] == [repr(r) for r in expected]
 
 
 def _reference_threshold(seed_seq, m, coeffs, macro_coeff, s_bar, gamma_linear):
@@ -604,7 +711,7 @@ class TestShardKernel:
                 assert (count > 0) is interfered or n_trials < 2001
                 for n_workers in (1, 2, 3, 17):
                     sizes.clear()
-                    est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=11,
+                    est = estimate(dep, 0, cfg, PropagationParams(), seed=11,
                                    n_workers=n_workers)
                     assert est.p_out_mc == count / n_trials
                     # every shard ran once, or none when nothing interferes
@@ -617,7 +724,7 @@ class TestShardKernel:
     def _assert_no_draws(self, monkeypatch, dep, plan):
         sizes = _count_shards(monkeypatch)
         cfg = OutageConfig(n_trials=5000)
-        est = estimate(dep, 0, plan, cfg, PropagationParams(), seed=3)
+        est = estimate(dep, 0, cfg, PropagationParams(), seed=3)
         assert sizes == []
         assert est.p_out_mc == 0.0
         assert est.p_out_closed == 0.0 and math.copysign(1.0, est.p_out_closed) == 1.0
@@ -625,7 +732,7 @@ class TestShardKernel:
     def test_zero_neighbor_fap_draws_nothing(self, monkeypatch):
         dep, plan = _pair(Scheme.DEDICATED, np.array([-900.0, 0.0]))
         ids, _, macro_coeff, _ = link_coefficients(
-            dep, dep.faps[0], dep.faps[0].position + [5.0, 0.0], plan, OutageConfig().ue_region,
+            dep, dep.faps[0], dep.faps[0].position + [5.0, 0.0], OutageConfig().ue_region,
             PropagationParams(),
         )
         assert ids == [] and macro_coeff == 0.0
@@ -637,7 +744,7 @@ class TestShardKernel:
         dep, plan = _pair(Scheme.DYNAMIC_REUSE, np.array([230.0, 0.0]))
         dep.assign(plan, np.array([1, 2]))  # edge colors X and Y
         ids, coeffs, macro_coeff, _ = link_coefficients(
-            dep, dep.faps[0], dep.faps[0].position + [5.0, 0.0], plan, OutageConfig().ue_region,
+            dep, dep.faps[0], dep.faps[0].position + [5.0, 0.0], OutageConfig().ue_region,
             PropagationParams(),
         )
         assert ids == [1] and coeffs.tolist() == [0.0] and macro_coeff == 0.0
@@ -750,8 +857,8 @@ class TestSharedEstimates:
         for coeffs, macro_coeff, s_bar in links:
             link = (list(range(len(coeffs))), np.array(coeffs), macro_coeff, s_bar)
             monkeypatch.setattr(outage, "link_coefficients", lambda *args: link)
-            alone = estimate(dep, 0, plan, cfg, params, seed=4)
-            results.append(estimate(dep, 0, plan, cfg, params, seed=4, shared=shared))
+            alone = estimate(dep, 0, cfg, params, seed=4)
+            results.append(estimate(dep, 0, cfg, params, seed=4, shared=shared))
             assert results[-1] == alone
         assert len(shared) == 4 and results[4] is results[0]
         assert len({r.p_out_mc for r in results}) == 4

@@ -86,7 +86,7 @@ def _adjust(dep, ue, master=0, params=PropagationParams(), **kwargs):
     """``adjust_power`` for a UE at ``ue`` served by ``master`` on the edge
     region; returns the events it logged, its only report."""
     log = SonEventLog()
-    assert adjust_power(dep, master, ue, PLAN, UeRegion.EDGE, params, log=log, **kwargs) is None
+    assert adjust_power(dep, master, ue, UeRegion.EDGE, params, log=log, **kwargs) is None
     return log.events
 
 
@@ -198,10 +198,10 @@ class TestConfigureFrequencies:
         apply_plan(dep, PLAN)
         graph = _graph(dep)
         configure_frequencies(dep, graph, PLAN)
-        colored = noncochannel_fraction(dep, graph, PLAN)
+        colored = noncochannel_fraction(dep, graph)
         rng = np.random.default_rng(7)
         assign_uniform_random_colors(dep, graph, PLAN, rng)
-        baseline = noncochannel_fraction(dep, graph, PLAN)
+        baseline = noncochannel_fraction(dep, graph)
         assert colored >= 2 / 3
         assert colored > baseline
 
@@ -210,7 +210,7 @@ class TestConfigureFrequencies:
         dep.extend((230.0, 0.0))  # after the plan: no allocation
         graph = _graph(dep)
         with pytest.raises(ValueError, match="allocation"):
-            noncochannel_fraction(dep, graph, PLAN)
+            noncochannel_fraction(dep, graph)
 
     @pytest.mark.parametrize("graph_faps", [200, 400])
     def test_graph_of_another_deployment_size_rejected(self, graph_faps):
@@ -224,7 +224,7 @@ class TestConfigureFrequencies:
         for call in (lambda: configure_frequencies(dep, other, PLAN),
                      lambda: assign_uniform_random_colors(dep, other, PLAN, rng),
                      lambda: son.assign_shared_edge(dep, other, PLAN),
-                     lambda: noncochannel_fraction(dep, other, PLAN)):
+                     lambda: noncochannel_fraction(dep, other)):
             with pytest.raises(ValueError, match=f"covers {graph_faps} FAPs, the deployment has"):
                 call()
         assert dep.edges().tolist() == edges.tolist()
@@ -294,16 +294,6 @@ class TestAllocationIsTheEdgeIndexUnderThePlan:
         assert len(dep.faps) == 50
         admit_fap(dep, (500.0, 100.0), copy.deepcopy(PLAN), _graph(dep))  # an equal plan
         assert len(dep.faps) == 51
-
-    def test_noncochannel_fraction_rejects_another_plan(self):
-        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=300), seed=3), PLAN)
-        graph = _graph(dep)
-        for other in (build_plan(Scheme.SAME, TOTAL, 3),
-                      build_plan(Scheme.DYNAMIC_REUSE, Band(0, 30_000_000), 3)):
-            with pytest.raises(ValueError, match="not the deployment's"):
-                noncochannel_fraction(dep, graph, other)
-        assert noncochannel_fraction(dep, graph, copy.deepcopy(PLAN)) == noncochannel_fraction(
-            dep, graph, PLAN)
 
 
 def _reference_configure_frequencies(deployment, adjacency, plan, log=None):
@@ -385,7 +375,7 @@ class TestCsrColoringMatchesReference:
                         zero += not band_oracle.x_flag(
                             PLAN, region, alloc(dep, ref), alloc(dep, other)
                         )
-                assert noncochannel_fraction(dep, graph, PLAN, region) == zero / total
+                assert noncochannel_fraction(dep, graph, region) == zero / total
 
 
 def _loop_configure_frequencies(deployment, graph, plan, log=None):
@@ -476,7 +466,7 @@ class TestAdjustPower:
         dep, ue = self._single_interferer_setup(interferer_distance=10.0)
         params = PropagationParams()
         ref = dep.faps[0]
-        _, coeffs, _, s_bar = link_coefficients(dep, ref, ue, PLAN, UeRegion.EDGE, params)
+        _, coeffs, _, s_bar = link_coefficients(dep, ref, ue, UeRegion.EDGE, params)
         sir_db = 10 * math.log10(s_bar / coeffs.sum())
         target_db = 9.0 + 3.0
         expected_steps = math.ceil(target_db - sir_db)
@@ -486,7 +476,7 @@ class TestAdjustPower:
         powers = [e.details["tx_power_w"] for e in events]
         assert all(b < a for a, b in zip(powers, powers[1:]))
         # SIR now meets the target
-        _, coeffs2, _, s_bar2 = link_coefficients(dep, ref, ue, PLAN, UeRegion.EDGE, params)
+        _, coeffs2, _, s_bar2 = link_coefficients(dep, ref, ue, UeRegion.EDGE, params)
         assert s_bar2 / coeffs2.sum() >= 10 ** (target_db / 10)
 
     def test_noop_when_sir_already_met(self):
@@ -541,7 +531,7 @@ class TestAdjustPower:
             _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
         pre, log = copy.deepcopy(dep), SonEventLog()
         with pytest.raises(ValueError, match="FAP 1 radius must be within"):
-            adjust_power(dep, 0, np.array([300.0, 101.0]), PLAN, UeRegion.EDGE,
+            adjust_power(dep, 0, np.array([300.0, 101.0]), UeRegion.EDGE,
                          PropagationParams(), gamma_db=20.0, log=log)
         assert len(log.events) == 2
         replayed = replay(pre, log.events, PLAN)
@@ -568,7 +558,7 @@ class TestAdjustPower:
         for fid in range(4):
             _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
         ue = np.array([203.0, 100.0])
-        _, coeffs, _, _ = link_coefficients(dep, dep.faps[0], ue, PLAN, UeRegion.EDGE,
+        _, coeffs, _, _ = link_coefficients(dep, dep.faps[0], ue, UeRegion.EDGE,
                                             PropagationParams())
         assert coeffs[0] == coeffs[1] > coeffs[2] > 0.0
         events = _adjust(dep, ue, gamma_db=15.0)
@@ -747,7 +737,7 @@ class TestEventLogAndReplay:
         admissions = len(log.events)
         for master in range(0, 2050, 41):
             ue = dep.faps[master].position + np.array([4.0, -3.0])
-            assert adjust_power(dep, master, ue, PLAN, UeRegion.EDGE, PropagationParams(),
+            assert adjust_power(dep, master, ue, UeRegion.EDGE, PropagationParams(),
                                 gamma_db=30.0, log=log) is None
         requests = log.events[admissions:]
         assert requests
@@ -794,7 +784,7 @@ class TestEventLogAndReplay:
             _set_edge_color(dep, fid, PLAN, EdgeChoice.X)
         ue = dep.faps[0].position + np.array([5.0, 0.0])
         log = SonEventLog()
-        adjust_power(dep, 0, ue, PLAN, UeRegion.EDGE, PropagationParams(), gamma_db=9.0, log=log)
+        adjust_power(dep, 0, ue, UeRegion.EDGE, PropagationParams(), gamma_db=9.0, log=log)
         lines = log.to_lines()
         back = SonEventLog.from_lines(lines)
         assert back.events == log.events

@@ -220,12 +220,11 @@ class TestGenerate:
         assert dep.positions()[1].tolist() != stub[0].tolist()
         assert neighbor_graph(dep, params.neighbor_radius_m).n_edges == 0
 
-    def test_scenario_b_infeasible_packing(self):
+    def test_scenario_b_infeasible_packing(self, monkeypatch):
         # 500 FAPs pairwise >100 m apart cannot fit a 300 m disc
-        params = DeploymentParams(
-            n_faps=500, macro_radius_m=300.0, max_place_attempts=50
-        )
-        with pytest.raises(PlacementError):
+        monkeypatch.setattr(topology, "MAX_PLACE_ATTEMPTS", 50)
+        params = DeploymentParams(n_faps=500, macro_radius_m=300.0)
+        with pytest.raises(PlacementError, match="after 50 attempts"):
             generate(Scenario.B, params, seed=9)
 
     def test_scenario_c_constraints(self):
@@ -233,7 +232,7 @@ class TestGenerate:
         dep = generate(Scenario.C, params, seed=21)
         g = neighbor_graph(dep, params.neighbor_radius_m)
         assert g.n_edges >= 1
-        assert g.mean_degree < params.c_max_mean_degree
+        assert g.mean_degree < topology.C_MAX_MEAN_DEGREE
 
     def test_poisson_neighbor_mean_interior(self):
         # lambda = density * pi * r^2 = (1000 / (pi 1000^2)) * pi * 100^2 = 10;
