@@ -55,6 +55,7 @@ from .topology import (
     DeploymentParams,
     Scenario,
     check_domain,
+    earlier_neighbors,
     generate,
     neighbor_graph,
 )
@@ -277,12 +278,16 @@ def _estimates(seed, config, links, n_workers) -> dict:
     live = [key for key, (c, m, _) in by_key.items() if np.any(c > 0) or m > 0]
     outages = dict(zip(live, _count_outages(seed, config, [by_key[k] for k in live], n_workers)))
     gamma, n = config.gamma_linear, config.n_trials
+    cs = [(np.append(coeffs, m), s_bar) for coeffs, m, s_bar in by_key.values()]
+    terms = [gamma * c[c > 0] / s_bar for c, s_bar in cs]
+    # log_phi is elementwise, so one call serves the terms of every link set
+    ends = np.cumsum([len(t) for t in terms])
+    logs = np.split(log_phi(np.concatenate([np.empty(0), *terms])), ends)
     out = {}
-    for key, (coeffs, macro_coeff, s_bar) in by_key.items():
-        c = np.append(coeffs, macro_coeff)
+    for key, log_terms in zip(by_key, logs):
         # fsum rounds correctly, so an added interferer never lowers P; with no
         # interferer, "0.0 -" gives +0.0 where a bare minus would give -0.0
-        p_closed = 0.0 - math.expm1(math.fsum(log_phi(gamma * c[c > 0] / s_bar).tolist()))
+        p_closed = 0.0 - math.expm1(math.fsum(log_terms.tolist()))
         p_mc = outages.get(key, 0) / n
         ci95 = 1.96 * math.sqrt(p_mc * (1.0 - p_mc) / n)
         out[key] = OutageEstimate(
@@ -400,6 +405,7 @@ def density_sweep(
         bootstrap = neighbor_graph(dep, dp0.neighbor_radius_m)
         son.configure_frequencies(dep, bootstrap, dynamic)
         colors = dep.edges().copy()
+        sniffs = earlier_neighbors(full.positions(), dp0.neighbor_radius_m, dp0.n_faps)
     rows = []
     for idx, density in enumerate(densities):
         grown = full.positions()[len(dep.faps):density]
@@ -407,8 +413,8 @@ def density_sweep(
             dep.extend(grown)
         else:
             dep.assign(dynamic, colors)
-            for p in grown:
-                son.admit_fap(dep, p, dynamic, bootstrap)
+            for p, sniffed in zip(grown, sniffs):
+                son.admit_fap(dep, p, dynamic, bootstrap, sniffed=sniffed)
             colors = dep.edges().copy()
         variants = [(p, colors if p.scheme is Scheme.DYNAMIC_REUSE else 0) for p in plans]
         trial_seed = _seed_int(trial_seqs[idx])

@@ -277,27 +277,32 @@ def admit_fap(
     plan: FrequencyPlan,
     graph: NeighborGraph,
     log: SonEventLog | None = None,
+    *,
+    sniffed=None,
 ) -> None:
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
     pick an edge color absent among them (else their minority color; ties go
     to the first of ``EDGE_COLORS``), and append the FAP without touching
     existing colors; ``extend`` gives it its position's sector.  With a
     ``log``, appends NEW_FAP (position and sector) and RECONFIGURE (color).
-    The sniff reads only the cells around the position.  Raises ValueError
-    when ``plan`` has no edge bands or is not the deployment's."""
+    ``sniffed`` gives the ids the sniff finds (``earlier_neighbors``' rows),
+    else ``near`` scans every FAP.  Raises ValueError when ``plan`` has no
+    edge bands or is not the deployment's."""
     if plan.n_edges == 1:
         raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
     deployment.check_plan(plan)
     pos = np.asarray(position, dtype=float)
     deployment.check_in_macro_disc(pos)
+    if sniffed is None:
+        sniffed = deployment.near(pos, graph.neighbor_radius)
     # one int8 edge index per sniffed FAP, as bytes: EDGE_COLORS[k] is byte k + 1
-    sniffed = deployment.edges().take(deployment.near(pos, graph.neighbor_radius)).tobytes()
-    counts = [sniffed.count(k + 1) for k in range(3)]
+    colors = deployment.edges().take(sniffed).tobytes()
+    counts = [colors.count(1), colors.count(2), colors.count(3)]
     k = counts.index(min(counts))  # the first absent color, if one is
-    new_id = len(deployment.faps)
     deployment.extend(pos, k + 1)
     if log is not None:
         x, y = pos.tolist()
+        new_id = len(deployment.faps) - 1
         log.append(SonEventKind.NEW_FAP, new_id, x=x, y=y,
                    sector=int(deployment.sectors()[new_id]))
         log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[k].value)

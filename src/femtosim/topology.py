@@ -21,16 +21,12 @@ none, 0 the center band alone, 1-3 the center band plus that edge color of
 ``EDGE_COLORS``.  ``Fap.allocation`` builds the ``FemtoAllocation`` from the
 plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
 and write those rows.  FAPs join only at the end, through ``extend``, and a
-position lies within 100 km of the macro BS on each axis and never changes,
-so the deployment also keeps an incremental cell index over its positions,
-one ``array('q')`` of ids per cell; ``near`` answers a radius query from the
-3x3 cells around a point, joined into one buffer, in O(degree).  ``near``
-and ``neighbor_graph`` share one neighbor test, ``dx * dx + dy * dy <= r *
-r`` in float64, so they agree on every pair, and one binning rule: cells a
-hair wider than the radius, with column-major keys.  The graph's candidates
-are three runs of the key-sorted FAPs, one per column of the 3x3 cells, so
-it costs O(N * mean degree), not O(N^2); it is stored as CSR (int64 row
-pointers, int32 neighbor ids ascending in each row).
+position lies within 100 km of the macro BS on each axis and never changes.
+``near`` (a scan of every FAP), ``neighbor_graph`` (CSR: int64 row
+pointers, int32 ids ascending in each row) and ``earlier_neighbors`` (each
+FAP's neighbors among the FAPs before it) share one neighbor test, ``dx * dx
++ dy * dy <= r * r`` in float64.  The last two find candidates in the 3x3
+cells around a FAP's, cells a hair wider than r, in O(N * mean degree).
 Placement, admission and replay share one disc test, which NaN fails, and
 scenario B redraws a FAP while ``near`` finds a neighbor, so the graph links
 none of its pairs.
@@ -39,7 +35,6 @@ none of its pairs.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +51,7 @@ __all__ = [
     "PlacementError",
     "Scenario",
     "apply_plan",
+    "earlier_neighbors",
     "generate",
     "neighbor_graph",
     "sector_of",
@@ -285,7 +281,6 @@ class DeploymentParams:
 # consecutive keys.  Within the domain a cell coordinate fits 2**27 (see
 # check_domain), so keys fit int64.
 _CELL_STRIDE = 1 << 32
-_NEIGHBOR_OFFSETS = [dx * _CELL_STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
 def _cell_side(radius: float) -> float:
@@ -295,12 +290,8 @@ def _cell_side(radius: float) -> float:
     return radius * (1.0 + 1e-6)
 
 
-def _cell_key(x: float, y: float, side: float) -> int:
-    return math.floor(x / side) * _CELL_STRIDE + math.floor(y / side)
-
-
 def _cell_keys(points: np.ndarray, side: float) -> np.ndarray:
-    """``_cell_key`` of each (x, y) row of ``points``, as int64."""
+    """Keys ``floor(x / side) * _CELL_STRIDE + floor(y / side)``, as int64."""
     cell = np.floor(points / side).astype(np.int64)
     return cell[:, 0] * _CELL_STRIDE + cell[:, 1]
 
@@ -323,8 +314,6 @@ class Deployment:
         self._radius = np.empty(0)
         self._edge = np.empty(0, dtype=np.int8)
         self.plan: FrequencyPlan | None = None
-        self._cell_side = _cell_side(params.neighbor_radius_m)
-        self._cells: dict[int, array] = {}  # cell key -> array('q') of FAP ids
 
     @property
     def faps(self) -> Sequence[Fap]:
@@ -342,12 +331,6 @@ class Deployment:
         if positions.ndim not in (1, 2) or positions.shape[-1] != 2:
             raise ValueError(f"FAP positions are (x, y) rows, got shape {positions.shape}")
         positions = positions.reshape(-1, 2)
-        side, keys, sectors = self._cell_side, [], []
-        n_sectors = self.params.n_sectors
-        for x, y in positions.tolist():
-            _check_position(x, y)
-            keys.append(_cell_key(x, y, side))
-            sectors.append(_sector(x, y, n_sectors) if self.macro else 0)
         n, m = self._n, len(positions)
         if n + m > len(self._pos):
             capacity = max(2 * len(self._pos), n + m, 16)
@@ -356,20 +339,17 @@ class Deployment:
                 grown = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
                 grown[:n] = old[:n]
                 setattr(self, name, grown)
-        rows = slice(n, n + m)
-        self._pos[rows] = positions
-        self._sector[rows] = sectors
-        self._tx_power[rows] = self.params.fap_tx_power_w
-        self._radius[rows] = self.params.femto_radius_m
-        self._edge[rows] = edges
+            # rows join at the default tx power and radius
+            self._tx_power[n:] = self.params.fap_tx_power_w
+            self._radius[n:] = self.params.femto_radius_m
+        # rows past the count are free to write: only the new count adds them
+        sectors, n_sectors = self._sector, self.params.n_sectors
+        for i, (x, y) in enumerate(positions.tolist(), n):
+            _check_position(x, y)
+            sectors[i] = _sector(x, y, n_sectors) if self.macro else 0
+        self._pos[n:n + m] = positions
+        self._edge[n:n + m] = edges
         self._n = n + m
-        cells = self._cells
-        for i, key in enumerate(keys, n):
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = array("q", (i,))
-            else:
-                cell.append(i)
 
     def positions(self) -> np.ndarray:
         """(N, 2) read-only view of the FAP positions; row i is FAP i."""
@@ -390,7 +370,7 @@ class Deployment:
 
     def _view(self, column: np.ndarray) -> np.ndarray:
         view = column[: self._n]
-        view.flags.writeable = False
+        view.setflags(write=False)  # cheaper than through view.flags
         return view
 
     def fap_by_id(self, fap_id: int) -> Fap:
@@ -399,29 +379,16 @@ class Deployment:
         return Fap(self, fap_id)
 
     def near(self, point, radius: float) -> np.ndarray:
-        """Ids, ascending, of the FAPs that pass ``neighbor_graph``'s test at
-        ``radius`` from ``point``, among the FAPs in the 3x3 cells around
-        ``point``, or all FAPs when the radius is wider than the cells.  The
-        result owns its data: the cells are joined into a copy, never viewed,
-        so a later ``extend`` into a cell neither raises BufferError nor
-        changes a held result.  Raises ValueError at a coordinate that is NaN
-        or beyond 100 km."""
+        """Ids, ascending and in a fresh array, of the FAPs that pass
+        ``neighbor_graph``'s test at ``radius`` from ``point``, by a scan of
+        every FAP.  Raises ValueError at a coordinate NaN or beyond 100 km."""
         point = np.asarray(point, dtype=float)
         x, y = point.tolist()
         _check_position(x, y)
-        if _cell_side(radius) <= self._cell_side:
-            key, cells = _cell_key(x, y, self._cell_side), self._cells
-            found = b"".join([cells.get(key + offset, b"") for offset in _NEIGHBOR_OFFSETS])
-            ids = np.frombuffer(found, dtype=np.int64)
-        else:
-            ids = np.arange(self._n)
-        d = self._pos.take(ids, axis=0)
-        d -= point
+        d = self.positions() - point
         d *= d
         # neighbor_graph's ((p_i - p_j) ** 2).sum(), term for term
-        ids = ids[d[:, 0] + d[:, 1] <= radius * radius]
-        ids.sort()
-        return ids
+        return np.arange(self._n)[d[:, 0] + d[:, 1] <= radius * radius]
 
     def check_in_macro_disc(self, position) -> None:
         """Raise ValueError unless ``position`` lies in the macro disc by
@@ -561,22 +528,69 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
 _CANDIDATE_BLOCK = 1 << 14
 
 
+def _grid(positions: np.ndarray, radius: float):
+    """The positions sorted by (cell, id) as ``order``, each one's dense cell
+    rank, each cell's start in ``order`` then N (rank C: an empty cell), and
+    (lo, hi), each (3, C): column dx of cell c's 3x3 holds ranks ``lo[dx + 1,
+    c]`` to ``hi[dx + 1, c] - 1``.  Cells are ``_cell_side`` wide."""
+    keys = _cell_keys(positions, _cell_side(radius))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.append(True, keys[1:] != keys[:-1])  # the first FAP of a cell
+    cells = keys[first]
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    # binary searches with needles in key order narrow from the last result
+    column = np.array([[-_CELL_STRIDE], [0], [_CELL_STRIDE]]) + cells
+    lo = np.searchsorted(cells, column - 1, side="left")
+    hi = np.searchsorted(cells, column + 1, side="right")
+    return order, rank, np.append(np.flatnonzero(first), len(keys)), lo, hi
+
+
+def _ramp(starts, lengths):
+    """The index runs ``[start, start + length)``, one after another."""
+    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(len(at))
+    return at
+
+
+def _passes(x, y, reps, sorted_x, sorted_y, at, r2) -> np.ndarray:
+    """Whether each candidate pair passes the neighbor test, source (x, y)
+    repeated ``reps`` times against the sorted coordinates at ``at``:
+    ``((p_i - p_j) ** 2).sum() <= r2`` term for term, in place."""
+    dx = np.repeat(x, reps)
+    dx -= sorted_x.take(at)
+    dx *= dx
+    dy = np.repeat(y, reps)
+    dy -= sorted_y.take(at)
+    dy *= dy
+    dx += dy
+    return dx <= r2
+
+
+def _blocks(per_row, size: int) -> list:
+    """Row ranges (a, b) of about ``size`` candidates, cut on row boundaries,
+    from each row's candidate count (at least 1)."""
+    ends = np.cumsum(per_row)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], size), side="right")
+    bounds = sorted({*cuts.tolist(), len(per_row)})
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     """Symmetric, irreflexive graph of FAP pairs i != j with
     ``((p_i - p_j) ** 2).sum() <= radius * radius``: exact Euclidean
     distances, by the same float expression for every pair.
 
-    FAPs are binned by the cell index's rule (``_cell_side``,
-    ``_cell_keys``): a cell is wider than any axis offset that passes, so each
-    FAP's candidates are the FAPs of the 3x3 cells around its own, three runs
-    of the FAPs sorted by key, one per column.  The radius is at least 1 mm,
-    or infinite, which gives one cell (the complete graph).  Candidates are
-    tested in source blocks of about 2**14 (``_CANDIDATE_BLOCK``), cut on
-    row boundaries, whose temporaries take about 1.3 MiB.  A first
-    pass counts each row's neighbors and keeps one bit per candidate, so that
-    a second pass writes the pairs straight into the one CSR buffer: the peak
-    is the result, the bits (about a tenth of it), a few per-FAP arrays and
-    one block, 1.9 MiB above the result at 8000 FAPs and 11.2 MiB at 40000.
+    A FAP's candidates are the FAPs of the 3x3 cells around its own
+    (``_grid``), three runs of the FAPs sorted by key, one per column.  The
+    radius is at least 1 mm, or infinite, which gives one cell (the complete
+    graph).  Candidates are tested in source blocks of about 2**14
+    (``_CANDIDATE_BLOCK``), cut on row boundaries.  A first pass counts each
+    row's neighbors and keeps one bit per candidate, so that a second pass
+    writes the pairs straight into the one CSR buffer: the peak is the
+    result, the bits (about a tenth of it), a few per-FAP arrays and one
+    block, 1.9 MiB above the result at 8000 FAPs and 11.2 MiB at 40000.
     Work and memory are O(N * mean degree).  The result is CSR with int32
     indices, ascending in rows.
     """
@@ -586,45 +600,23 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     if n == 0:
         return NeighborGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), radius)
     r2 = radius * radius
-    keys = _cell_keys(pos, _cell_side(radius))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-
-    # each FAP's neighborhood as 3 runs of `order`, one per column: the keys
-    # from its column's dy = -1 cell to its dy = 1 cell; each column's needles
-    # go in key order, where a binary search narrows from the previous result
-    column = np.array([[-_CELL_STRIDE], [0], [_CELL_STRIDE]]) + sorted_keys
-    starts, lengths = np.empty((2, n, 3), dtype=np.intp)
-    starts[order] = np.searchsorted(sorted_keys, column - 1, side="left").T
-    lengths[order] = np.searchsorted(sorted_keys, column + 1, side="right").T
-    lengths -= starts
+    order, rank, cell_start, lo, hi = _grid(pos, radius)
+    # each FAP's 3 runs of `order`, one per column of its 3x3 cells
+    starts = cell_start[lo].T[rank]
+    lengths = (cell_start[hi] - cell_start[lo]).T[rank]
     per_fap = lengths.sum(axis=1)  # >= 1: a FAP's own cell holds it
-    ends = np.cumsum(per_fap)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CANDIDATE_BLOCK), side="right")
-    bounds = sorted({*cuts.tolist(), n})
-    blocks = list(zip(bounds[:-1], bounds[1:]))
+    blocks = _blocks(per_fap, _CANDIDATE_BLOCK)
 
     # a candidate run is a slice of the key-sorted coordinates
     x, y = pos[:, 0], pos[:, 1]
     sorted_x, sorted_y = x[order], y[order]
-
-    def candidates(a, b):
-        """Index in `order` of every candidate of rows a..b."""
-        lens = lengths[a:b].ravel()
-        # its run's start plus a ramp
-        at = np.repeat(starts[a:b].ravel() - (np.cumsum(lens) - lens), lens)
-        at += np.arange(len(at))
-        return at
-
     # first pass: which candidates pass, kept as bits, and each row's count
     indptr = np.zeros(n + 1, dtype=np.int64)
     passed = []
     for a, b in blocks:
-        at, reps = candidates(a, b), per_fap[a:b]
-        # ((p_i - p_j) ** 2).sum(), term for term
-        d2 = ((np.repeat(x[a:b], reps) - sorted_x.take(at)) ** 2
-              + (np.repeat(y[a:b], reps) - sorted_y.take(at)) ** 2)
-        keep = d2 <= r2
+        reps = per_fap[a:b]
+        at = _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
+        keep = _passes(x[a:b], y[a:b], reps, sorted_x, sorted_y, at, r2)
         passed.append(np.packbits(keep))
         # every FAP is its own candidate once, and passes
         indptr[a + 1:b + 1] = np.add.reduceat(keep, np.cumsum(reps) - reps, dtype=np.int64) - 1
@@ -632,7 +624,7 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     # second pass: write each block's pairs into the one CSR buffer
     indices = np.empty(indptr[-1], dtype=np.int32)
     for (a, b), bits in zip(blocks, passed):
-        at = candidates(a, b)
+        at = _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
         keep = np.unpackbits(bits, count=len(at)).view(bool)
         j = order.take(at[keep])
         # a row keeps its neighbors, counted in indptr, and itself
@@ -647,6 +639,52 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
+
+
+def earlier_neighbors(positions, radius: float, start: int = 0):
+    """Yield, for each row i >= ``start`` of the (N, 2) ``positions`` in turn,
+    the ids j < i of the rows that pass ``neighbor_graph``'s test with it, in
+    candidate order: the sniff of each FAP when FAPs join in row order.  They
+    are the prefixes of ids below i of the 3x3 cells around row i's
+    (``_grid``), each ended by ``searchsorted`` on (cell rank) * N + id, an
+    exact int64 below N**2.  Rows go in blocks whose 3x3 cells hold about
+    ``_CANDIDATE_BLOCK / 2`` FAPs in all, built as the stream reaches them."""
+    check_domain("neighbor radius", radius, MIN_DISTANCE_M)
+    pos = np.asarray(positions, dtype=float)
+    n, r2 = len(pos), radius * radius
+    if not np.all(np.abs(pos) <= MAX_DISTANCE_M):  # NaN fails
+        raise ValueError("a position is not finite or lies beyond 100 km on an axis")
+    if start >= n:
+        return
+    order, rank, cell_start, lo, hi = _grid(pos, radius)
+    cell_id = rank[order] * n + order
+    # a cell's 9 candidate cells, column by column; past hi, the empty rank C
+    cand = (lo[:, None] + np.arange(3)[:, None]).reshape(9, -1)
+    cand[cand >= np.repeat(hi, 3, axis=0)] = len(cell_start) - 1
+    x, y = pos[:, 0], pos[:, 1]
+    sorted_x, sorted_y = x[order], y[order]
+
+    def block(a, b):  # the ids of rows a..b and each row's bounds; temporaries die here
+        # rows by (cell, id), so that a slot's needles mostly ascend
+        by_key = np.argsort(rank[a:b], kind="stable")
+        c = cand.take(rank[a:b].take(by_key), axis=1)
+        starts = cell_start.take(c)
+        lengths = np.searchsorted(cell_id, c * n + (by_key + a)) - starts
+        runs = np.empty((2, b - a, 9), dtype=np.intp)  # back in id order
+        runs[0, by_key], runs[1, by_key] = starts.T, lengths.T
+        per_row = runs[1].sum(axis=1)
+        at = _ramp(runs[0].ravel(), runs[1].ravel())
+        hit = np.flatnonzero(_passes(x[a:b], y[a:b], per_row, sorted_x, sorted_y, at, r2))
+        ends = np.searchsorted(hit, np.cumsum(per_row)).tolist()
+        return order.take(at.take(hit)), zip([0, *ends], ends)
+
+    # half the graph's blocks: their temporaries, 32 bytes a candidate, come
+    # on top of what the sweep holds
+    within = (cell_start[hi] - cell_start[lo]).sum(axis=0)  # FAPs of a cell's 3x3
+    for a, b in _blocks(within[rank[start:]], (_CANDIDATE_BLOCK + 1) // 2):
+        ids, bounds = block(a + start, b + start)
+        for k0, k1 in bounds:
+            yield ids[k0:k1]
 
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:

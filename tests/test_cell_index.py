@@ -1,10 +1,10 @@
-"""The deployment's incremental cell index against a plain O(N) scan.
+"""Neighbor queries against a plain O(N) scan.
 
-``Deployment.near`` and ``son.admit_fap`` read only the 3x3 cells around a
-point.  The reference here compares the point with every FAP by the neighbor
-graph's test, ``((positions - point) ** 2).sum(axis=1) <= radius * radius``
-(the O(N) scan the index replaces), and picks the admitted color from those
-sniffed FAPs by the documented rule.
+``Deployment.near`` scans every FAP; ``neighbor_graph`` and
+``earlier_neighbors`` read the 3x3 cells of a grid a hair wider than the
+radius.  The reference here compares a point with every FAP by the neighbor
+graph's test, ``((positions - point) ** 2).sum(axis=1) <= radius * radius``,
+and picks the admitted color from those sniffed FAPs by the documented rule.
 """
 
 import copy
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from femtosim import son
+from femtosim import son, topology
 from femtosim.channel import neighbor_ids
 from femtosim.son import admit_fap, assign_uniform_random_colors, configure_frequencies
 from femtosim.spectrum import EDGE_COLORS, Band, EdgeChoice, Scheme, build_plan
@@ -24,10 +24,10 @@ from femtosim.topology import (
     Deployment,
     DeploymentParams,
     Scenario,
-    _cell_key,
     _cell_keys,
     _cell_side,
     apply_plan,
+    earlier_neighbors,
     generate,
     neighbor_graph,
 )
@@ -102,13 +102,6 @@ class TestNearAdversarial:
         for p in points:
             _assert_near_matches(dep, p, 1e-3)
 
-    def test_tiny_radius_spreads_faps_over_the_cells(self):
-        # the cells are 1 mm wide, with no floor from the macro radius, so
-        # FAPs in the 1 km disc share no crowded cell
-        dep = generate(Scenario.D, DeploymentParams(n_faps=2000, neighbor_radius_m=1e-3), 8)
-        assert len(dep._cells) > 1990
-        assert max(map(len, dep._cells.values())) <= 2
-
     def test_infinite_radius_index(self):
         dep = _layout(_lattice(MAX_DISTANCE_M, k=1), math.inf)
         _assert_near_matches(dep, (0.0, 0.0), math.inf)
@@ -176,6 +169,11 @@ class TestNearMatchesGraph:
 
 
 SIDES = [_cell_side(r) for r in (100.0, 0.1 + 0.2, 1e-3, 1e200)]
+
+
+def _cell_key(x, y, side):
+    """The cell key of one point, by scalar floors."""
+    return math.floor(x / side) * (1 << 32) + math.floor(y / side)
 
 
 @st.composite
@@ -323,3 +321,104 @@ def test_plan_with_fewer_sectors_rejected():
     with pytest.raises(ValueError):
         apply_plan(dep, PLAN)
     assert {f.allocation for f in dep.faps} == {None}
+
+
+def _stream(points, radius, start=0):
+    """``earlier_neighbors`` of ``points`` from ``start``, each row as a list."""
+    pos = np.asarray(points, dtype=float).reshape(-1, 2)
+    return [row.tolist() for row in earlier_neighbors(pos, radius, start)]
+
+
+def _assert_stream_matches(points, radius, start=0):
+    """Every row of the stream is, as a set, the scan of the rows before it
+    and ``near`` over a deployment of those rows; it names no id twice."""
+    pos = np.asarray(points, dtype=float).reshape(-1, 2)
+    rows = _stream(pos, radius, start)
+    assert len(rows) == max(len(pos) - start, 0)
+    dep = Deployment(DeploymentParams(n_faps=1), macro=False)
+    dep.extend(pos[:start])
+    for i, row in enumerate(rows, start):
+        assert len(set(row)) == len(row)
+        assert sorted(row) == _reference_sniff(pos[:i], pos[i], radius)
+        assert sorted(row) == dep.near(pos[i], radius).tolist()
+        dep.extend(pos[i])
+    return rows
+
+
+STREAM_RADII = [100.0, 7.0, 0.1 + 0.2, 100 / 3, 1e-3, 1e200, math.inf]
+
+
+@st.composite
+def _stream_layouts(draw):
+    """A radius, points for it (on its grid lines, duplicated, or exactly r
+    apart), and a start row from 0 to N."""
+    radius = draw(st.sampled_from(STREAM_RADII))
+    points = draw(st.lists(st.tuples(finite, finite), min_size=1, max_size=50))
+    step = radius if math.isfinite(radius) and radius < 1e5 else 100.0
+    if draw(st.booleans()):  # onto the cell boundaries
+        points = [(round(x / step) * step, round(y / step) * step) for x, y in points]
+    extra = draw(st.lists(st.tuples(st.integers(0, len(points) - 1), st.sampled_from(
+        ["same", "right", "up"])), max_size=20))
+    for k, how in extra:  # duplicates and pairs exactly r apart, in any order
+        x, y = points[k]
+        points.append({"same": (x, y), "right": (x + step, y), "up": (x, y + step)}[how])
+    order = draw(st.permutations(range(len(points))))
+    points = [points[k] for k in order]
+    return radius, points, draw(st.integers(0, len(points)))
+
+
+class TestEarlierNeighbors:
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_stream_layouts())
+    def test_rows_match_the_scan_and_near(self, layout):
+        radius, points, start = layout
+        _assert_stream_matches(points, radius, start)
+
+    @pytest.mark.parametrize("radius", [100.0, 0.1 + 0.2, 100 / 3, 1e-3, math.inf])
+    def test_lattice_on_cell_boundaries(self, radius):
+        step = radius if math.isfinite(radius) else 100.0
+        points = _lattice(step) + _lattice(step)[::3]  # and duplicates
+        for start in (0, 1, len(points) // 2, len(points)):
+            _assert_stream_matches(points, radius, start)
+
+    @pytest.mark.parametrize("start", [0, 1, 40, 400])
+    def test_generated(self, start):
+        pos = generate(Scenario.D, DeploymentParams(n_faps=400), seed=9).positions()
+        _assert_stream_matches(pos, 100.0, start)
+
+    def test_start_at_or_past_the_end_yields_nothing(self):
+        pos = [(1.0, 2.0), (3.0, 4.0)]
+        assert _stream(pos, 100.0, 2) == [] == _stream(pos, 100.0, 5)
+        assert _stream(np.empty((0, 2)), 100.0) == []
+        assert _stream(pos, 100.0) == [[], [0]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.5 * MAX_DISTANCE_M])
+    def test_position_outside_the_domain_rejected(self, bad):
+        # beyond 100 km, 1 mm cells would overflow their int64 keys
+        with pytest.raises(ValueError, match="100 km"):
+            _stream([(0.0, 0.0), (bad, 1.0)], 1e-3)
+
+    def test_domain_corner_a(self):
+        # corner "a" of the CLI's domain corners: a 100 km disc binned into 1
+        # mm cells, whose keys reach about 2**59, plus FAPs 2**-10 m apart at
+        # the domain's edges and duplicates
+        params = DeploymentParams(n_faps=300, macro_radius_m=1e5, neighbor_radius_m=1e-3,
+                                  reference_distance_m=2e-3, femto_radius_m=1e-3)
+        pos = generate(Scenario.D, params, seed=3).positions().tolist()
+        edge, gap = MAX_DISTANCE_M, 2.0**-10
+        pos += [(edge, -edge), (edge - gap, -edge), (-edge, edge), (-edge, edge - gap),
+                (0.0, 0.0), pos[5], (pos[7][0], pos[7][1] + gap), pos[5]]
+        rows = _assert_stream_matches(pos, 1e-3, 100)
+        assert [len(row) for row in rows[-8:]] == [0, 1, 0, 1, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("block", [1, 7, 2**10])
+    def test_block_size_changes_no_row(self, monkeypatch, block):
+        # rows and their order are the same whatever the block, and blocks
+        # of one row or less still yield every row
+        pos = generate(Scenario.D, DeploymentParams(n_faps=1200), seed=4).positions()
+        sparse = [(0.0, 0.0), (500.0, 0.0), (0.0, 500.0), (1.0, 0.0)]
+        expected = [_stream(pos, r, 300) for r in (100.0, math.inf)] + [_stream(sparse, 100.0)]
+        monkeypatch.setattr(topology, "_CANDIDATE_BLOCK", block)
+        got = [_stream(pos, r, 300) for r in (100.0, math.inf)] + [_stream(sparse, 100.0)]
+        assert got == expected
+        _assert_stream_matches(pos[:500], 100.0, 200)

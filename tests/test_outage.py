@@ -3,6 +3,7 @@ exact value against an independent scipy evaluation."""
 
 import copy
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -530,6 +531,33 @@ class TestSweepGrowth:
                       PropagationParams(), seed=3)
         assert len(admitted) == 300
         assert appended == []
+
+    def test_admissions_read_the_stream_not_near(self, monkeypatch):
+        # every admission takes its sniff from the earlier-neighbor stream;
+        # near serves only link_coefficients' neighbor set, once a call
+        real_near, real_admit, real_links = Deployment.near, son.admit_fap, outage.link_coefficients
+        callers, sniffed, links = [], [], []
+
+        def near(self, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_near(self, *args, **kwargs)
+
+        def admit(*args, **kwargs):
+            sniffed.append(kwargs.get("sniffed") is not None)
+            real_admit(*args, **kwargs)
+
+        def link_coefficients(*args, **kwargs):
+            links.append(args)
+            return real_links(*args, **kwargs)
+
+        monkeypatch.setattr(Deployment, "near", near)
+        monkeypatch.setattr(son, "admit_fap", admit)
+        monkeypatch.setattr(outage, "link_coefficients", link_coefficients)
+        density_sweep([1, 2, 40, 400], _plans(list(Scheme)), OutageConfig(n_trials=50),
+                      PropagationParams(), seed=3)
+        assert sniffed == [True] * 399
+        assert set(callers) == {"neighbor_ids"}
+        assert len(callers) == len(links) > 0
 
 
 def _sweep_per_plan(densities, plans, config, params, seed, n_workers):

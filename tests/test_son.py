@@ -38,6 +38,7 @@ from femtosim.topology import (
     NeighborGraph,
     Scenario,
     apply_plan,
+    earlier_neighbors,
     generate,
     neighbor_graph,
 )
@@ -564,6 +565,53 @@ class TestAdjustPower:
         events = _adjust(dep, ue, gamma_db=15.0)
         assert [e.subject for e in events[:4]] == [1, 2, 1, 2]
         assert {e.subject for e in events} == {1, 2}
+
+
+class TestSniffedAdmission:
+    """``admit_fap(..., sniffed=row)`` with the rows of ``earlier_neighbors``
+    admits as ``admit_fap`` that sniffs by ``near``: same edges, same log."""
+
+    @staticmethod
+    def _assert_same(start, later, radius):
+        dep = Deployment(DeploymentParams(n_faps=len(start), neighbor_radius_m=radius))
+        dep.extend(start)
+        apply_plan(dep, PLAN)
+        graph = neighbor_graph(dep, radius)
+        configure_frequencies(dep, graph, PLAN)
+        ref = copy.deepcopy(dep)
+        log, ref_log = SonEventLog(), SonEventLog()
+        rows = earlier_neighbors(np.array([*start, *later], dtype=float), radius, len(start))
+        for p, row in zip(later, rows):
+            admit_fap(dep, p, PLAN, graph, log, sniffed=row)
+            admit_fap(ref, p, PLAN, graph, ref_log)
+        assert dep.edges().tolist() == ref.edges().tolist()
+        assert log.to_lines() == ref_log.to_lines()
+
+    # lattices at spacings about the radius, so that sniffs see up to all
+    # three colors, ties and exact-r pairs included
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 4), st.integers(-4, 4)),
+                       min_size=2, max_size=45, unique=True),
+        spacing=st.sampled_from([25.0, 50.0, 70.0, 100.0, 150.0]),
+        split=st.integers(1, 44),
+    )
+    def test_lattices(self, cells, spacing, split):
+        # all within the macro disc: at most 800 m by 600 m from the origin
+        points = [(200.0 + spacing * i, spacing * j) for i, j in cells]
+        split = min(split, len(points) - 1)
+        self._assert_same(points[:split], points[split:], 100.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(10.0, 650.0), st.floats(-600.0, 600.0)),
+                    min_size=2, max_size=60),
+           st.sampled_from([100.0, 30.0, 1e-3, math.inf]))
+    def test_scattered(self, points, radius):
+        self._assert_same(points[:1], points[1:], radius)
+
+    def test_dense_chain(self):
+        full = generate(Scenario.D, DeploymentParams(n_faps=2000), seed=12).positions()
+        self._assert_same(full[:500].tolist(), full[500:].tolist(), 100.0)
 
 
 class TestAdmitFap:

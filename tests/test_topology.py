@@ -108,7 +108,7 @@ class TestMacroCell:
         dep.check_in_macro_disc((params.macro_radius_m, 0.0))
         with pytest.raises(ValueError, match="macro disc"):
             dep.check_in_macro_disc((math.nextafter(params.macro_radius_m, math.inf), 0.0))
-        assert dep._cell_side == _cell_side(params.neighbor_radius_m) == 100.0 * (1 + 1e-6)
+        assert _cell_side(params.neighbor_radius_m) == 100.0 * (1 + 1e-6)
 
     def test_no_macro_no_disc(self):
         dep = generate(Scenario.A, DeploymentParams(n_faps=1), seed=1)
