@@ -283,29 +283,29 @@ def admit_fap(
     """Admit a newly installed FAP: sniff neighbors within the graph radius,
     pick an edge color absent among them (else their minority color; ties go
     to the first of ``EDGE_COLORS``), and append the FAP without touching
-    existing colors; ``extend`` gives it its position's sector.  With a
-    ``log``, appends NEW_FAP (position and sector) and RECONFIGURE (color).
-    ``sniffed`` gives the ids the sniff finds (``earlier_neighbors``' rows),
-    else ``near`` scans every FAP.  Raises ValueError when ``plan`` has no
-    edge bands or is not the deployment's."""
+    existing colors, by one scalar ``extend``; ``sectors`` bins it when read.
+    With a ``log``, appends NEW_FAP (position and sector) and RECONFIGURE
+    (color).  ``sniffed`` gives the ids the sniff finds (``earlier_neighbors``'
+    rows), else ``near`` scans every FAP.  Raises ValueError when ``plan`` has
+    no edge bands or is not the deployment's."""
     if plan.n_edges == 1:
         raise ValueError(f"{plan.scheme.value} plan has no edge bands to admit a FAP on")
     deployment.check_plan(plan)
-    pos = np.asarray(position, dtype=float)
-    deployment.check_in_macro_disc(pos)
+    pos = np.asarray(position, dtype=float)  # converted once, read as floats
+    x, y = pos.tolist()
+    deployment.check_in_macro_disc((x, y))
     if sniffed is None:
         sniffed = deployment.near(pos, graph.neighbor_radius)
     # one int8 edge index per sniffed FAP, as bytes: EDGE_COLORS[k] is byte k + 1
-    colors = deployment.edges().take(sniffed).tobytes()
+    colors = deployment.edges()[sniffed].tobytes()
     counts = [colors.count(1), colors.count(2), colors.count(3)]
-    k = counts.index(min(counts))  # the first absent color, if one is
-    deployment.extend(pos, k + 1)
+    edge = counts.index(min(counts)) + 1  # the first absent color, if one is
+    deployment.extend(pos, edge)
     if log is not None:
-        x, y = pos.tolist()
         new_id = len(deployment.faps) - 1
         log.append(SonEventKind.NEW_FAP, new_id, x=x, y=y,
                    sector=int(deployment.sectors()[new_id]))
-        log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[k].value)
+        log.append(SonEventKind.RECONFIGURE, new_id, color=EDGE_COLORS[edge - 1].value)
 
 
 def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
@@ -320,7 +320,7 @@ def replay(deployment: Deployment, events, plan: FrequencyPlan) -> Deployment:
             fap.radius = ev.details["radius_m"]
         elif ev.kind is SonEventKind.NEW_FAP:
             pos = np.array([ev.details["x"], ev.details["y"]])
-            deployment.check_in_macro_disc(pos)
+            deployment.check_in_macro_disc(pos.tolist())
             sector = sector_of(deployment.params.n_sectors, pos)
             if ev.details["sector"] != sector:
                 raise ValueError(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -132,10 +133,11 @@ class FrequencyPlan:
     def n_sectors(self) -> int:
         return len(self.macro_sector_bands)
 
-    @property
+    @cached_property
     def n_edges(self) -> int:
         """Edge indices an allocation can take: 0 (no edge band) only, or
-        also 1-3 (the ``EDGE_COLORS``) when every sector has edge bands."""
+        also 1-3 (the ``EDGE_COLORS``) when every sector has edge bands;
+        computed once per plan."""
         return 1 + len(EDGE_COLORS) if all(self.edge_bands_per_sector) else 1
 
     def validate(self) -> None:
@@ -180,30 +182,19 @@ def build_plan(
     if n_sectors < 1:
         raise ValueError("n_sectors must be >= 1")
 
-    if scheme in (Scheme.DEDICATED, Scheme.PARTIAL):
-        if femto_fraction is None or not (0.0 < femto_fraction < 1.0):
-            raise ValueError(f"{scheme.value} scheme needs femto_fraction in (0, 1)")
-        cut = total_band.lower + round(femto_fraction * total_band.width)
-        if cut <= total_band.lower or cut >= total_band.upper:
-            raise ValueError("femto_fraction leaves an empty femto or macro band")
-        femto = Band(total_band.lower, cut)
-        macro = Band(cut, total_band.upper) if scheme is Scheme.DEDICATED else total_band
-        return FrequencyPlan(
-            scheme=scheme,
-            total=total_band,
-            macro_sector_bands=(macro,) * n_sectors,
-            center_band_per_sector=(femto,) * n_sectors,
-            edge_bands_per_sector=((),) * n_sectors,
-        )
-
-    if scheme is Scheme.SAME:
-        return FrequencyPlan(
-            scheme=scheme,
-            total=total_band,
-            macro_sector_bands=(total_band,) * n_sectors,
-            center_band_per_sector=(total_band,) * n_sectors,
-            edge_bands_per_sector=((),) * n_sectors,
-        )
+    if scheme in (Scheme.DEDICATED, Scheme.PARTIAL, Scheme.SAME):
+        femto = macro = total_band
+        if scheme is not Scheme.SAME:
+            if femto_fraction is None or not (0.0 < femto_fraction < 1.0):
+                raise ValueError(f"{scheme.value} scheme needs femto_fraction in (0, 1)")
+            cut = total_band.lower + round(femto_fraction * total_band.width)
+            if cut <= total_band.lower or cut >= total_band.upper:
+                raise ValueError("femto_fraction leaves an empty femto or macro band")
+            femto = Band(total_band.lower, cut)
+            if scheme is Scheme.DEDICATED:
+                macro = Band(cut, total_band.upper)
+        return FrequencyPlan(scheme, total_band, (macro,) * n_sectors, (femto,) * n_sectors,
+                             ((),) * n_sectors)
 
     if scheme is Scheme.DYNAMIC_REUSE:
         if n_sectors < 3:
@@ -213,8 +204,7 @@ def build_plan(
         if total_band.width < n_sectors:
             raise ValueError(f"n_sectors={n_sectors} exceeds the band's {total_band.width} Hz")
         sector_bands = split_band(total_band, n_sectors)
-        centers = []
-        edge_triples = []
+        centers, edge_triples = [], []
         for s in range(n_sectors):
             center = sector_bands[(s + 1) % n_sectors]
             host = sector_bands[(s + 2) % n_sectors]
@@ -227,13 +217,7 @@ def build_plan(
             region = Band(host.lower, host.lower + edge_total)
             centers.append(center)
             edge_triples.append(split_band(region, 3))
-        plan = FrequencyPlan(
-            scheme=scheme,
-            total=total_band,
-            macro_sector_bands=sector_bands,
-            center_band_per_sector=tuple(centers),
-            edge_bands_per_sector=tuple(edge_triples),
-        )
+        plan = FrequencyPlan(scheme, total_band, sector_bands, tuple(centers), tuple(edge_triples))
         plan.validate()
         return plan
 

@@ -10,8 +10,9 @@ random.  Distances are 2-D horizontal.
 The macro BS sits at the origin, and a deployment's ``DeploymentParams`` is
 the one source of its radius, tx power and sector count, checked there; the
 ``macro`` flag is off only in scenario A, which has no macrocell.  A FAP's
-sector is its angle around the macro BS (``sector_of``), which ``extend``
-derives from its position as it joins.
+sector is its angle around the macro BS (``sector_of``): ``sectors`` bins the
+rows appended since it was last read in one array pass, row for row equal to
+the scalar rule, so a FAP joins with one check and two writes.
 
 A deployment stores its FAPs as arrays, row i being FAP i: position, sector,
 tx power, radius and an int8 edge index.  Under dynamic re-use a FAP sends on
@@ -99,9 +100,11 @@ def check_domain(name: str, value, low, high=math.inf) -> None:
         raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-def _check_position(x: float, y: float) -> None:
+def _check_position(x: float, y: float, macro: bool = False) -> None:
     if not (abs(x) <= MAX_DISTANCE_M and abs(y) <= MAX_DISTANCE_M):  # NaN fails
         raise ValueError(f"position ({x}, {y}) is not finite or lies beyond 100 km on an axis")
+    if macro and x == 0.0 and y == 0.0:
+        raise ValueError("position coincides with the macro BS")
 
 
 class Scenario(Enum):
@@ -130,13 +133,12 @@ class Fap:
     @property
     def position(self) -> np.ndarray:
         """(2,) meters, read-only."""
-        p = self._dep._pos[self.id]
-        p.flags.writeable = False
-        return p
+        return self._dep._view("_pos")[self.id]
 
     @property
     def sector_index(self) -> int:
-        return int(self._dep._sector[self.id])
+        """Row ``id`` of ``Deployment.sectors``, binned when first read."""
+        return int(self._dep.sectors()[self.id])
 
     @property
     def tx_power(self) -> float:
@@ -197,15 +199,10 @@ class _FapList(Sequence):
         return self._dep._n
 
     def __getitem__(self, index):
-        n = self._dep._n
-        if isinstance(index, slice):
-            return [Fap(self._dep, i) for i in range(*index.indices(n))]
-        index = int(index)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"FAP index {index} out of range")
-        return Fap(self._dep, index)
+        rows = range(self._dep._n)[index]  # a slice gives a range; IndexError past the end
+        if isinstance(rows, range):
+            return [Fap(self._dep, i) for i in rows]
+        return Fap(self._dep, rows)
 
     def __iter__(self):
         return (Fap(self._dep, i) for i in range(self._dep._n))
@@ -310,10 +307,16 @@ class Deployment:
         self._n = 0
         self._pos = np.empty((0, 2))
         self._sector = np.empty(0, dtype=np.int64)
+        self._binned = 0  # rows whose sector ``sectors`` has binned
         self._tx_power = np.empty(0)
         self._radius = np.empty(0)
         self._edge = np.empty(0, dtype=np.int8)
         self.plan: FrequencyPlan | None = None
+        self._read_only: dict[str, np.ndarray] = {}  # views of the columns, made on read
+        self._near = None, None  # the last query of near and its ids
+
+    def __getstate__(self):  # a copy makes its own views
+        return {**self.__dict__, "_read_only": {}}
 
     @property
     def faps(self) -> Sequence[Fap]:
@@ -322,56 +325,73 @@ class Deployment:
     def extend(self, positions, edges=-1) -> None:
         """Append one FAP per (x, y) row of ``positions`` with edge indices
         ``edges`` (see ``edges``; -1, the default, is no allocation), at the
-        deployment's default tx power and radius.  A FAP's sector is the one
-        ``sector_of`` gives its position, or 0 without a macro BS.  Adds
-        nothing and raises ValueError unless ``positions`` is one (x, y) pair
-        or (m, 2) rows, each coordinate within 100 km of the macro BS and none
-        at it; the caller fits the edges to ``plan``."""
+        deployment's default tx power and radius, unbinned (see ``sectors``).
+        Adds nothing and raises ValueError unless ``positions`` is one (x, y)
+        pair, with one scalar edge index, both written as scalars, or (m, 2)
+        rows, each coordinate within 100 km of the macro BS and none at it;
+        the caller fits the edges to ``plan``."""
         positions = np.asarray(positions, dtype=float)
-        if positions.ndim not in (1, 2) or positions.shape[-1] != 2:
+        n = self._n
+        if positions.shape == (2,):
+            x, y = positions.tolist()
+            _check_position(x, y, self.macro)
+            if n == len(self._pos):
+                self._grow(n + 1)
+            self._pos[n], self._edge[n], self._n = positions, edges, n + 1
+            return
+        if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError(f"FAP positions are (x, y) rows, got shape {positions.shape}")
-        positions = positions.reshape(-1, 2)
-        n, m = self._n, len(positions)
+        # all rows at once; the first that fails raises its message
+        bad = ~(np.abs(positions) <= MAX_DISTANCE_M).all(axis=1)
+        bad |= self.macro & ~positions.any(axis=1)  # a row at the macro BS
+        if bad.any():
+            _check_position(*positions[bad.argmax()].tolist(), self.macro)
+        m = len(positions)
         if n + m > len(self._pos):
-            capacity = max(2 * len(self._pos), n + m, 16)
-            for name in ("_pos", "_sector", "_tx_power", "_radius", "_edge"):
-                old = getattr(self, name)
-                grown = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
-                grown[:n] = old[:n]
-                setattr(self, name, grown)
-            # rows join at the default tx power and radius
-            self._tx_power[n:] = self.params.fap_tx_power_w
-            self._radius[n:] = self.params.femto_radius_m
-        # rows past the count are free to write: only the new count adds them
-        sectors, n_sectors = self._sector, self.params.n_sectors
-        for i, (x, y) in enumerate(positions.tolist(), n):
-            _check_position(x, y)
-            sectors[i] = _sector(x, y, n_sectors) if self.macro else 0
-        self._pos[n:n + m] = positions
-        self._edge[n:n + m] = edges
-        self._n = n + m
+            self._grow(n + m)
+        self._pos[n:n + m], self._edge[n:n + m], self._n = positions, edges, n + m
+
+    def _grow(self, rows: int) -> None:
+        """Double the columns, to ``rows`` at least; free rows take the defaults."""
+        n, capacity = self._n, max(2 * len(self._pos), rows, 16)
+        for name in ("_pos", "_sector", "_tx_power", "_radius", "_edge"):
+            old = getattr(self, name)
+            grown = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            grown[:n] = old[:n]
+            setattr(self, name, grown)
+        self._tx_power[n:] = self.params.fap_tx_power_w
+        self._radius[n:] = self.params.femto_radius_m
+        self._read_only = {}
 
     def positions(self) -> np.ndarray:
         """(N, 2) read-only view of the FAP positions; row i is FAP i."""
-        return self._view(self._pos)
+        return self._view("_pos")
 
     def sectors(self) -> np.ndarray:
-        """(N,) read-only view of the FAP sector indices."""
-        return self._view(self._sector)
+        """(N,) read-only view of the FAP sector indices (``sector_of``, or 0
+        without a macro BS); rows appended since the last call are binned here."""
+        if self._binned < self._n:
+            rows = slice(self._binned, self._n)
+            self._sector[rows] = (_bin_sectors(self._pos[rows], self.params.n_sectors)
+                                  if self.macro else 0)
+            self._binned = self._n
+        return self._view("_sector")
 
     def tx_powers(self) -> np.ndarray:
         """(N,) read-only view of the FAP tx powers (W)."""
-        return self._view(self._tx_power)
+        return self._view("_tx_power")
 
     def edges(self) -> np.ndarray:
         """(N,) read-only view of the FAP edge indices: -1 no allocation, 0 no
         edge band, 1-3 the ``EDGE_COLORS``."""
-        return self._view(self._edge)
+        return self._view("_edge")
 
-    def _view(self, column: np.ndarray) -> np.ndarray:
-        view = column[: self._n]
-        view.setflags(write=False)  # cheaper than through view.flags
-        return view
+    def _view(self, name: str) -> np.ndarray:
+        view = self._read_only.get(name)
+        if view is None:
+            view = self._read_only[name] = getattr(self, name).view()
+            view.flags.writeable = False
+        return view[:self._n]
 
     def fap_by_id(self, fap_id: int) -> Fap:
         if not 0 <= fap_id < self._n:
@@ -381,21 +401,26 @@ class Deployment:
     def near(self, point, radius: float) -> np.ndarray:
         """Ids, ascending and in a fresh array, of the FAPs that pass
         ``neighbor_graph``'s test at ``radius`` from ``point``, by a scan of
-        every FAP.  Raises ValueError at a coordinate NaN or beyond 100 km."""
+        every FAP.  Positions never change, so the last query's ids serve it
+        again until a FAP joins.  Raises ValueError at a coordinate NaN or
+        beyond 100 km."""
         point = np.asarray(point, dtype=float)
         x, y = point.tolist()
         _check_position(x, y)
-        d = self.positions() - point
-        d *= d
-        # neighbor_graph's ((p_i - p_j) ** 2).sum(), term for term
-        return np.arange(self._n)[d[:, 0] + d[:, 1] <= radius * radius]
+        if self._near[0] != (self._n, x, y, radius):
+            d = self.positions() - point
+            d *= d
+            # neighbor_graph's ((p_i - p_j) ** 2).sum(), term for term
+            ids = np.arange(self._n)[d[:, 0] + d[:, 1] <= radius * radius]
+            self._near = (self._n, x, y, radius), ids
+        return self._near[1].copy()
 
     def check_in_macro_disc(self, position) -> None:
-        """Raise ValueError unless ``position`` lies in the macro disc by
-        placement's test, which a NaN coordinate fails."""
+        """Raise ValueError unless ``position``, an (x, y) pair of floats,
+        lies in the macro disc by placement's test, which NaN fails."""
         if not self.macro:
             raise ValueError("admission requires an overlaid macrocell")
-        x, y = np.asarray(position, dtype=float).tolist()
+        x, y = position
         if not _in_disc(x, y, self.params.macro_radius_m):
             raise ValueError("new FAP position lies outside the macro disc")
 
@@ -424,9 +449,10 @@ class Deployment:
             self.check_plan(plan)
         rows = slice(None) if ids is None else ids
         edges = np.asarray(edges)
-        if np.any(edges < 0) or np.any(edges >= len(_EDGES)):
+        low, high = (edges.min(), edges.max()) if edges.size else (0, 0)
+        if low < 0 or high >= len(_EDGES):
             raise ValueError(f"edge index outside 0-{len(_EDGES) - 1}")
-        if np.any(edges >= plan.n_edges):
+        if high >= plan.n_edges:
             raise ValueError(f"{plan.scheme.value} plan has no edge bands")
         self._edge[:self._n][rows] = edges
         if ids is None:
@@ -438,6 +464,20 @@ def _sector(x: float, y: float, n_sectors: int) -> int:
     if x == 0.0 and y == 0.0:
         raise ValueError("position coincides with the macro BS")
     return min(int(math.atan2(y, x) % TWO_PI // (TWO_PI / n_sectors)), n_sectors - 1)
+
+
+def _bin_sectors(points: np.ndarray, n_sectors: int) -> np.ndarray:
+    """``_sector`` of each (x, y) row in one array pass.  ``np.arctan2`` may
+    differ from ``math.atan2`` in the last bits, so an angle within 1e-9 of a
+    sector boundary (0 and 2*pi included), or the origin, takes ``_sector``."""
+    x, y = points[:, 0], points[:, 1]
+    width = TWO_PI / n_sectors
+    angle = np.arctan2(y, x) % TWO_PI
+    sector = np.minimum(angle // width, n_sectors - 1).astype(np.int64)
+    near = np.abs(angle - np.rint(angle / width) * width) < 1e-9
+    for i in np.flatnonzero(near | ((x == 0.0) & (y == 0.0))).tolist():
+        sector[i] = _sector(*points[i].tolist(), n_sectors)
+    return sector
 
 
 def sector_of(n_sectors: int, position) -> int:
@@ -641,14 +681,18 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
 
 
+_SNIFF_ROWS = 256  # rows whose earlier candidates a sniff counts at once (~100 KiB)
+
+
 def earlier_neighbors(positions, radius: float, start: int = 0):
     """Yield, for each row i >= ``start`` of the (N, 2) ``positions`` in turn,
     the ids j < i of the rows that pass ``neighbor_graph``'s test with it, in
     candidate order: the sniff of each FAP when FAPs join in row order.  They
     are the prefixes of ids below i of the 3x3 cells around row i's
     (``_grid``), each ended by ``searchsorted`` on (cell rank) * N + id, an
-    exact int64 below N**2.  Rows go in blocks whose 3x3 cells hold about
-    ``_CANDIDATE_BLOCK / 2`` FAPs in all, built as the stream reaches them."""
+    exact int64 below N**2.  The runs are counted ``_SNIFF_ROWS`` rows at a
+    time, and those rows are tested in blocks of about ``_CANDIDATE_BLOCK /
+    4`` earlier candidates, each built as the stream reaches it."""
     check_domain("neighbor radius", radius, MIN_DISTANCE_M)
     pos = np.asarray(positions, dtype=float)
     n, r2 = len(pos), radius * radius
@@ -659,32 +703,29 @@ def earlier_neighbors(positions, radius: float, start: int = 0):
     order, rank, cell_start, lo, hi = _grid(pos, radius)
     cell_id = rank[order] * n + order
     # a cell's 9 candidate cells, column by column; past hi, the empty rank C
-    cand = (lo[:, None] + np.arange(3)[:, None]).reshape(9, -1)
-    cand[cand >= np.repeat(hi, 3, axis=0)] = len(cell_start) - 1
+    cand = (lo.T[:, :, None] + np.arange(3)).reshape(-1, 9)
+    cand[cand >= np.repeat(hi.T, 3, axis=1)] = len(cell_start) - 1
     x, y = pos[:, 0], pos[:, 1]
     sorted_x, sorted_y = x[order], y[order]
 
-    def block(a, b):  # the ids of rows a..b and each row's bounds; temporaries die here
-        # rows by (cell, id), so that a slot's needles mostly ascend
-        by_key = np.argsort(rank[a:b], kind="stable")
-        c = cand.take(rank[a:b].take(by_key), axis=1)
+    def runs(a, b):  # rows a..b's nine (start, length) runs; temporaries die here
+        c = cand.take(rank[a:b], axis=0)
         starts = cell_start.take(c)
-        lengths = np.searchsorted(cell_id, c * n + (by_key + a)) - starts
-        runs = np.empty((2, b - a, 9), dtype=np.intp)  # back in id order
-        runs[0, by_key], runs[1, by_key] = starts.T, lengths.T
-        per_row = runs[1].sum(axis=1)
-        at = _ramp(runs[0].ravel(), runs[1].ravel())
+        return starts, np.searchsorted(cell_id, c * n + np.arange(a, b)[:, None]) - starts
+
+    def block(starts, lengths, per_row, a, b):  # rows a..b's ids, one view a row
+        at = _ramp(starts.ravel(), lengths.ravel())
         hit = np.flatnonzero(_passes(x[a:b], y[a:b], per_row, sorted_x, sorted_y, at, r2))
         ends = np.searchsorted(hit, np.cumsum(per_row)).tolist()
-        return order.take(at.take(hit)), zip([0, *ends], ends)
+        return map(order.take(at.take(hit)).__getitem__, map(slice, [0, *ends], ends))
 
-    # half the graph's blocks: their temporaries, 32 bytes a candidate, come
-    # on top of what the sweep holds
-    within = (cell_start[hi] - cell_start[lo]).sum(axis=0)  # FAPs of a cell's 3x3
-    for a, b in _blocks(within[rank[start:]], (_CANDIDATE_BLOCK + 1) // 2):
-        ids, bounds = block(a + start, b + start)
-        for k0, k1 in bounds:
-            yield ids[k0:k1]
+    for a0 in range(start, n, _SNIFF_ROWS):
+        starts, lengths = runs(a0, min(a0 + _SNIFF_ROWS, n))
+        per_row = lengths.sum(axis=1)
+        # a quarter of the graph's blocks: their temporaries, 32 bytes a
+        # candidate, come on top of what the sweep holds; a row counts one more
+        for a, b in _blocks(per_row + 1, (_CANDIDATE_BLOCK + 3) // 4):
+            yield from block(starts[a:b], lengths[a:b], per_row[a:b], a0 + a, a0 + b)
 
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:

@@ -422,3 +422,25 @@ class TestEarlierNeighbors:
         got = [_stream(pos, r, 300) for r in (100.0, math.inf)] + [_stream(sparse, 100.0)]
         assert got == expected
         _assert_stream_matches(pos[:500], 100.0, 200)
+
+    @pytest.mark.parametrize("rows", [1, 7, 2**12])
+    def test_count_chunk_changes_no_row(self, monkeypatch, rows):
+        pos = generate(Scenario.D, DeploymentParams(n_faps=1200), seed=4).positions()
+        expected = [_stream(pos, r, s) for r in (100.0, math.inf) for s in (0, 300)]
+        monkeypatch.setattr(topology, "_SNIFF_ROWS", rows)
+        assert [_stream(pos, r, s) for r in (100.0, math.inf) for s in (0, 300)] == expected
+
+    def test_blocks_are_cut_by_earlier_candidates(self, monkeypatch):
+        # a block holds about a quarter of _CANDIDATE_BLOCK earlier
+        # candidates (all but the last of a count chunk at least half that),
+        # not all FAPs of its rows' 3x3 cells
+        pos = generate(Scenario.D, DeploymentParams(n_faps=4000), seed=1).positions()
+        sizes, real = [], topology._passes
+        monkeypatch.setattr(topology, "_passes",
+                            lambda x, *a: sizes.append((len(x), len(a[4]))) or real(x, *a))
+        rows = list(topology.earlier_neighbors(pos, 100.0, 500))
+        budget = (topology._CANDIDATE_BLOCK + 3) // 4
+        assert sum(n for n, _ in sizes) == len(rows) == 3500
+        assert max(n for _, n in sizes) <= budget + 200  # a block ends after the row that fills it
+        chunks = -(-3500 // topology._SNIFF_ROWS)
+        assert len([n for _, n in sizes if n < budget // 2]) <= chunks

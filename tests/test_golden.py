@@ -8,8 +8,11 @@ draw from their own seed child.  The center-region and six-sector cases,
 captured before the co-channel rule became one (sector, edge index) row,
 cover the branches the defaults never take: a UE served on its FAP's
 center band, and a reference close enough to the macro BS to see more
-sectors than 0 and S - 1.  The non-default-keys cases, captured before the
-parameter objects were built from the config by key name, hash whole files,
+sectors than 0 and S - 1.  The eight-sector cases, captured before sectors
+were binned in one array pass, put the reference 30 m from the macro BS, so
+its neighbors surround the macro BS and fall in all eight sectors.  The
+non-default-keys cases, captured before the parameter objects were built
+from the config by key name, hash whole files,
 provenance header included, with every kind of key away from its default: a
 key that stops reaching its object, or its header line, moves a hash.
 
@@ -107,6 +110,22 @@ def test_center_region_csv_body_hash(tmp_path, experiment, seed):
 def test_six_sectors_near_csv_body_hash(tmp_path, experiment, seed):
     sets = [*CASES[experiment], "reference_distance_m=50", "n_sectors=6", f"seed={seed}"]
     assert _body_hash(tmp_path, experiment, sets) == SIX_SECTORS_NEAR[(experiment, seed)]
+
+
+EIGHT_SECTORS_NEAR = {
+    ("fig5", 1): "1da08ad7035b2dd51b7a0eec68b295eec6ef6866c7fd137dd9b14a4be6d8020c",
+    ("fig5", 2): "3e4fb69fddd7da68f292cbd8a5be17de1ac87e9e03a03d89621837c20a89b049",
+    ("fig6", 1): "0263894ebce66c7dd00a6a6f22a86e3cdb0a64b96db3c185a3a990860b3f532a",
+    ("fig6", 2): "be47ce0114d592edac073e90f618367806c68f7e20946b5caba7273aa27ede82",
+    ("son-ablation", 1): "5bd02808ee1b1ffad4e0b0667b9f80134e1037a01af5cdabe810866a781ee482",
+    ("son-ablation", 2): "18bfc245f163c7ed47448956f2f3959708b74d1476fe5435333db40355f8f46d",
+}
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(EIGHT_SECTORS_NEAR), ids=lambda v: str(v))
+def test_eight_sectors_near_csv_body_hash(tmp_path, experiment, seed):
+    sets = [*CASES[experiment], "reference_distance_m=30", "n_sectors=8", f"seed={seed}"]
+    assert _body_hash(tmp_path, experiment, sets) == EIGHT_SECTORS_NEAR[(experiment, seed)]
 
 
 NON_DEFAULT_KEYS = (

@@ -62,7 +62,7 @@ class TestSectorOf:
 
 
 class TestStoredSectors:
-    """``extend`` derives each FAP's sector from its position."""
+    """A FAP's sector is ``sector_of`` its position, binned when first read."""
 
     @pytest.mark.parametrize("n_sectors", [3, 4, 6])
     def test_generated_sectors_follow_positions(self, n_sectors):
