@@ -26,8 +26,9 @@ position lies within 100 km of the macro BS on each axis and never changes.
 ``near`` (a scan of every FAP), ``neighbor_graph`` (CSR: int64 row
 pointers, int32 ids ascending in each row) and ``earlier_neighbors`` (each
 FAP's neighbors among the FAPs before it) share one neighbor test, ``dx * dx
-+ dy * dy <= r * r`` in float64.  The last two find candidates in the 3x3
-cells around a FAP's, cells a hair wider than r, in O(N * mean degree).
++ dy * dy <= r * r`` in float64.  The last two read one blocked stream of
+candidate pairs (``_Pairs``): the FAPs of the 3x3 cells around a FAP's, cells
+a hair wider than r, in O(N * mean degree).
 Placement, admission and replay share one disc test, which NaN fails, and
 scenario B redraws a FAP while ``near`` finds a neighbor, so the graph links
 none of its pairs.
@@ -561,30 +562,11 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-# Candidate pairs per source block, whatever N is: 2**14, so each of the
-# block's ten or so float64/int64 temporaries is 128 KiB and together they fit
-# an L2 cache.  The build then peaks 1.9 MiB above its result at 8000 FAPs
-# (10.7 MiB with blocks of 2**18).
+# Candidate pairs per block, whatever N is: 2**14, so each of a block's ten or
+# so float64/int64 temporaries is 128 KiB and together they fit an L2 cache.
+# The graph build then peaks 1.1 MiB above its result at 8000 FAPs.
 _CANDIDATE_BLOCK = 1 << 14
-
-
-def _grid(positions: np.ndarray, radius: float):
-    """The positions sorted by (cell, id) as ``order``, each one's dense cell
-    rank, each cell's start in ``order`` then N (rank C: an empty cell), and
-    (lo, hi), each (3, C): column dx of cell c's 3x3 holds ranks ``lo[dx + 1,
-    c]`` to ``hi[dx + 1, c] - 1``.  Cells are ``_cell_side`` wide."""
-    keys = _cell_keys(positions, _cell_side(radius))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.append(True, keys[1:] != keys[:-1])  # the first FAP of a cell
-    cells = keys[first]
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    # binary searches with needles in key order narrow from the last result
-    column = np.array([[-_CELL_STRIDE], [0], [_CELL_STRIDE]]) + cells
-    lo = np.searchsorted(cells, column - 1, side="left")
-    hi = np.searchsorted(cells, column + 1, side="right")
-    return order, rank, np.append(np.flatnonzero(first), len(keys)), lo, hi
+_CHUNK_ROWS = 256  # rows whose runs are counted at once (a sniff's tables are 18 KiB)
 
 
 def _ramp(starts, lengths):
@@ -594,27 +576,91 @@ def _ramp(starts, lengths):
     return at
 
 
-def _passes(x, y, reps, sorted_x, sorted_y, at, r2) -> np.ndarray:
-    """Whether each candidate pair passes the neighbor test, source (x, y)
-    repeated ``reps`` times against the sorted coordinates at ``at``:
-    ``((p_i - p_j) ** 2).sum() <= r2`` term for term, in place."""
-    dx = np.repeat(x, reps)
-    dx -= sorted_x.take(at)
-    dx *= dx
-    dy = np.repeat(y, reps)
-    dy -= sorted_y.take(at)
-    dy *= dy
-    dx += dy
-    return dx <= r2
+class _Pairs:
+    """The candidate pairs of the neighbor test over (N, 2) ``positions``,
+    in blocks.  The positions are binned in cells a hair wider than
+    ``radius`` (``_cell_side``) and sorted once by (cell, id) as ``order``;
+    ``cells`` lists each cell's 3x3 cells by dense rank, column by column,
+    with the empty rank C where a cell holds no position.  A row's
+    candidates are runs of ``order`` in those cells."""
 
+    def __init__(self, positions, radius: float):
+        check_domain("neighbor radius", radius, MIN_DISTANCE_M)
+        pos = np.asarray(positions, dtype=float)
+        if not np.all(np.abs(pos) <= MAX_DISTANCE_M):  # NaN fails
+            raise ValueError("a position is not finite or lies beyond 100 km on an axis")
+        self.n = n = len(pos)
+        self.r2 = radius * radius
+        keys = _cell_keys(pos, _cell_side(radius))
+        self.order = order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(n, dtype=bool)  # the first FAP of a cell
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        cells = keys[first]
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[order] = np.cumsum(first) - 1
+        # cell c is order[cell_start[c]:cell_start[c + 1]]; rank C is empty
+        self.cell_start = np.append(np.flatnonzero(first), [n, n])
+        # binary searches with needles in key order narrow from the last
+        # result; a column's cells dy = -1, 0, 1 have consecutive ranks
+        column = np.array([[-_CELL_STRIDE], [0], [_CELL_STRIDE]]) + cells
+        lo = np.searchsorted(cells, column - 1, side="left")
+        hi = np.searchsorted(cells, column + 1, side="right")
+        self.cells = (lo.T[:, :, None] + np.arange(3)).reshape(-1, 9)
+        self.cells[self.cells >= np.repeat(hi.T, 3, axis=1)] = len(cells)
+        self.x, self.y = pos[:, 0], pos[:, 1]
+        self.sorted_x, self.sorted_y = self.x[order], self.y[order]
 
-def _blocks(per_row, size: int) -> list:
-    """Row ranges (a, b) of about ``size`` candidates, cut on row boundaries,
-    from each row's candidate count (at least 1)."""
-    ends = np.cumsum(per_row)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], size), side="right")
-    bounds = sorted({*cuts.tolist(), len(per_row)})
-    return list(zip(bounds[:-1], bounds[1:]))
+    def blocks(self, start: int = 0, earlier: bool = False):
+        """Yield (a, b, per_row, at) for rows a..b from ``start`` on, in
+        order: each row's candidate count and the candidates' places in
+        ``order``, row after row.  A row's candidates are the FAPs of its 3x3
+        cells, three runs, one a column; with ``earlier``, those with ids
+        below its own, nine runs, one a cell, each ended by ``searchsorted``
+        on (cell rank) * N + id, an exact int64 below N * (N + 1).  The runs are
+        counted ``_CHUNK_ROWS`` rows at a time and cut into blocks of about
+        ``_CANDIDATE_BLOCK`` candidates, so a walk holds one chunk and one
+        block."""
+        n = self.n
+        if earlier:
+            cell_id = self.rank[self.order] * n + self.order  # ascending
+        else:  # a column's cells follow one another: one run a column, per cell
+            first = self.cell_start.take(self.cells)
+            col_len = (self.cell_start.take(self.cells + 1) - first).reshape(-1, 3, 3).sum(axis=2)
+            col_start = first[:, ::3].copy()
+        for a0 in range(start, n, _CHUNK_ROWS):
+            rank = self.rank[a0:a0 + _CHUNK_ROWS]
+            if earlier:
+                c = self.cells.take(rank, axis=0)
+                starts = self.cell_start.take(c)
+                c *= n
+                c += np.arange(a0, a0 + len(rank))[:, None]
+                lengths = np.searchsorted(cell_id, c)
+                lengths -= starts
+            else:
+                starts, lengths = col_start.take(rank, axis=0), col_len.take(rank, axis=0)
+            per_row = lengths.sum(axis=1)
+            # a block starts at each row whose running count, a row counting
+            # one more, reaches a multiple of the budget
+            block = np.cumsum(per_row + 1)
+            block //= _CANDIDATE_BLOCK
+            bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(rank)]
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                at = _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
+                yield a0 + a, a0 + b, per_row[a:b], at
+
+    def passes(self, a: int, b: int, per_row, at) -> np.ndarray:
+        """Whether each candidate at ``at`` passes the neighbor test with its
+        row of a..b: ``((p_i - p_j) ** 2).sum() <= r * r`` term for term, in
+        place."""
+        dx = np.repeat(self.x[a:b], per_row)
+        dx -= self.sorted_x.take(at)
+        dx *= dx
+        dy = np.repeat(self.y[a:b], per_row)
+        dy -= self.sorted_y.take(at)
+        dy *= dy
+        dx += dy
+        return dx <= self.r2
 
 
 def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
@@ -622,51 +668,34 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     ``((p_i - p_j) ** 2).sum() <= radius * radius``: exact Euclidean
     distances, by the same float expression for every pair.
 
-    A FAP's candidates are the FAPs of the 3x3 cells around its own
-    (``_grid``), three runs of the FAPs sorted by key, one per column.  The
-    radius is at least 1 mm, or infinite, which gives one cell (the complete
-    graph).  Candidates are tested in source blocks of about 2**14
-    (``_CANDIDATE_BLOCK``), cut on row boundaries.  A first pass counts each
-    row's neighbors and keeps one bit per candidate, so that a second pass
-    writes the pairs straight into the one CSR buffer: the peak is the
-    result, the bits (about a tenth of it), a few per-FAP arrays and one
-    block, 1.9 MiB above the result at 8000 FAPs and 11.2 MiB at 40000.
-    Work and memory are O(N * mean degree).  The result is CSR with int32
-    indices, ascending in rows.
+    A FAP's candidates are the FAPs of the 3x3 cells around its own, read in
+    blocks from ``_Pairs``.  The radius is at least 1 mm, or infinite, which
+    gives one cell (the complete graph).  A first walk of the blocks counts
+    each row's neighbors and keeps one bit per candidate in one buffer, so
+    that a second walk writes the pairs straight into the one CSR buffer:
+    the peak is the result, the bits (about a tenth of it), a few per-FAP
+    arrays and one block, 1.1 MiB above the result at 8000 FAPs and
+    7.1 MiB at 40000.  Work and memory are O(N * mean degree).  The
+    result is CSR with int32 indices, ascending in rows.
     """
-    check_domain("neighbor radius", radius, MIN_DISTANCE_M)
-    pos = deployment.positions()
-    n = len(pos)
-    if n == 0:
-        return NeighborGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), radius)
-    r2 = radius * radius
-    order, rank, cell_start, lo, hi = _grid(pos, radius)
-    # each FAP's 3 runs of `order`, one per column of its 3x3 cells
-    starts = cell_start[lo].T[rank]
-    lengths = (cell_start[hi] - cell_start[lo]).T[rank]
-    per_fap = lengths.sum(axis=1)  # >= 1: a FAP's own cell holds it
-    blocks = _blocks(per_fap, _CANDIDATE_BLOCK)
-
-    # a candidate run is a slice of the key-sorted coordinates
-    x, y = pos[:, 0], pos[:, 1]
-    sorted_x, sorted_y = x[order], y[order]
-    # first pass: which candidates pass, kept as bits, and each row's count
+    pairs = _Pairs(deployment.positions(), radius)
+    n = pairs.n
+    # first walk: which candidates pass, kept as bits, and each row's count
     indptr = np.zeros(n + 1, dtype=np.int64)
-    passed = []
-    for a, b in blocks:
-        reps = per_fap[a:b]
-        at = _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
-        keep = _passes(x[a:b], y[a:b], reps, sorted_x, sorted_y, at, r2)
-        passed.append(np.packbits(keep))
+    passed = bytearray()
+    for a, b, per_row, at in pairs.blocks():
+        keep = pairs.passes(a, b, per_row, at)
+        passed += memoryview(np.packbits(keep))
         # every FAP is its own candidate once, and passes
-        indptr[a + 1:b + 1] = np.add.reduceat(keep, np.cumsum(reps) - reps, dtype=np.int64) - 1
+        indptr[a + 1:b + 1] = np.add.reduceat(keep, np.cumsum(per_row) - per_row, dtype=np.int64) - 1
     np.cumsum(indptr, out=indptr)
-    # second pass: write each block's pairs into the one CSR buffer
+    # second walk: write each block's pairs into the one CSR buffer
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for (a, b), bits in zip(blocks, passed):
-        at = _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
-        keep = np.unpackbits(bits, count=len(at)).view(bool)
-        j = order.take(at[keep])
+    bits, o = np.frombuffer(passed, dtype=np.uint8), 0
+    for a, b, _, at in pairs.blocks():
+        keep = np.unpackbits(bits[o:], count=len(at)).view(bool)
+        o += (len(at) + 7) // 8
+        j = pairs.order.take(at[keep])
         # a row keeps its neighbors, counted in indptr, and itself
         i = np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1]) + 1)
         # a row's runs come column by column: drop i == j and sort (row, id)
@@ -681,51 +710,18 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
 
 
-_SNIFF_ROWS = 256  # rows whose earlier candidates a sniff counts at once (~100 KiB)
-
-
 def earlier_neighbors(positions, radius: float, start: int = 0):
     """Yield, for each row i >= ``start`` of the (N, 2) ``positions`` in turn,
     the ids j < i of the rows that pass ``neighbor_graph``'s test with it, in
     candidate order: the sniff of each FAP when FAPs join in row order.  They
-    are the prefixes of ids below i of the 3x3 cells around row i's
-    (``_grid``), each ended by ``searchsorted`` on (cell rank) * N + id, an
-    exact int64 below N**2.  The runs are counted ``_SNIFF_ROWS`` rows at a
-    time, and those rows are tested in blocks of about ``_CANDIDATE_BLOCK /
-    4`` earlier candidates, each built as the stream reaches it."""
-    check_domain("neighbor radius", radius, MIN_DISTANCE_M)
-    pos = np.asarray(positions, dtype=float)
-    n, r2 = len(pos), radius * radius
-    if not np.all(np.abs(pos) <= MAX_DISTANCE_M):  # NaN fails
-        raise ValueError("a position is not finite or lies beyond 100 km on an axis")
-    if start >= n:
-        return
-    order, rank, cell_start, lo, hi = _grid(pos, radius)
-    cell_id = rank[order] * n + order
-    # a cell's 9 candidate cells, column by column; past hi, the empty rank C
-    cand = (lo.T[:, :, None] + np.arange(3)).reshape(-1, 9)
-    cand[cand >= np.repeat(hi.T, 3, axis=1)] = len(cell_start) - 1
-    x, y = pos[:, 0], pos[:, 1]
-    sorted_x, sorted_y = x[order], y[order]
-
-    def runs(a, b):  # rows a..b's nine (start, length) runs; temporaries die here
-        c = cand.take(rank[a:b], axis=0)
-        starts = cell_start.take(c)
-        return starts, np.searchsorted(cell_id, c * n + np.arange(a, b)[:, None]) - starts
-
-    def block(starts, lengths, per_row, a, b):  # rows a..b's ids, one view a row
-        at = _ramp(starts.ravel(), lengths.ravel())
-        hit = np.flatnonzero(_passes(x[a:b], y[a:b], per_row, sorted_x, sorted_y, at, r2))
+    are the FAPs with ids below i of the 3x3 cells around row i's, read in
+    blocks from ``_Pairs``, each built and tested as the stream reaches it."""
+    check_domain("start", start, 0)
+    pairs = _Pairs(positions, radius)
+    for a, b, per_row, at in pairs.blocks(start, earlier=True):
+        hit = np.flatnonzero(pairs.passes(a, b, per_row, at))
         ends = np.searchsorted(hit, np.cumsum(per_row)).tolist()
-        return map(order.take(at.take(hit)).__getitem__, map(slice, [0, *ends], ends))
-
-    for a0 in range(start, n, _SNIFF_ROWS):
-        starts, lengths = runs(a0, min(a0 + _SNIFF_ROWS, n))
-        per_row = lengths.sum(axis=1)
-        # a quarter of the graph's blocks: their temporaries, 32 bytes a
-        # candidate, come on top of what the sweep holds; a row counts one more
-        for a, b in _blocks(per_row + 1, (_CANDIDATE_BLOCK + 3) // 4):
-            yield from block(starts[a:b], lengths[a:b], per_row[a:b], a0 + a, a0 + b)
+        yield from map(pairs.order.take(at.take(hit)).__getitem__, map(slice, [0, *ends], ends))
 
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:

@@ -425,22 +425,36 @@ class TestEarlierNeighbors:
 
     @pytest.mark.parametrize("rows", [1, 7, 2**12])
     def test_count_chunk_changes_no_row(self, monkeypatch, rows):
-        pos = generate(Scenario.D, DeploymentParams(n_faps=1200), seed=4).positions()
-        expected = [_stream(pos, r, s) for r in (100.0, math.inf) for s in (0, 300)]
-        monkeypatch.setattr(topology, "_SNIFF_ROWS", rows)
-        assert [_stream(pos, r, s) for r in (100.0, math.inf) for s in (0, 300)] == expected
+        # the one chunk cuts the graph's blocks and the stream's alike
+        dep = generate(Scenario.D, DeploymentParams(n_faps=1200), seed=4)
+        pos = dep.positions()
+
+        def outputs():
+            graphs = [neighbor_graph(dep, r) for r in (100.0, math.inf)]
+            return [(g.indptr.tolist(), g.indices.tolist()) for g in graphs] + [
+                _stream(pos, r, s) for r in (100.0, math.inf) for s in (0, 300)]
+
+        expected = outputs()
+        monkeypatch.setattr(topology, "_CHUNK_ROWS", rows)
+        assert outputs() == expected
 
     def test_blocks_are_cut_by_earlier_candidates(self, monkeypatch):
-        # a block holds about a quarter of _CANDIDATE_BLOCK earlier
-        # candidates (all but the last of a count chunk at least half that),
-        # not all FAPs of its rows' 3x3 cells
+        # a block holds about _CANDIDATE_BLOCK earlier candidates (all but
+        # the last of a count chunk at least half that), not all FAPs of its
+        # rows' 3x3 cells
         pos = generate(Scenario.D, DeploymentParams(n_faps=4000), seed=1).positions()
-        sizes, real = [], topology._passes
-        monkeypatch.setattr(topology, "_passes",
-                            lambda x, *a: sizes.append((len(x), len(a[4]))) or real(x, *a))
+        sizes, real = [], topology._Pairs.passes
+        monkeypatch.setattr(topology._Pairs, "passes", lambda self, a, b, per_row, at: sizes.append(
+            (b - a, len(at))) or real(self, a, b, per_row, at))
         rows = list(topology.earlier_neighbors(pos, 100.0, 500))
-        budget = (topology._CANDIDATE_BLOCK + 3) // 4
+        budget = topology._CANDIDATE_BLOCK
         assert sum(n for n, _ in sizes) == len(rows) == 3500
-        assert max(n for _, n in sizes) <= budget + 200  # a block ends after the row that fills it
-        chunks = -(-3500 // topology._SNIFF_ROWS)
+        assert max(n for _, n in sizes) <= budget + 200  # a block runs at most one row past it
+        chunks = -(-3500 // topology._CHUNK_ROWS)
         assert len([n for _, n in sizes if n < budget // 2]) <= chunks
+
+    @pytest.mark.parametrize("start", [-1, -50, -60])
+    def test_negative_start_rejected(self, start):
+        pos = generate(Scenario.D, DeploymentParams(n_faps=50), seed=1).positions()
+        with pytest.raises(ValueError, match="start must be at least 0"):
+            _stream(pos, 100.0, start)

@@ -649,9 +649,9 @@ class TestNeighborGraphMemory:
     # plus their squares, sums and masks: about 130 MB at N = 8000.  The grid
     # search holds the CSR result (about 2.4 MiB at 8000 FAPs), its pass bits,
     # a few per-FAP arrays and one block of 2**14 candidates (about 10
-    # temporaries of 128 KiB): 1.9 MiB above the result at 8000 FAPs.  A block
-    # of 2**18 candidates puts it at 10.7 MiB, and any N-wide pairwise block,
-    # even a single float64 row block of 512 x 8000 x 2 (62.5 MiB), far above.
+    # temporaries of 128 KiB): 1.1 MiB above the result at 8000 FAPs.  Any
+    # N-wide pairwise block, even a single float64 row block of 512 x 8000 x 2
+    # (62.5 MiB), puts it far above.
     EXCESS_MB = 4
 
     def test_peak_well_below_dense_blocks(self):
@@ -668,7 +668,7 @@ class TestNeighborGraphMemory:
         # Holding the int32 indices twice (per-block pieces plus their
         # concatenation) puts the peak at twice the result.  The build may
         # hold the result, a tenth of it in pass bits, and one block's
-        # temporaries plus a few per-FAP arrays (11.2 MiB at 40000 FAPs).
+        # temporaries plus a few per-FAP arrays (7.1 MiB at 40000 FAPs).
         dep = generate(Scenario.D, DeploymentParams(n_faps=40000), seed=8)
         tracemalloc.start()
         try:
