@@ -27,8 +27,8 @@ position lies within 100 km of the macro BS on each axis and never changes.
 pointers, int32 ids ascending in each row) and ``earlier_neighbors`` (each
 FAP's neighbors among the FAPs before it) share one neighbor test, ``dx * dx
 + dy * dy <= r * r`` in float64.  The last two read one blocked stream of
-candidate pairs (``_Pairs``): the FAPs of the 3x3 cells around a FAP's, cells
-a hair wider than r, in O(N * mean degree).
+the pairs that pass it (``_Pairs``), tested among the FAPs of the 3x3 cells
+around a FAP's, cells a hair wider than r, in O(N * mean degree).
 Placement, admission and replay share one disc test, which NaN fails, and
 scenario B redraws a FAP while ``near`` finds a neighbor, so the graph links
 none of its pairs.
@@ -404,10 +404,11 @@ class Deployment:
         ``neighbor_graph``'s test at ``radius`` from ``point``, by a scan of
         every FAP.  Positions never change, so the last query's ids serve it
         again until a FAP joins.  Raises ValueError at a coordinate NaN or
-        beyond 100 km."""
+        beyond 100 km, or at a radius below 1 mm or NaN; it may be infinite."""
         point = np.asarray(point, dtype=float)
         x, y = point.tolist()
         _check_position(x, y)
+        check_domain("neighbor radius", radius, MIN_DISTANCE_M)
         if self._near[0] != (self._n, x, y, radius):
             d = self.positions() - point
             d *= d
@@ -442,12 +443,15 @@ class Deployment:
         index ``edges`` (scalar or per FAP; 0 no edge band, 1-3 the
         ``EDGE_COLORS``).  Writing every FAP (``ids`` None) binds ``plan``;
         writing some needs it bound already.  A plan binds only to a deployment
-        of its sector count."""
+        of its sector count.  An id not an integer in 0..N-1 raises ValueError."""
         if plan.n_sectors != self.params.n_sectors:
             raise ValueError(f"a {plan.n_sectors}-sector plan does not fit a deployment of"
                              f" n_sectors={self.params.n_sectors}")
         if ids is not None:
             self.check_plan(plan)
+            for i in np.ravel(ids).tolist():  # a boolean mask or a float is no id
+                if type(i) is not int or not 0 <= i < self._n:
+                    raise ValueError(f"no FAP with id {i!r}")
         rows = slice(None) if ids is None else ids
         edges = np.asarray(edges)
         low, high = (edges.min(), edges.max()) if edges.size else (0, 0)
@@ -564,7 +568,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
 
 # Candidate pairs per block, whatever N is: 2**14, so each of a block's ten or
 # so float64/int64 temporaries is 128 KiB and together they fit an L2 cache.
-# The graph build then peaks 1.1 MiB above its result at 8000 FAPs.
+# The graph build then peaks 1.3 MiB above its result at 8000 FAPs.
 _CANDIDATE_BLOCK = 1 << 14
 _CHUNK_ROWS = 256  # rows whose runs are counted at once (a sniff's tables are 18 KiB)
 
@@ -577,12 +581,12 @@ def _ramp(starts, lengths):
 
 
 class _Pairs:
-    """The candidate pairs of the neighbor test over (N, 2) ``positions``,
-    in blocks.  The positions are binned in cells a hair wider than
-    ``radius`` (``_cell_side``) and sorted once by (cell, id) as ``order``;
-    ``cells`` lists each cell's 3x3 cells by dense rank, column by column,
-    with the empty rank C where a cell holds no position.  A row's
-    candidates are runs of ``order`` in those cells."""
+    """The pairs that pass the neighbor test over (N, 2) ``positions``, in
+    blocks.  The positions are binned in cells a hair wider than ``radius``
+    (``_cell_side``) and sorted once by (cell, id) as ``order``; ``cells``
+    lists each cell's 3x3 cells by dense rank, column by column, with the
+    empty rank C where a cell holds no position.  A row's candidates are
+    runs of ``order`` in those cells."""
 
     def __init__(self, positions, radius: float):
         check_domain("neighbor radius", radius, MIN_DISTANCE_M)
@@ -612,15 +616,15 @@ class _Pairs:
         self.sorted_x, self.sorted_y = self.x[order], self.y[order]
 
     def blocks(self, start: int = 0, earlier: bool = False):
-        """Yield (a, b, per_row, at) for rows a..b from ``start`` on, in
-        order: each row's candidate count and the candidates' places in
-        ``order``, row after row.  A row's candidates are the FAPs of its 3x3
-        cells, three runs, one a column; with ``earlier``, those with ids
-        below its own, nine runs, one a cell, each ended by ``searchsorted``
-        on (cell rank) * N + id, an exact int64 below N * (N + 1).  The runs are
-        counted ``_CHUNK_ROWS`` rows at a time and cut into blocks of about
-        ``_CANDIDATE_BLOCK`` candidates, so a walk holds one chunk and one
-        block."""
+        """Yield (a, b, ends, ids) for rows a..b from ``start`` on, in order:
+        the ids of the candidates that pass (``passes``), row after row, and
+        each row's end in them.  A row's candidates are the FAPs of its 3x3
+        cells, three runs, one a column, so a row keeps its own id; with
+        ``earlier``, those with ids below its own, nine runs, one a cell, each
+        ended by ``searchsorted`` on (cell rank) * N + id, an exact int64
+        below N * (N + 1).  The runs are counted ``_CHUNK_ROWS`` rows at a
+        time and cut into blocks of about ``_CANDIDATE_BLOCK`` candidates, so
+        a walk holds one chunk and one block."""
         n = self.n
         if earlier:
             cell_id = self.rank[self.order] * n + self.order  # ascending
@@ -639,15 +643,18 @@ class _Pairs:
                 lengths -= starts
             else:
                 starts, lengths = col_start.take(rank, axis=0), col_len.take(rank, axis=0)
-            per_row = lengths.sum(axis=1)
+            counts = lengths.sum(axis=1)
             # a block starts at each row whose running count, a row counting
             # one more, reaches a multiple of the budget
-            block = np.cumsum(per_row + 1)
+            block = np.cumsum(counts + 1)
             block //= _CANDIDATE_BLOCK
             bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(rank)]
             for a, b in zip(bounds[:-1], bounds[1:]):
-                at = _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
-                yield a0 + a, a0 + b, per_row[a:b], at
+                per_row, at = counts[a:b], _ramp(starts[a:b].ravel(), lengths[a:b].ravel())
+                hit = np.flatnonzero(self.passes(a0 + a, a0 + b, per_row, at))
+                # not np.add.reduceat, which misreports a row of no candidates
+                ends = np.searchsorted(hit, np.cumsum(per_row))
+                yield a0 + a, a0 + b, ends, self.order.take(at.take(hit))
 
     def passes(self, a: int, b: int, per_row, at) -> np.ndarray:
         """Whether each candidate at ``at`` passes the neighbor test with its
@@ -670,41 +677,33 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
 
     A FAP's candidates are the FAPs of the 3x3 cells around its own, read in
     blocks from ``_Pairs``.  The radius is at least 1 mm, or infinite, which
-    gives one cell (the complete graph).  A first walk of the blocks counts
-    each row's neighbors and keeps one bit per candidate in one buffer, so
-    that a second walk writes the pairs straight into the one CSR buffer:
-    the peak is the result, the bits (about a tenth of it), a few per-FAP
-    arrays and one block, 1.1 MiB above the result at 8000 FAPs and
-    7.1 MiB at 40000.  Work and memory are O(N * mean degree).  The
-    result is CSR with int32 indices, ascending in rows.
+    gives one cell (the complete graph).  One walk of the blocks appends each
+    block's kept pairs, sorted in their rows, to one growing buffer, which
+    becomes the CSR indices as it stands: the peak is the result, the spare
+    eighth at most that the buffer reserves as it grows, a few per-FAP
+    arrays and one block, 1.3 MiB above the result at 8000 FAPs and 5.0 MiB at
+    40000.  Work and memory are O(N * mean degree).  The result is CSR with
+    int32 indices, ascending in rows.
     """
     pairs = _Pairs(deployment.positions(), radius)
     n = pairs.n
-    # first walk: which candidates pass, kept as bits, and each row's count
     indptr = np.zeros(n + 1, dtype=np.int64)
-    passed = bytearray()
-    for a, b, per_row, at in pairs.blocks():
-        keep = pairs.passes(a, b, per_row, at)
-        passed += memoryview(np.packbits(keep))
+    kept = bytearray()
+    for a, b, ends, j in pairs.blocks():
+        count = np.diff(ends, prepend=0)
         # every FAP is its own candidate once, and passes
-        indptr[a + 1:b + 1] = np.add.reduceat(keep, np.cumsum(per_row) - per_row, dtype=np.int64) - 1
-    np.cumsum(indptr, out=indptr)
-    # second walk: write each block's pairs into the one CSR buffer
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    bits, o = np.frombuffer(passed, dtype=np.uint8), 0
-    for a, b, _, at in pairs.blocks():
-        keep = np.unpackbits(bits[o:], count=len(at)).view(bool)
-        o += (len(at) + 7) // 8
-        j = pairs.order.take(at[keep])
-        # a row keeps its neighbors, counted in indptr, and itself
-        i = np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1]) + 1)
+        indptr[a + 1:b + 1] = count - 1
+        i = np.repeat(np.arange(a, b), count)
         # a row's runs come column by column: drop i == j and sort (row, id)
         # pairs; the rows stay in place, so taking i * n off leaves the ids
         other = i != j
         i = i[other] * n
         pair = i + j[other]
         pair.sort()
-        indices[indptr[a]:indptr[b]] = pair - i
+        pair -= i
+        kept += memoryview(pair.astype(np.int32))
+    np.cumsum(indptr, out=indptr)
+    indices = np.frombuffer(kept, dtype=np.int32)
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return NeighborGraph(indptr=indptr, indices=indices, neighbor_radius=radius)
@@ -717,11 +716,9 @@ def earlier_neighbors(positions, radius: float, start: int = 0):
     are the FAPs with ids below i of the 3x3 cells around row i's, read in
     blocks from ``_Pairs``, each built and tested as the stream reaches it."""
     check_domain("start", start, 0)
-    pairs = _Pairs(positions, radius)
-    for a, b, per_row, at in pairs.blocks(start, earlier=True):
-        hit = np.flatnonzero(pairs.passes(a, b, per_row, at))
-        ends = np.searchsorted(hit, np.cumsum(per_row)).tolist()
-        yield from map(pairs.order.take(at.take(hit)).__getitem__, map(slice, [0, *ends], ends))
+    for _, _, ends, ids in _Pairs(positions, radius).blocks(start, earlier=True):
+        ends = ends.tolist()
+        yield from map(ids.__getitem__, map(slice, [0, *ends], ends))
 
 
 def apply_plan(deployment: Deployment, plan: FrequencyPlan) -> Deployment:

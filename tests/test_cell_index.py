@@ -114,6 +114,17 @@ class TestNearAdversarial:
         for p in dep.positions()[:40]:
             _assert_near_matches(dep, p, query)
 
+    @pytest.mark.parametrize("radius", [-100.0, 0.0, 1e-4, math.nan, -math.inf])
+    def test_radius_outside_the_domain_rejected(self, radius):
+        # -100 m used to find the FAPs within 100 m and NaN none; the graph
+        # and the sniff stream reject both
+        dep = generate(Scenario.D, DeploymentParams(n_faps=400), seed=1)
+        point = dep.positions()[0]
+        assert len(dep.near(point, 100.0)) > 1
+        for query in (lambda: dep.near(point, radius), lambda: neighbor_graph(dep, radius)):
+            with pytest.raises(ValueError, match="neighbor radius must be at least 0.001"):
+                query()
+
     def test_empty_deployment(self):
         dep = Deployment(DeploymentParams(n_faps=1), macro=False)
         assert dep.near((0.0, 0.0), 100.0).tolist() == []

@@ -420,6 +420,22 @@ class TestAllocationStorage:
                 dep.assign(PLAN, bad)
         assert dep.edges().tolist() == [0] * 40 and dep.plan is PLAN
 
+    @pytest.mark.parametrize("ids, named", [
+        ([-1], "-1"), ([5], "5"), ([7], "7"), ([0, 2, 5], "5"),
+        ([True, False, False, False, False], "True"), ([1.0], "1.0"), (np.array([2.5]), "2.5"),
+    ])
+    def test_assign_rejects_ids_outside_the_deployment(self, ids, named):
+        # -1 used to recolour FAP 4, a boolean mask was taken as ids and 7
+        # raised a bare IndexError
+        dep = apply_plan(generate(Scenario.D, DeploymentParams(n_faps=5), seed=2), PLAN)
+        with pytest.raises(ValueError, match=f"^no FAP with id {named}$"):
+            dep.assign(PLAN, 2, ids)
+        assert dep.edges().tolist() == [0] * 5
+        dep.assign(PLAN, 2, [])
+        dep.assign(PLAN, 2, np.array([4, 0], dtype=np.uint8))
+        dep.assign(PLAN, 3, 1)
+        assert dep.edges().tolist() == [2, 3, 0, 0, 2]
+
     @pytest.mark.parametrize("plan_sectors", [2, 4, 6])
     def test_plan_binds_only_at_the_deployment_sector_count(self, plan_sectors):
         # a 6-sector plan used to bind to a 3-sector deployment, whose sector
@@ -643,15 +659,24 @@ class TestCandidateBlocks:
         assert g.indptr.tobytes() == indptr.tobytes()
         assert g.indices.tobytes() == indices.tobytes()
 
+    @pytest.mark.parametrize("case", ["d-100", "crowded-inf"])
+    def test_graph_walks_the_stream_once(self, monkeypatch, case):
+        dep, radius = self._case(case)
+        calls, real = [], topology._Pairs.blocks
+        monkeypatch.setattr(topology._Pairs, "blocks", lambda self, *args, **kwargs: calls.append(
+            args) or real(self, *args, **kwargs))
+        g = neighbor_graph(dep, radius)
+        assert len(calls) == 1 and g.n_edges > 0
+
 
 class TestNeighborGraphMemory:
     # The dense-block search it replaced held 512 x N x 2 float64 differences
     # plus their squares, sums and masks: about 130 MB at N = 8000.  The grid
-    # search holds the CSR result (about 2.4 MiB at 8000 FAPs), its pass bits,
-    # a few per-FAP arrays and one block of 2**14 candidates (about 10
-    # temporaries of 128 KiB): 1.1 MiB above the result at 8000 FAPs.  Any
-    # N-wide pairwise block, even a single float64 row block of 512 x 8000 x 2
-    # (62.5 MiB), puts it far above.
+    # search holds the CSR result (about 2.4 MiB at 8000 FAPs), the spare
+    # capacity of its growing buffer, a few per-FAP arrays and one block of
+    # 2**14 candidates (about 10 temporaries of 128 KiB): 1.3 MiB above the
+    # result at 8000 FAPs.  Any N-wide pairwise block, even a single float64
+    # row block of 512 x 8000 x 2 (62.5 MiB), puts it far above.
     EXCESS_MB = 4
 
     def test_peak_well_below_dense_blocks(self):
@@ -667,8 +692,9 @@ class TestNeighborGraphMemory:
     def test_peak_near_the_result(self):
         # Holding the int32 indices twice (per-block pieces plus their
         # concatenation) puts the peak at twice the result.  The build may
-        # hold the result, a tenth of it in pass bits, and one block's
-        # temporaries plus a few per-FAP arrays (7.1 MiB at 40000 FAPs).
+        # hold the result, an eighth of it at most in the growing buffer's
+        # spare capacity, and one block's temporaries plus a few per-FAP
+        # arrays (5.0 MiB at 40000 FAPs).
         dep = generate(Scenario.D, DeploymentParams(n_faps=40000), seed=8)
         tracemalloc.start()
         try:
