@@ -155,6 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         cfg = _load_config(args)
     except ConfigError as exc:
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        out = run_experiment(cfg, args.experiment, max(1, args.workers))
+        out = run_experiment(cfg, args.experiment, args.workers)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

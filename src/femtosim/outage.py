@@ -159,15 +159,15 @@ def nearest_fap_angle(deployment: Deployment, ref) -> float:
     return math.atan2(delta[1], delta[0])
 
 
-def _ue_position(deployment, ref, distance, direction, rng, angle=None) -> np.ndarray:
-    """UE at ``distance`` from the serving FAP; by default on the ray toward
-    the nearest other FAP (worst case)."""
-    if angle is None:
-        if direction == "random":
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-        else:
-            angle = nearest_fap_angle(deployment, ref)
-    return ref.position + distance * np.array([math.cos(angle), math.sin(angle)])
+def _ue_angle(deployment, ref, config, seed) -> float:
+    """The UE bearing from the reference FAP that ``estimate`` takes unless
+    one is pinned: for a random direction, the one draw of the seed's child 0
+    (children 1.. are the shards), else the bearing toward the nearest other
+    FAP (worst case)."""
+    if config.ue_direction == "random":
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        return rng.uniform(0.0, 2.0 * math.pi)
+    return nearest_fap_angle(deployment, ref)
 
 
 def _block_rows(k: int) -> int:
@@ -250,13 +250,9 @@ def _link_set(deployment, reference_fap, config, params, seed, ue_angle):
         raise ValueError(
             f"ue_distance_m {config.ue_distance_m} exceeds the femto radius {ref.radius} m"
         )
-    rng = None  # drawn from only for a random bearing that is not pinned
-    if ue_angle is None and config.ue_direction == "random":
-        # child 0 of the seed draws a random UE bearing; children 1.. are the shards
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    ue = _ue_position(
-        deployment, ref, config.ue_distance_m, config.ue_direction, rng, angle=ue_angle,
-    )
+    if ue_angle is None:
+        ue_angle = _ue_angle(deployment, ref, config, seed)
+    ue = ref.position + config.ue_distance_m * np.array([math.cos(ue_angle), math.sin(ue_angle)])
     _, coeffs, macro_coeff, s_bar = link_coefficients(
         deployment, ref, ue, config.ue_region, params
     )
@@ -329,7 +325,11 @@ def estimate_variants(deployment: Deployment, variants, config: OutageConfig,
     """FAP 0's estimate under each (plan, edges) variant of the deployment,
     in order, from one Monte Carlo pass.  Each variant is written with
     ``deployment.assign(plan, edges)`` before its link set is taken and again
-    before its ``estimate``, so the deployment ends in the last variant."""
+    before its ``estimate``, so the deployment ends in the last variant.
+    Variants share the positions and the seed, hence the UE bearing, which is
+    found once unless ``ue_angle`` pins it."""
+    if ue_angle is None:
+        ue_angle = _ue_angle(deployment, deployment.fap_by_id(0), config, seed)
     links = []
     for plan, edges in variants:
         deployment.assign(plan, edges)

@@ -130,12 +130,12 @@ def configure_frequencies(
 ) -> ColoringState:
     """Assign every FAP one of the three edge colors by greedy coloring.
 
-    FAPs are processed in descending neighbor-graph degree (ids break ties);
-    each takes the globally least-used color not present among its already
-    colored neighbors.  When neighbors cover all three colors, the color with
-    the fewest same-colored neighbors is taken and a COLOR_CONFLICT event is
-    recorded.  Greedy conflicts are never worse than uniform random assignment
-    on average.
+    FAPs are processed in descending neighbor-graph degree (ids break ties).
+    Each takes the color that the fewest of its already colored neighbors
+    have; ties go to the color used least so far over the whole deployment,
+    and then to X, Y, Z order.  A color no neighbor has therefore wins
+    whenever there is one.  When neighbors cover all three colors, the same
+    rule picks among them, and a COLOR_CONFLICT event is recorded.
     """
     if plan.scheme is not Scheme.DYNAMIC_REUSE:
         raise ValueError(f"{plan.scheme.value} scheme has no edge bands to configure")

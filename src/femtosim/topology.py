@@ -65,9 +65,7 @@ _EDGES = tuple(EdgeChoice)
 # the distance and tx power domains (see check_domain)
 MIN_DISTANCE_M, MAX_DISTANCE_M = 1e-3, 1e5
 MIN_POWER_W, MAX_POWER_W = 1e-9, 1e3
-C_MAX_MEAN_DEGREE = 2.0  # scenario C sparsity bound
 MAX_PLACE_ATTEMPTS = 1000  # per-FAP rejection budget (scenario B)
-MAX_LAYOUT_ATTEMPTS = 200  # whole-layout budget (scenario C)
 
 
 def check_domain(name: str, value, low, high=math.inf) -> None:
@@ -109,14 +107,14 @@ def _check_position(x: float, y: float, macro: bool = False) -> None:
 
 
 class Scenario(Enum):
-    A = "A"  # single femtocell, no overlaid macrocell
-    B = "B"  # discrete femtocells, pairwise non-neighboring
-    C = "C"  # a few interfering femtocells
-    D = "D"  # dense femtocells
+    # the paper's letters; nothing builds its scenario C, a few interfering femtocells
+    A = "A"  # single femtocell, no overlaid macrocell (criterion 3)
+    B = "B"  # discrete femtocells, pairwise non-neighboring (criterion 3)
+    D = "D"  # dense femtocells (every experiment)
 
 
 class PlacementError(RuntimeError):
-    """Raised when a scenario's geometric constraints cannot be satisfied."""
+    """Raised when scenario B cannot place a FAP apart from every earlier one."""
 
 
 class Fap:
@@ -242,10 +240,6 @@ class NeighborGraph:
     @property
     def n_edges(self) -> int:
         return len(self.indices) // 2
-
-    @property
-    def mean_degree(self) -> float:
-        return len(self.indices) / self.n_faps if self.n_faps else 0.0
 
 
 @dataclass(frozen=True)
@@ -549,16 +543,6 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
 
     if scenario is Scenario.B:
         return _layout(rng, params, separation=params.neighbor_radius_m)
-
-    if scenario is Scenario.C:
-        for _ in range(MAX_LAYOUT_ATTEMPTS):
-            dep = _layout(rng, params)
-            g = neighbor_graph(dep, params.neighbor_radius_m)
-            if g.n_edges >= 1 and g.mean_degree < C_MAX_MEAN_DEGREE:
-                return dep
-        raise PlacementError(
-            f"no scenario-C layout found in {MAX_LAYOUT_ATTEMPTS} attempts"
-        )
 
     if scenario is Scenario.D:
         return _layout(rng, params)

@@ -152,6 +152,16 @@ class TestRun:
         assert _run(["run", "--experiment", "fig5", "--out", str(b), "--workers", "8", *FAST]) == 0
         assert _body(a) == _body(b)
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        # a usage error, not a silent run on one worker
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            _run(["run", "--experiment", "fig5", "--out", str(out), "--workers", workers, *FAST])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert _run(["run", "--experiment", "fig5", "--out", str(a), "--seed", "1", *FAST]) == 0

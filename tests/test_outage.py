@@ -931,6 +931,31 @@ class TestSharedEstimates:
         assert [(r.estimate.p_out_closed, r.estimate.p_out_mc) for r in rows] == [(0.0, 0.0)] * 4
 
     @pytest.mark.parametrize("ue_direction", ["nearest", "random"])
+    def test_variants_find_the_ue_bearing_once(self, monkeypatch, ue_direction):
+        # three colorings of one deployment scan for the nearest FAP once (a
+        # random bearing needs no scan), and each estimate is, bit for bit,
+        # the one a separate ``estimate`` of that coloring makes
+        plan = _plans([Scheme.DYNAMIC_REUSE])[0]
+        dep = generate(Scenario.D, DeploymentParams(n_faps=1000), seed=5)
+        graph = neighbor_graph(dep, dep.params.neighbor_radius_m)
+        son.configure_frequencies(dep, graph, plan)
+        greedy = dep.edges().copy()
+        son.assign_uniform_random_colors(dep, graph, plan, np.random.default_rng(1))
+        variants = [(plan, greedy), (plan, dep.edges().copy()), (plan, 1)]
+        cfg, params = OutageConfig(n_trials=3001, ue_direction=ue_direction), PropagationParams()
+        alone = []
+        for p, edges in variants:
+            dep.assign(p, edges)
+            alone.append(estimate(dep, 0, cfg, params, seed=7))
+        calls = []
+        real = outage.nearest_fap_angle
+        monkeypatch.setattr(outage, "nearest_fap_angle", lambda *a: calls.append(a) or real(*a))
+        ests = outage.estimate_variants(dep, variants, cfg, params, seed=7)
+        assert len(calls) == (ue_direction == "nearest")
+        assert [repr(e) for e in ests] == [repr(e) for e in alone]
+        assert len({e.p_out_closed for e in ests}) == 3
+
+    @pytest.mark.parametrize("ue_direction", ["nearest", "random"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_sweep_rows_equal_estimates_alone(self, monkeypatch, n_workers, ue_direction):
         # every row of the shared pass is, bit for bit, the estimate of its

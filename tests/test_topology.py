@@ -227,13 +227,6 @@ class TestGenerate:
         with pytest.raises(PlacementError, match="after 50 attempts"):
             generate(Scenario.B, params, seed=9)
 
-    def test_scenario_c_constraints(self):
-        params = DeploymentParams(n_faps=60)
-        dep = generate(Scenario.C, params, seed=21)
-        g = neighbor_graph(dep, params.neighbor_radius_m)
-        assert g.n_edges >= 1
-        assert g.mean_degree < topology.C_MAX_MEAN_DEGREE
-
     def test_poisson_neighbor_mean_interior(self):
         # lambda = density * pi * r^2 = (1000 / (pi 1000^2)) * pi * 100^2 = 10;
         # measured only for FAPs at least 100 m inside the boundary to avoid
@@ -275,7 +268,7 @@ def assert_positions_match_faps(dep):
 
 class TestDeploymentPositions:
     @pytest.mark.parametrize("scenario, n_faps, seed", [
-        (Scenario.A, 1, 1), (Scenario.B, 40, 9), (Scenario.C, 60, 21), (Scenario.D, 1000, 3),
+        (Scenario.A, 1, 1), (Scenario.B, 40, 9), (Scenario.D, 1000, 3),
     ])
     def test_generate_matches_faps(self, scenario, n_faps, seed):
         assert_positions_match_faps(generate(scenario, DeploymentParams(n_faps=n_faps), seed))
