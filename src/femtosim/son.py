@@ -157,7 +157,7 @@ def configure_frequencies(
         if counts[k] and log is not None:
             log.append(
                 SonEventKind.COLOR_CONFLICT, fid,
-                color=color.value, partners=neigh[neigh_codes == k].tolist(),
+                color=color.value, partners=sorted(neigh[neigh_codes == k].tolist()),
             )
         colors[fid] = color
         codes[fid] = k

@@ -24,11 +24,12 @@ plan on read.  ``Deployment.faps`` is a sequence of ``Fap`` views that read
 and write those rows.  FAPs join only at the end, through ``extend``, and a
 position lies within 100 km of the macro BS on each axis and never changes.
 ``near`` (a scan of every FAP), ``neighbor_graph`` (CSR: int64 row
-pointers, int32 ids ascending in each row) and ``earlier_neighbors`` (each
-FAP's neighbors among the FAPs before it) share one neighbor test, ``dx * dx
-+ dy * dy <= r * r`` in float64.  The last two read one blocked stream of
-the pairs that pass it (``_Pairs``), tested among the FAPs of the 3x3 cells
-around a FAP's, cells a hair wider than r, in O(N * mean degree).
+pointers, int32 ids in each row) and ``earlier_neighbors`` (each FAP's
+neighbors among the FAPs before it) share one neighbor test, ``dx * dx + dy
+* dy <= r * r`` in float64.  The last two read one blocked stream of the
+pairs that pass it (``_Pairs``), tested among the FAPs of the 3x3 cells
+around a FAP's, cells a hair wider than r, in O(N * mean degree), and list
+them in its order, so a sniff row is its graph row's ids below its own.
 Placement, admission and replay share one disc test, which NaN fails, and
 scenario B redraws a FAP while ``near`` finds a neighbor, so the graph links
 none of its pairs.
@@ -210,8 +211,8 @@ class _FapList(Sequence):
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
     """Neighbor graph in CSR form: FAP i's neighbors are
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending, and every edge appears
-    in both rows.  ``neighbor_radius`` is the radius it was built with."""
+    ``indices[indptr[i]:indptr[i + 1]]``, in stream order, and every edge
+    appears in both rows.  ``neighbor_radius`` is its radius."""
 
     indptr: np.ndarray  # (N + 1,) int64
     indices: np.ndarray  # (2 * n_edges,) int32
@@ -552,7 +553,7 @@ def generate(scenario: Scenario, params: DeploymentParams, seed: int) -> Deploym
 
 # Candidate pairs per block, whatever N is: 2**14, so each of a block's ten or
 # so float64/int64 temporaries is 128 KiB and together they fit an L2 cache.
-# The graph build then peaks 1.3 MiB above its result at 8000 FAPs.
+# The graph build then peaks 1.2 MiB above its result at 8000 FAPs.
 _CANDIDATE_BLOCK = 1 << 14
 _CHUNK_ROWS = 256  # rows whose runs are counted at once (a sniff's tables are 18 KiB)
 
@@ -662,30 +663,23 @@ def neighbor_graph(deployment: Deployment, radius: float) -> NeighborGraph:
     A FAP's candidates are the FAPs of the 3x3 cells around its own, read in
     blocks from ``_Pairs``.  The radius is at least 1 mm, or infinite, which
     gives one cell (the complete graph).  One walk of the blocks appends each
-    block's kept pairs, sorted in their rows, to one growing buffer, which
+    block's kept ids, less each row's own, to one growing buffer, which
     becomes the CSR indices as it stands: the peak is the result, the spare
     eighth at most that the buffer reserves as it grows, a few per-FAP
-    arrays and one block, 1.3 MiB above the result at 8000 FAPs and 5.0 MiB at
+    arrays and one block, 1.2 MiB above the result at 8000 FAPs and 4.9 MiB at
     40000.  Work and memory are O(N * mean degree).  The result is CSR with
-    int32 indices, ascending in rows.
+    int32 indices, each row in stream order: cells column by column, ids
+    ascending in a cell, so the ids below its own are ``earlier_neighbors``'
+    row for it.
     """
     pairs = _Pairs(deployment.positions(), radius)
-    n = pairs.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(pairs.n + 1, dtype=np.int64)
     kept = bytearray()
     for a, b, ends, j in pairs.blocks():
         count = np.diff(ends, prepend=0)
         # every FAP is its own candidate once, and passes
         indptr[a + 1:b + 1] = count - 1
-        i = np.repeat(np.arange(a, b), count)
-        # a row's runs come column by column: drop i == j and sort (row, id)
-        # pairs; the rows stay in place, so taking i * n off leaves the ids
-        other = i != j
-        i = i[other] * n
-        pair = i + j[other]
-        pair.sort()
-        pair -= i
-        kept += memoryview(pair.astype(np.int32))
+        kept += memoryview(j[j != np.repeat(np.arange(a, b), count)].astype(np.int32))
     np.cumsum(indptr, out=indptr)
     indices = np.frombuffer(kept, dtype=np.int32)
     indptr.flags.writeable = False

@@ -146,11 +146,12 @@ class TestNearAdversarial:
 
 
 def _assert_near_matches_graph(dep, radius):
-    """For every FAP i, ``near(p_i, radius)`` less i is row i of the graph."""
+    """For every FAP i, ``near(p_i, radius)`` less i is row i of the graph,
+    once sorted."""
     graph = neighbor_graph(dep, radius)
     for i, p in enumerate(dep.positions()):
         ids = dep.near(p, radius)
-        assert ids[ids != i].tolist() == graph.neighbors(i).tolist()
+        assert ids[ids != i].tolist() == np.sort(graph.neighbors(i)).tolist()
 
 
 class TestNearMatchesGraph:
@@ -448,6 +449,25 @@ class TestEarlierNeighbors:
         expected = outputs()
         monkeypatch.setattr(topology, "_CHUNK_ROWS", rows)
         assert outputs() == expected
+
+    @pytest.mark.parametrize("layout", ["generated", "lattice"])
+    @pytest.mark.parametrize("radius", [1e-3, 37.5, 100.0, math.inf])
+    def test_rows_are_the_graph_rows_earlier_part(self, layout, radius):
+        # a graph row lists its neighbors in stream order, so its ids below
+        # its own are the sniff's row, in the same order
+        if layout == "generated":
+            dep = generate(Scenario.D, DeploymentParams(n_faps=3000), seed=2)
+        else:  # on the cell boundaries of a 100 m radius, with duplicates
+            points = _lattice(100.0, k=10)
+            dep = _layout(points + points[::7], 100.0)
+        pos, graph = dep.positions(), neighbor_graph(dep, radius)
+        n = len(pos)
+        for start in (0, 1, n // 3):
+            rows = list(earlier_neighbors(pos, radius, start))
+            assert len(rows) == n - start
+            for i, row in enumerate(rows, start):
+                expected = graph.neighbors(i)
+                assert row.tolist() == expected[expected < i].tolist()
 
     def test_blocks_are_cut_by_earlier_candidates(self, monkeypatch):
         # a block holds about _CANDIDATE_BLOCK earlier candidates (all but

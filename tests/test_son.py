@@ -395,7 +395,7 @@ def _loop_configure_frequencies(deployment, graph, plan, log=None):
         if counts[k] and log is not None:
             log.append(
                 SonEventKind.COLOR_CONFLICT, fid,
-                color=color.value, partners=neigh[neigh_codes == k].tolist(),
+                color=color.value, partners=sorted(neigh[neigh_codes == k].tolist()),
             )
         codes[fid] = k
         usage[k] += 1

@@ -542,7 +542,7 @@ def _assert_csr_matches_all_pairs(dep, radius):
     assert g.indptr[-1] == len(g.indices)
     rows = [g.neighbors(i) for i in range(n)]
     for i, row in enumerate(rows):
-        assert np.all(np.diff(row) > 0)  # ascending, no repeats
+        assert np.all(np.diff(np.sort(row)) > 0)  # no repeats
         assert i not in row
     directed = {(i, j) for i, row in enumerate(rows) for j in row.tolist()}
     assert directed == {(j, i) for i, j in directed}  # symmetric
@@ -617,7 +617,8 @@ class TestNeighborGraphOracle:
 
 def _csr_row_by_row(pos, radius):
     """CSR arrays of the graph, each row by comparing its FAP with all others
-    by the graph's float expression; rows come out ascending."""
+    by the graph's float expression; rows come out ascending, so they match
+    the graph's rows once those are sorted."""
     r2 = radius * radius
     rows = []
     for i, p in enumerate(pos):
@@ -629,7 +630,8 @@ def _csr_row_by_row(pos, radius):
 
 class TestCandidateBlocks:
     """Blocks are cut on row boundaries and every step inside one is
-    elementwise, so the block size cannot change a bit of the result."""
+    elementwise, so the block size cannot change a bit of the result: a row
+    is never split across blocks, so its order does not depend on them."""
 
     @staticmethod
     def _case(name):
@@ -644,13 +646,17 @@ class TestCandidateBlocks:
     @pytest.mark.parametrize("case", ["d-100", "d-250", "crowded-inf"])
     def test_graph_is_bit_identical_at_every_block_size(self, monkeypatch, case, block):
         dep, radius = self._case(case)
+        default = neighbor_graph(dep, radius)
         if block is not None:  # None keeps the default
             monkeypatch.setattr(topology, "_CANDIDATE_BLOCK", block)
         g = neighbor_graph(dep, radius)
-        indptr, indices = _csr_row_by_row(dep.positions(), radius)
         assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        assert g.indptr.tobytes() == default.indptr.tobytes()
+        assert g.indices.tobytes() == default.indices.tobytes()
+        indptr, indices = _csr_row_by_row(dep.positions(), radius)
         assert g.indptr.tobytes() == indptr.tobytes()
-        assert g.indices.tobytes() == indices.tobytes()
+        rows = [np.sort(g.neighbors(i)) for i in range(g.n_faps)]
+        assert np.concatenate(rows).tobytes() == indices.tobytes()
 
     @pytest.mark.parametrize("case", ["d-100", "crowded-inf"])
     def test_graph_walks_the_stream_once(self, monkeypatch, case):
@@ -667,7 +673,7 @@ class TestNeighborGraphMemory:
     # plus their squares, sums and masks: about 130 MB at N = 8000.  The grid
     # search holds the CSR result (about 2.4 MiB at 8000 FAPs), the spare
     # capacity of its growing buffer, a few per-FAP arrays and one block of
-    # 2**14 candidates (about 10 temporaries of 128 KiB): 1.3 MiB above the
+    # 2**14 candidates (about 10 temporaries of 128 KiB): 1.2 MiB above the
     # result at 8000 FAPs.  Any N-wide pairwise block, even a single float64
     # row block of 512 x 8000 x 2 (62.5 MiB), puts it far above.
     EXCESS_MB = 4
@@ -687,7 +693,7 @@ class TestNeighborGraphMemory:
         # concatenation) puts the peak at twice the result.  The build may
         # hold the result, an eighth of it at most in the growing buffer's
         # spare capacity, and one block's temporaries plus a few per-FAP
-        # arrays (5.0 MiB at 40000 FAPs).
+        # arrays (4.9 MiB at 40000 FAPs).
         dep = generate(Scenario.D, DeploymentParams(n_faps=40000), seed=8)
         tracemalloc.start()
         try:
